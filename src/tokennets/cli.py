@@ -5,8 +5,11 @@ convergence probability and terminal distribution for the selected engine(s):
 `pcf` reduces the term directly, `net` rewrites the translated program net,
 and `msiam` runs the multi-token machine on it.  Under `all`, the pairwise
 probability deltas are reported and the run fails if any exceeds the
-tolerance.  Exit codes: 2 parse error, 3 type error, 4 engine disagreement,
-1 diamond-check failure.
+tolerance.  Exit codes: 2 bad input (unreadable program, parse error,
+missing or malformed `--gates` file, non-integer `MSIAM_SEED`), 3 type
+error, 4 engine disagreement, 5 the translated net fails its correctness
+check (an internal fault), 1 diamond-check failure.  Each failure prints a
+one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -116,7 +119,18 @@ def main(argv=None) -> int:
     if args.horizon < 1 or args.tol <= 0:
         ap.error("horizon must be >= 1 and tol > 0")
 
-    backend = build_backend(args.backend, args.gates)
+    seed_text = os.environ.get("MSIAM_SEED", "0")
+    if args.check_diamond is not None:
+        try:
+            seed = int(seed_text)
+        except ValueError:
+            print(f"error: MSIAM_SEED must be an integer, got {seed_text!r}", file=sys.stderr)
+            return 2
+    try:
+        backend = build_backend(args.backend, args.gates)
+    except (OSError, ValueError) as e:
+        print(f"error: gate file: {e}", file=sys.stderr)
+        return 2
     try:
         with open(args.file) as fh:
             src = fh.read()
@@ -137,7 +151,9 @@ def main(argv=None) -> int:
     pn = translate(tp, backend)
     validate(pn.net)
     err = check_correct(pn.net)
-    assert err is None, err
+    if err is not None:
+        print(f"internal error: translated net is not correct: {err}", file=sys.stderr)
+        return 5
 
     print(f"file: {args.file}")
     print(f"backend: {args.backend}")
@@ -149,7 +165,6 @@ def main(argv=None) -> int:
 
     engines = ENGINES if args.engine == "all" else (args.engine,)
     if args.check_diamond is not None:
-        seed = int(os.environ.get("MSIAM_SEED", "0"))
         ok = True
         for name in engines:
             fused, start, _ = make_engine(name, term, backend, pn)

@@ -222,14 +222,20 @@ def load_gate_config(path: str) -> dict[str, tuple[int, np.ndarray]]:
             parts = [p.strip() for p in line.split(",")]
             if len(parts) < 2:
                 raise ValueError(f"{path}:{lineno}: malformed gate line")
-            name, arity = parts[0], int(parts[1])
+            try:
+                name, arity = parts[0], int(parts[1])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: gate arity {parts[1]!r} is not an integer") from None
             dim = 2**arity
             entries = parts[2:]
             if len(entries) != dim * dim:
                 raise ValueError(
                     f"{path}:{lineno}: gate {name} needs {dim * dim} entries, got {len(entries)}"
                 )
-            vals = [complex(e.replace(" ", "").replace("i", "j")) for e in entries]
+            try:
+                vals = [complex(e.replace(" ", "").replace("i", "j")) for e in entries]
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: gate {name} has a malformed entry") from None
             mat = np.array(vals, dtype=complex).reshape(dim, dim)
             check_unitary(mat, name)
             gates[name] = (arity, mat)

@@ -16,6 +16,20 @@ door tests the address and parks the token on the chosen side, opening it.
 A state is final when every token is stable or has exited at a net
 conclusion; the whole machine is a probabilistic rewrite system whose
 terminal distribution matches net reduction.
+
+A micro-step moves one token, so a state carries three indexes that let
+enumeration and application do work in proportion to the moving tokens
+rather than to all tokens: the live tokens (neither stable nor exited at
+a net conclusion) by origin; the open copies, the box stacks of the stable
+markers parked at each principal door (or choice box side); and the
+pending link/spawn sites, one per one/?d node of each open copy that has
+not yet fired.  All three rest on one invariant: a stable token never moves
+again (nor does an exited one).  So a token leaves the live index for good
+when it becomes stable or exits, the open copies only grow, a site becomes
+pending exactly when its gate's copy opens and stops being pending when it
+fires, and a state is final exactly when no token is live.
+`MsSystem.apply` keeps the indexes up to date; the token set itself still
+drives hashing and equality.
 """
 
 from __future__ import annotations
@@ -94,9 +108,20 @@ def indicator(s: tuple, a: Formula) -> str | None:
 # content index) pairs from the root down.
 
 
+class MachineInvariantError(RuntimeError):
+    """A transition would break the machine's structural invariants: a
+    second token with an existing origin, or an address bound twice."""
+
+
 class NetIndex:
     """Static index of a net: every edge at every box level, with its type,
-    producing node, consuming node, exponential depth, and door wiring."""
+    producing node, consuming node, exponential depth, and door wiring.
+
+    `doors` maps the content-side edge of each principal door (of each
+    choice box side) to (box nkey, content index, stack a parked marker
+    has there); `gate_sites` maps each gate, (box nkey, content index) or
+    (None, 0) for the whole net, to the link/spawn sites directly inside
+    it as (link or spawn, one/?d nkey)."""
 
     def __init__(self, net: Net):
         self.edge_type: dict = {}
@@ -105,13 +130,13 @@ class NetIndex:
         self.node: dict = {}  # nkey -> Node
         self.level_net: dict = {}  # level -> Net
         self.exp_depth: dict = {}  # level -> int
-        self.ones: list = []  # (nkey, concl ekey)
-        self.ders: list = []
+        self.doors: dict = {}  # door ekey -> (box nkey, ci, marker fstack)
+        self.gate_sites: dict = {}  # gate -> [(kind, nkey)]
         self.root_conclusions: list = []
         self._walk(net, (), 0)
         self.root_conclusions = [((), e) for e in net.conclusions]
 
-    def _walk(self, net: Net, level: tuple, depth: int) -> None:
+    def _walk(self, net: Net, level: tuple, depth: int, gate=(None, 0)) -> None:
         self.level_net[level] = net
         self.exp_depth[level] = depth
         for eid, edge in net.edges.items():
@@ -123,13 +148,14 @@ class NetIndex:
                 self.edge_concl[(level, e)] = (nkey, i)
             for i, e in enumerate(node.prem):
                 self.edge_prem[(level, e)] = (nkey, i)
-            if node.kind == "one":
-                self.ones.append((nkey, (level, node.concl[0])))
-            elif node.kind == "der":
-                self.ders.append((nkey, (level, node.concl[0])))
+            if node.kind in ("one", "der"):
+                kind = "link" if node.kind == "one" else "spawn"
+                self.gate_sites.setdefault(gate, []).append((kind, nkey))
+            exp = node.kind in ("bangbox", "ybox")
             for ci, content in enumerate(node.contents):
-                extra = 1 if node.kind in ("bangbox", "ybox") else 0
-                self._walk(content, level + ((nid, ci),), depth + extra)
+                inner = level + ((nid, ci),)
+                self.doors[(inner, content.conclusions[0])] = (nkey, ci, (DELTA,) if exp else ())
+                self._walk(content, inner, depth + (1 if exp else 0), (nkey, ci))
 
     def typ(self, ekey) -> Formula:
         return self.edge_type[ekey]
@@ -185,19 +211,26 @@ def _sort_key(x):
 
 class MachineState:
     """Immutable multi-token state: tokens with origins, the address map on
-    origins, and a memory.  Compared up to address permutation."""
+    origins, and a memory.  Compared up to address permutation.
 
-    __slots__ = ("tokens", "ind", "memory", "_key", "_hash")
+    It also carries the indexes `MsSystem` keeps (see the module docstring):
+    `live` (origin -> position of each token neither stable nor exited),
+    `open_copies`
+    ((box nkey, content index) -> frozenset of opened box stacks) and
+    `pending` (frozenset of (kind, nkey, box stack) link/spawn sites).
+    States share these containers and `ind`; none is mutated."""
 
-    def __init__(self, tokens: frozenset, ind: dict, memory):
-        self.tokens = frozenset(tokens)
-        self.ind = dict(ind)
-        origins = [o for _, o in self.tokens]
-        assert len(set(origins)) == len(origins), "duplicate token origin"
-        assert len(set(self.ind.values())) == len(self.ind)
+    __slots__ = ("tokens", "ind", "memory", "live", "open_copies", "pending", "_key")
+
+    def __init__(self, tokens: frozenset, ind: dict, memory, live: dict,
+                 open_copies: dict, pending: frozenset):
+        self.tokens = tokens
+        self.ind = ind
         self.memory = memory
+        self.live = live
+        self.open_copies = open_copies
+        self.pending = pending
         self._key = None
-        self._hash = None
 
     def _sigma(self) -> dict:
         sigma: dict = {}
@@ -276,24 +309,8 @@ class MsSystem:
 
     def copies(self, st: MachineState, box_nkey, ci: int = 0) -> set:
         """Box stacks of the copies opened for a box (per side for choice
-        boxes); the whole net counts as one open copy with the empty stack."""
-        if box_nkey is None:
-            return {()}
-        door = self.index.principal_premise(box_nkey, ci)
-        kind = self.index.node[box_nkey].kind
-        want_stack = (DELTA,) if kind in ("bangbox", "ybox") else ()
-        return {
-            pos[2]
-            for pos, _ in st.tokens
-            if pos[0] == door and pos[1] == want_stack
-        }
-
-    def _gate_of(self, level):
-        """(box nkey, content index) immediately enclosing a level."""
-        if not level:
-            return None, 0
-        bnid, ci = level[-1]
-        return ((level[:-1], bnid), ci)
+        boxes)."""
+        return st.open_copies.get((box_nkey, ci), frozenset())
 
     def token_step(self, st: MachineState, pos):
         """Classify the unique pending action of a non-stable token:
@@ -438,7 +455,7 @@ class MsSystem:
     def enumerate_redexes(self, st: MachineState) -> list[Transition]:
         out: list[Transition] = []
         sync_tokens: dict = {}
-        for pos, orig in st.tokens:
+        for orig, pos in st.live.items():
             act = self.token_step(st, pos)
             if act is None:
                 continue
@@ -453,63 +470,96 @@ class MsSystem:
             level = sync_nkey[0]
             if all((level, e) in prem_edges for e in node.prem):
                 out.append(Transition("update", (sync_nkey, t)))
-        used = {orig for _, orig in st.tokens}
-        for sites, kind in ((self.index.ones, "link"), (self.index.ders, "spawn")):
-            for nkey, ekey in sites:
-                box_nkey, ci = self._gate_of(nkey[0])
-                fstack = () if kind == "link" else (STAR, DELTA)
-                for t in self.copies(st, box_nkey, ci):
-                    p = (ekey, fstack, t)
-                    if p not in used:
-                        out.append(Transition(kind, (nkey, t)))
+        for kind, nkey, t in st.pending:
+            out.append(Transition(kind, (nkey, t)))
         return sorted(out, key=Transition.sort_key)
 
     # -- transition application -------------------------------------------
 
+    def _successor(self, st: MachineState, moves, ind=None, memory=None, pending=None):
+        """The state after each (origin, old position or None, new position)
+        of `moves`, with the live, open-copy and pending-site indexes brought
+        up to date: a token that turns stable or exits leaves the live index,
+        and one parked at a door opens its copy, which makes the sites under
+        that gate pending."""
+        live = dict(st.live)
+        open_copies = st.open_copies
+        pending = st.pending if pending is None else pending
+        removed, added = set(), set()
+        for orig, old, new in moves:
+            if old is not None:
+                removed.add((old, orig))
+            added.add((new, orig))
+            d = self.direction(new)
+            exited = d == "down" and self.index.is_root_conclusion(new[0]) and not new[2]
+            if d != "stable" and not exited:
+                live[orig] = new
+                continue
+            live.pop(orig, None)
+            door = self.index.doors.get(new[0])
+            if door is None or new[1] != door[2]:
+                continue
+            gate, t = door[:2], new[2]
+            have = open_copies.get(gate, frozenset())
+            if t not in have:
+                open_copies = {**open_copies, gate: have | {t}}
+                sites = self.index.gate_sites.get(gate, ())
+                pending = pending | {(kind, nkey, t) for kind, nkey in sites}
+        tokens = (st.tokens - removed if removed else st.tokens) | added
+        return MachineState(
+            tokens,
+            st.ind if ind is None else ind,
+            st.memory if memory is None else memory,
+            live,
+            open_copies,
+            pending,
+        )
+
     def apply(self, st: MachineState, tr: Transition) -> Distribution:
         if tr.kind in ("link", "spawn"):
             nkey, t = tr.data
-            node = self.index.node[nkey]
-            ekey = (nkey[0], node.concl[0])
-            fstack = () if tr.kind == "link" else (STAR, DELTA)
-            p = (ekey, fstack, t)
-            tokens = st.tokens | {(p, p)}
-            if tr.kind == "spawn":
-                return Distribution.dirac(MachineState(tokens, st.ind, st.memory))
-            if not t and ekey in self.pn_ind:
-                i = self.pn_ind[ekey]
-            else:
-                i = fresh(
-                    st.memory,
-                    set(st.ind.values()) | set(self.pn_ind.values()),
+            site = (tr.kind, nkey, t)
+            if site not in st.pending:
+                raise MachineInvariantError(
+                    f"{tr.kind} at {nkey} in copy {t} is not pending: "
+                    "its copy is not open or its origin already exists"
                 )
-            ind = dict(st.ind)
-            ind[p] = i
-            return Distribution.dirac(MachineState(tokens, ind, st.memory))
+            ekey = (nkey[0], self.index.node[nkey].concl[0])
+            p = (ekey, () if tr.kind == "link" else (STAR, DELTA), t)
+            ind = None
+            if tr.kind == "link":
+                taken = set(st.ind.values())
+                if not t and ekey in self.pn_ind:
+                    i = self.pn_ind[ekey]
+                else:
+                    i = fresh(st.memory, taken | set(self.pn_ind.values()))
+                if i in taken:
+                    raise MachineInvariantError(f"link at {nkey}: address {i} is already bound")
+                ind = {**st.ind, p: i}
+            nxt = self._successor(st, [(p, None, p)], ind=ind, pending=st.pending - {site})
+            return Distribution.dirac(nxt)
         if tr.kind == "move":
             (orig,) = tr.data
-            (pos, _) = next(tk for tk in st.tokens if tk[1] == orig)
+            pos = st.live[orig]
             act = self.token_step(st, pos)
             assert act is not None and act[0] == "move"
-            tokens = (st.tokens - {(pos, orig)}) | {(act[1], orig)}
-            return Distribution.dirac(MachineState(tokens, st.ind, st.memory))
+            return Distribution.dirac(self._successor(st, [(orig, pos, act[1])]))
         if tr.kind == "update":
             sync_nkey, t = tr.data
             node = self.index.node[sync_nkey]
             level = sync_nkey[0]
-            addrs = []
-            tokens = set(st.tokens)
+            at = {pos: orig for orig, pos in st.live.items()}
+            addrs, moves = [], []
             for i, e in enumerate(node.prem):
                 pos = ((level, e), (), t)
-                tok = next(tk for tk in st.tokens if tk[0] == pos)
-                addrs.append(st.ind[tok[1]])
-                tokens.discard(tok)
-                tokens.add((((level, node.concl[i]), (), t), tok[1]))
+                orig = at[pos]
+                addrs.append(st.ind[orig])
+                moves.append((orig, pos, ((level, node.concl[i]), (), t)))
             m2 = st.memory.update(tuple(addrs), node.label)
-            return Distribution.dirac(MachineState(frozenset(tokens), st.ind, m2))
+            return Distribution.dirac(self._successor(st, moves, memory=m2))
         if tr.kind == "test":
             (orig,) = tr.data
-            (pos, _) = next(tk for tk in st.tokens if tk[1] == orig)
+            pos = st.live[orig]
             ekey, fstack, bstack = pos
             box_nkey, j = self.index.edge_concl[ekey]
             assert j == 0 and self.index.node[box_nkey].kind == "botbox"
@@ -518,22 +568,15 @@ class MsSystem:
             for (outcome, m2), p in st.memory.test(i):
                 side = 1 if outcome else 0
                 root = self.index.principal_premise(box_nkey, side)
-                tokens = (st.tokens - {(pos, orig)}) | {((root, fstack, bstack), orig)}
-                out.append((MachineState(tokens, st.ind, m2), p))
+                nxt = self._successor(st, [(orig, pos, (root, fstack, bstack))], memory=m2)
+                out.append((nxt, p))
             return Distribution(out)
         raise AssertionError(tr.kind)
 
     # -- classification ----------------------------------------------------
 
     def is_final(self, st: MachineState) -> bool:
-        for pos, _ in st.tokens:
-            d = self.direction(pos)
-            if d == "stable":
-                continue
-            if d == "down" and self.index.is_root_conclusion(pos[0]) and not pos[2]:
-                continue
-            return False
-        return True
+        return not st.live
 
     def classify(self, st: MachineState) -> str:
         if self.is_final(st):
@@ -551,15 +594,19 @@ class MsSystem:
     # -- initial state ------------------------------------------------------
 
     def initial_state(self) -> MachineState:
-        tokens = set()
+        moves = []
         ind = {}
         for ekey in self.index.root_conclusions:
             for s in _up_stacks(self.index.typ(ekey)):
                 p = (ekey, s, ())
-                tokens.add((p, p))
+                moves.append((p, None, p))
                 if s == () and ekey in self.pn_ind:
                     ind[p] = self.pn_ind[ekey]
-        return MachineState(frozenset(tokens), ind, self.initial_memory)
+        # The whole net is one open copy, with the empty box stack.
+        root_sites = self.index.gate_sites.get((None, 0), ())
+        pending = frozenset((kind, nkey, ()) for kind, nkey in root_sites)
+        empty = MachineState(frozenset(), ind, self.initial_memory, {}, {}, pending)
+        return self._successor(empty, moves)
 
 
 def _up_stacks(a: Formula, prefix: tuple = ()):

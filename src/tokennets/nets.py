@@ -167,22 +167,12 @@ class Net:
     def remove_node(self, nid: int) -> None:
         del self.nodes[nid]
 
-    def remove_edge(self, eid: int) -> None:
-        del self.edges[eid]
-
     def splice(self, content: "Net") -> None:
         """Merge another net's nodes and edges into this level."""
         assert not set(content.nodes) & set(self.nodes)
         assert not set(content.edges) & set(self.edges)
         self.nodes.update(content.nodes)
         self.edges.update(content.edges)
-
-    def deep_nodes(self):
-        """All (net, node) pairs, recursively through box contents."""
-        for n in list(self.nodes.values()):
-            yield self, n
-            for c in n.contents:
-                yield from c.deep_nodes()
 
     def refresh_copy(self) -> "Net":
         """Structural copy with brand-new node and edge identifiers."""

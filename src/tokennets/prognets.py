@@ -33,13 +33,6 @@ class PnRedex:
         return (1,) + self.net_redex.sort_key()
 
 
-def surface_one_conclusions(net: Net) -> list[int]:
-    """Conclusion edges of surface one nodes, in traversal order."""
-    edge_no, _ = net.traversal()
-    ones = [n.concl[0] for n in net.nodes.values() if n.kind == "one"]
-    return sorted(ones, key=lambda e: edge_no[e])
-
-
 def inputs(net: Net) -> list[int]:
     """Surface one-node conclusions plus bot-typed net conclusions."""
     edge_no, _ = net.traversal()

@@ -64,3 +64,42 @@ def test_probabilistic_report_is_deterministic(tmp_path, capsys):
     assert main(args) == 0
     assert normalized() == first
     assert first.count("0.500000000000") == 2
+
+
+def test_missing_gates_file_exit_code(tmp_path, capsys):
+    f = write(tmp_path, "H new")
+    code = main([f, "--backend", "quantum", "--gates", str(tmp_path / "none.cfg")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_malformed_gates_file_exit_code(tmp_path, capsys):
+    f = write(tmp_path, "H new")
+    cfg = tmp_path / "gates.cfg"
+    cfg.write_text("T, one, 1, 0, 0, 1\n")
+    code = main([f, "--backend", "quantum", "--gates", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "gates.cfg:1" in err and err.count("\n") == 1
+
+
+def test_non_integer_seed_exit_code(tmp_path, capsys, monkeypatch):
+    f = write(tmp_path, "if c new then new else new")
+    monkeypatch.setenv("MSIAM_SEED", "x")
+    code = main([f, "--backend", "prob", "--engine", "net", "--check-diamond", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and "MSIAM_SEED" in captured.err
+    assert captured.err.count("\n") == 1 and not captured.out
+
+
+def test_incorrect_net_exit_code(tmp_path, capsys, monkeypatch):
+    import tokennets.cli
+
+    f = write(tmp_path, "new")
+    monkeypatch.setattr(tokennets.cli, "check_correct", lambda net: "cyclic switching")
+    code = main([f])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert "cyclic switching" in err and err.count("\n") == 1

@@ -1,7 +1,19 @@
+import os
+
 import pytest
 
+import tokennets.msiam
 from tokennets.memory import int_backend, prob_backend, quantum_backend
-from tokennets.msiam import DELTA, MsSystem, NetIndex, STAR, indicator, run
+from tokennets.msiam import (
+    DELTA,
+    MachineInvariantError,
+    MsSystem,
+    NetIndex,
+    STAR,
+    Transition,
+    indicator,
+    run,
+)
 from tokennets.nets import BOT, ONE, bang, par, quest, tensor
 from tokennets.pars import (
     Distribution,
@@ -156,3 +168,177 @@ def test_policy_independence():
     p1, _ = run(pn, horizon=30, policy=leftmost_policy)
     p2, _ = run(pn, horizon=30, policy=seeded_policy(7))
     assert p1 == pytest.approx(p2, abs=1e-12)
+
+
+# -- incremental indexes against a full token scan [DERIVED oracles] -------
+
+CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
+
+
+def corpus_programs():
+    out = []
+    for name in sorted(os.listdir(CORPUS_DIR)):
+        if name.endswith(".pcf"):
+            with open(os.path.join(CORPUS_DIR, name)) as fh:
+                src = fh.read()
+            out.append((name, src.splitlines()[0].split(":")[1].strip(), src))
+    return out
+
+
+CORPUS = corpus_programs()
+
+
+def _gate(level):
+    return (None, 0) if not level else ((level[:-1], level[-1][0]), level[-1][1])
+
+
+def scan_copies(sys, st, box_nkey, ci=0):
+    """Open copies of a box side, by scanning every token for a marker."""
+    if box_nkey is None:
+        return {()}
+    door = sys.index.principal_premise(box_nkey, ci)
+    want = (DELTA,) if sys.index.node[box_nkey].kind in ("bangbox", "ybox") else ()
+    return {pos[2] for pos, _ in st.tokens if pos[0] == door and pos[1] == want}
+
+
+class ScanSystem(MsSystem):
+    """The machine without indexes: every enumeration rescans every token
+    and every link/spawn site of every open copy."""
+
+    def copies(self, st, box_nkey, ci=0):
+        return scan_copies(self, st, box_nkey, ci)
+
+    def enumerate_redexes(self, st):
+        out = []
+        sync_tokens = {}
+        for pos, orig in st.tokens:
+            act = self.token_step(st, pos)
+            if act is None:
+                continue
+            if act[0] in ("move", "test"):
+                out.append(Transition(act[0], (orig,)))
+            elif act[0] == "sync":
+                sync_tokens.setdefault((act[1], act[2]), set()).add(pos[0])
+        for (sync_nkey, t), prem_edges in sync_tokens.items():
+            level = sync_nkey[0]
+            if all((level, e) in prem_edges for e in self.index.node[sync_nkey].prem):
+                out.append(Transition("update", (sync_nkey, t)))
+        used = {orig for _, orig in st.tokens}
+        for nkey, node in self.index.node.items():
+            if node.kind not in ("one", "der"):
+                continue
+            kind, fstack = ("link", ()) if node.kind == "one" else ("spawn", (STAR, DELTA))
+            for t in self.copies(st, *_gate(nkey[0])):
+                if ((nkey[0], node.concl[0]), fstack, t) not in used:
+                    out.append(Transition(kind, (nkey, t)))
+        return sorted(out, key=Transition.sort_key)
+
+
+def rebuilt_indexes(sys, st):
+    """(live, open copies, pending sites) computed from the token set."""
+    live = {}
+    for pos, orig in st.tokens:
+        d = sys.direction(pos)
+        exited = d == "down" and sys.index.is_root_conclusion(pos[0]) and not pos[2]
+        if d != "stable" and not exited:
+            live[orig] = pos
+    open_copies = {}
+    for nkey, node in sys.index.node.items():
+        for ci in range(len(node.contents)):
+            found = scan_copies(sys, st, nkey, ci)
+            if found:
+                open_copies[(nkey, ci)] = found
+    pending = {
+        (tr.kind, *tr.data)
+        for tr in ScanSystem.enumerate_redexes(sys, st)
+        if tr.kind in ("link", "spawn")
+    }
+    return live, open_copies, pending
+
+
+class CheckedSystem(MsSystem):
+    """The indexed machine, checked against the full scan on every state
+    whose transitions are enumerated."""
+
+    def __init__(self, pn):
+        super().__init__(pn)
+        self.reference = ScanSystem(pn)
+        self.checked = 0
+
+    def enumerate_redexes(self, st):
+        out = super().enumerate_redexes(st)
+        assert out == self.reference.enumerate_redexes(st)
+        live, open_copies, pending = rebuilt_indexes(self.reference, st)
+        assert st.live == live
+        assert st.open_copies == open_copies
+        assert st.pending == pending
+        self.checked += 1
+        return out
+
+
+@pytest.mark.parametrize("policy", ["leftmost", "seeded"])
+@pytest.mark.parametrize("name,bk,src", CORPUS, ids=[c[0] for c in CORPUS])
+def test_indexed_enumeration_matches_full_scan(name, bk, src, policy):
+    pn, _ = make(src, bk)
+    sys = CheckedSystem(pn)
+    fused = FusedSystem(sys)
+    start = fused.prepare(sys.initial_state())
+    pick = leftmost_policy if policy == "leftmost" else seeded_policy(0)
+    horizon = 3 if name == "omega.pcf" else 40
+    converge(Distribution.dirac(start), fused, pick, horizon=horizon)
+    assert sys.checked > 0
+
+
+@pytest.mark.parametrize("horizon", [3, 12])
+def test_token_steps_per_micro_step_do_not_grow(horizon, monkeypatch):
+    calls = {"token_step": 0, "apply": 0}
+    token_step, apply = MsSystem.token_step, MsSystem.apply
+
+    def counted_token_step(self, st, pos):
+        calls["token_step"] += 1
+        return token_step(self, st, pos)
+
+    def counted_apply(self, st, tr):
+        calls["apply"] += 1
+        return apply(self, st, tr)
+
+    monkeypatch.setattr(MsSystem, "token_step", counted_token_step)
+    monkeypatch.setattr(MsSystem, "apply", counted_apply)
+    (src,) = [src for name, _, src in CORPUS if name == "omega.pcf"]
+    pn, _ = make(src, "int")
+    p, hit = run(pn, horizon=horizon)
+    assert hit and p == 0.0
+    assert calls["apply"] > 0
+    assert calls["token_step"] <= 4 * calls["apply"]
+
+
+# -- invariant checks ------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["link", "spawn"])
+def test_firing_a_site_twice_is_rejected(kind):
+    pn, _ = make(r"(\f. <f new, f new>) (\x. x)", "int")
+    sys = MsSystem(pn)
+    st = sys.initial_state()
+    while True:
+        redexes = sys.enumerate_redexes(st)
+        sites = [tr for tr in redexes if tr.kind == kind]
+        if sites:
+            break
+        (st,) = sys.apply(st, redexes[0]).support()
+    (fired,) = sys.apply(st, sites[0]).support()
+    assert sites[0] not in sys.enumerate_redexes(fired)
+    with pytest.raises(MachineInvariantError):
+        sys.apply(fired, sites[0])
+
+
+def test_link_to_a_bound_address_is_rejected(monkeypatch):
+    pn, _ = make("<new, new>", "int")
+    sys = MsSystem(pn)
+    st = sys.initial_state()
+    first, second = sys.enumerate_redexes(st)
+    (st,) = sys.apply(st, first).support()
+    (bound,) = st.ind.values()
+    monkeypatch.setattr(tokennets.msiam, "fresh", lambda memory, used: bound)
+    with pytest.raises(MachineInvariantError):
+        sys.apply(st, second)

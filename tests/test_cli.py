@@ -1,3 +1,9 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from tokennets.cli import main
@@ -103,3 +109,30 @@ def test_incorrect_net_exit_code(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 5
     assert "cyclic switching" in err and err.count("\n") == 1
+
+
+REPO = Path(__file__).resolve().parent.parent
+CORPUS = sorted((REPO / "corpus").glob("*.pcf"))
+
+
+def corpus_argv(path: Path) -> list[str]:
+    """`--engine all` with the file's header backend; omega at horizon 6."""
+    backend = re.search(r"^-- backend: *(\w+)", path.read_text(), re.M).group(1)
+    horizon = "6" if path.name == "omega.pcf" else "200"
+    return [f"corpus/{path.name}", "--engine", "all", "--backend", backend,
+            "--horizon", horizon]
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
+def test_corpus_output_matches_golden(path):
+    # Each run gets a fresh process: fresh variable names and node ids are
+    # drawn from process-wide counters, and the golden files were written
+    # by one `tokennets` process per file, run from the repository root.
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "tokennets.cli", *corpus_argv(path)],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    golden = REPO / "tests" / "golden" / f"{path.stem}.out"
+    assert proc.stdout == golden.read_text()

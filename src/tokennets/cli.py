@@ -7,9 +7,9 @@ and `msiam` runs the multi-token machine on it.  Under `all`, the pairwise
 probability deltas are reported and the run fails if any exceeds the
 tolerance.  Exit codes: 2 bad input (unreadable program, parse error,
 missing or malformed `--gates` file, non-integer `MSIAM_SEED`), 3 type
-error, 4 engine disagreement, 5 the translated net fails its correctness
-check (an internal fault), 1 diamond-check failure.  Each failure prints a
-one-line message on stderr.
+error, 4 engine disagreement, 5 the translated net is malformed or fails
+its correctness check (an internal fault), 1 diamond-check failure.  Each
+failure prints a one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 
 from .memory import int_backend, prob_backend, quantum_backend
 from .msiam import MsSystem
-from .nets import check_correct, validate
+from .nets import InvalidNetError, check_correct, validate
 from .pars import (
     Distribution,
     FusedSystem,
@@ -149,7 +149,11 @@ def main(argv=None) -> int:
         return 3
 
     pn = translate(tp, backend)
-    validate(pn.net)
+    try:
+        validate(pn.net)
+    except InvalidNetError as e:
+        print(f"internal error: translated net is invalid: {e}", file=sys.stderr)
+        return 5
     err = check_correct(pn.net)
     if err is not None:
         print(f"internal error: translated net is not correct: {err}", file=sys.stderr)

@@ -516,6 +516,27 @@ class MsSystem:
         )
 
     def apply(self, st: MachineState, tr: Transition) -> Distribution:
+        if tr.kind != "test":
+            return Distribution.dirac(self.step_det(st, tr))
+        (orig,) = tr.data
+        pos = st.live[orig]
+        ekey, fstack, bstack = pos
+        box_nkey, j = self.index.edge_concl[ekey]
+        assert j == 0 and self.index.node[box_nkey].kind == "botbox"
+        i = st.ind[orig]
+        out = []
+        for (outcome, m2), p in st.memory.test(i):
+            side = 1 if outcome else 0
+            root = self.index.principal_premise(box_nkey, side)
+            nxt = self._successor(st, [(orig, pos, (root, fstack, bstack))], memory=m2)
+            out.append((nxt, p))
+        return Distribution(out)
+
+    def own(self, st: MachineState) -> MachineState:
+        return st
+
+    def step_det(self, st: MachineState, tr: Transition) -> MachineState:
+        """The state after a non-branching transition; `st` is unchanged."""
         if tr.kind in ("link", "spawn"):
             nkey, t = tr.data
             site = (tr.kind, nkey, t)
@@ -536,14 +557,13 @@ class MsSystem:
                 if i in taken:
                     raise MachineInvariantError(f"link at {nkey}: address {i} is already bound")
                 ind = {**st.ind, p: i}
-            nxt = self._successor(st, [(p, None, p)], ind=ind, pending=st.pending - {site})
-            return Distribution.dirac(nxt)
+            return self._successor(st, [(p, None, p)], ind=ind, pending=st.pending - {site})
         if tr.kind == "move":
             (orig,) = tr.data
             pos = st.live[orig]
             act = self.token_step(st, pos)
             assert act is not None and act[0] == "move"
-            return Distribution.dirac(self._successor(st, [(orig, pos, act[1])]))
+            return self._successor(st, [(orig, pos, act[1])])
         if tr.kind == "update":
             sync_nkey, t = tr.data
             node = self.index.node[sync_nkey]
@@ -556,22 +576,8 @@ class MsSystem:
                 addrs.append(st.ind[orig])
                 moves.append((orig, pos, ((level, node.concl[i]), (), t)))
             m2 = st.memory.update(tuple(addrs), node.label)
-            return Distribution.dirac(self._successor(st, moves, memory=m2))
-        if tr.kind == "test":
-            (orig,) = tr.data
-            pos = st.live[orig]
-            ekey, fstack, bstack = pos
-            box_nkey, j = self.index.edge_concl[ekey]
-            assert j == 0 and self.index.node[box_nkey].kind == "botbox"
-            i = st.ind[orig]
-            out = []
-            for (outcome, m2), p in st.memory.test(i):
-                side = 1 if outcome else 0
-                root = self.index.principal_premise(box_nkey, side)
-                nxt = self._successor(st, [(orig, pos, (root, fstack, bstack))], memory=m2)
-                out.append((nxt, p))
-            return Distribution(out)
-        raise AssertionError(tr.kind)
+            return self._successor(st, moves, memory=m2)
+        raise ValueError(f"{tr.kind} transition branches: use apply")
 
     # -- classification ----------------------------------------------------
 

@@ -307,66 +307,96 @@ class Net:
 # Well-formedness
 
 
+class InvalidNetError(Exception):
+    """A net breaks a structural or typing invariant."""
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise InvalidNetError(message)
+
+
 def validate(net: Net) -> None:
-    """Check the structural and typing invariants, recursively."""
-    concl_of = net.concl_of()
-    prem_of = net.prem_of()
+    """Check the structural and typing invariants, recursively.
+
+    Raises `InvalidNetError` naming the first broken invariant."""
+    concl_of: dict[int, int] = {}
+    prem_of: dict[int, int] = {}
+    for n in net.nodes.values():
+        for e in n.concl:
+            _require(e not in concl_of, f"edge {e} concluded twice")
+            concl_of[e] = n.nid
+        for e in n.prem:
+            _require(e not in prem_of, f"edge {e} consumed twice")
+            prem_of[e] = n.nid
+    for eid in list(concl_of) + list(prem_of) + net.conclusions:
+        _require(eid in net.edges, f"edge {eid} is referenced but not declared")
     for eid in net.edges:
-        assert eid in concl_of, f"edge {eid} is conclusion of no node"
+        _require(eid in concl_of, f"edge {eid} is conclusion of no node")
     for eid in net.conclusions:
-        assert eid not in prem_of, f"net conclusion {eid} has a consumer"
+        _require(eid not in prem_of, f"net conclusion {eid} has a consumer")
     for eid in net.edges:
         if eid not in prem_of:
-            assert eid in net.conclusions, f"dangling edge {eid} not listed as conclusion"
+            _require(eid in net.conclusions, f"dangling edge {eid} not listed as conclusion")
     for n in net.nodes.values():
         t = [net.typ(e) for e in n.concl]
         p = [net.typ(e) for e in n.prem]
         if n.kind == "ax":
-            assert len(t) == 2 and not p and t[0] == neg(t[1]), "bad ax"
+            _require(len(t) == 2 and not p and t[0] == neg(t[1]), "bad ax")
         elif n.kind == "cut":
-            assert not t and len(p) == 2 and p[0] == neg(p[1]), "bad cut"
+            _require(not t and len(p) == 2 and p[0] == neg(p[1]), "bad cut")
         elif n.kind == "tensor":
-            assert len(t) == 1 and len(p) == 2 and t[0] == tensor(p[0], p[1]), "bad tensor"
+            _require(len(t) == 1 and len(p) == 2 and t[0] == tensor(p[0], p[1]), "bad tensor")
         elif n.kind == "par":
-            assert len(t) == 1 and len(p) == 2 and t[0] == par(p[0], p[1]), "bad par"
+            _require(len(t) == 1 and len(p) == 2 and t[0] == par(p[0], p[1]), "bad par")
         elif n.kind == "one":
-            assert t == [ONE] and not p, "bad one"
+            _require(t == [ONE] and not p, "bad one")
         elif n.kind == "bot":
-            assert t == [BOT] and not p, "bad bot"
+            _require(t == [BOT] and not p, "bad bot")
         elif n.kind == "der":
-            assert len(t) == 1 and len(p) == 1 and t[0] == quest(p[0]), "bad dereliction"
+            _require(len(t) == 1 and len(p) == 1 and t[0] == quest(p[0]), "bad dereliction")
         elif n.kind == "weak":
-            assert len(t) == 1 and not p and t[0].kind == "quest", "bad weakening"
+            _require(len(t) == 1 and not p and t[0].kind == "quest", "bad weakening")
         elif n.kind == "contr":
-            assert len(p) == 2 and t == [p[0]] and p[0] == p[1] and t[0].kind == "quest", "bad contraction"
+            _require(
+                len(p) == 2 and t == [p[0]] and p[0] == p[1] and t[0].kind == "quest",
+                "bad contraction",
+            )
         elif n.kind == "sync":
-            assert n.label is not None and len(t) == len(p) and t == p, "bad sync interface"
-            assert all(is_positive(x) for x in p), "sync premises must be positive"
-            assert sum(count_units(x) for x in p) == n.label.arity, "sync label arity mismatch"
+            _require(n.label is not None and len(t) == len(p) and t == p, "bad sync interface")
+            _require(all(is_positive(x) for x in p), "sync premises must be positive")
+            _require(sum(count_units(x) for x in p) == n.label.arity, "sync label arity mismatch")
         elif n.kind == "bangbox":
+            _require(len(n.contents) == 1, "exponential box needs one content")
             (content,) = n.contents
             ct = [content.typ(e) for e in content.conclusions]
-            assert t and t[0] == bang(ct[0]), "bad exponential box principal"
-            assert t[1:] == ct[1:] and all(x.kind == "quest" for x in t[1:]), "bad box auxiliaries"
+            _require(bool(t) and bool(ct) and t[0] == bang(ct[0]), "bad exponential box principal")
+            _require(t[1:] == ct[1:] and all(x.kind == "quest" for x in t[1:]),
+                     "bad box auxiliaries")
             validate(content)
         elif n.kind == "ybox":
+            _require(len(n.contents) == 1, "fixpoint box needs one content")
             (content,) = n.contents
             ct = [content.typ(e) for e in content.conclusions]
-            assert len(ct) >= 2 and t and t[0] == bang(ct[0]), "bad fixpoint box principal"
-            assert ct[1] == quest(neg(ct[0])), "bad fixpoint recursion port"
-            assert t[1:] == ct[2:] and all(x.kind == "quest" for x in t[1:]), "bad box auxiliaries"
+            _require(len(ct) >= 2 and bool(t) and t[0] == bang(ct[0]),
+                     "bad fixpoint box principal")
+            _require(ct[1] == quest(neg(ct[0])), "bad fixpoint recursion port")
+            _require(t[1:] == ct[2:] and all(x.kind == "quest" for x in t[1:]),
+                     "bad box auxiliaries")
             validate(content)
         elif n.kind == "botbox":
-            left, right = n.contents
-            assert t and t[0] == BOT and len(t) >= 2, "choice box needs a residual interface"
-            for c in (left, right):
+            _require(len(n.contents) == 2, "choice box needs two contents")
+            _require(bool(t) and t[0] == BOT and len(t) >= 2,
+                     "choice box needs a residual interface")
+            for c in n.contents:
                 ct = [c.typ(e) for e in c.conclusions]
-                assert ct == t, "choice box contents must mirror the box interface"
+                _require(ct == t, "choice box contents must mirror the box interface")
                 root = c.concl_of()[c.conclusions[0]]
-                assert c.nodes[root[0]].kind == "bot", "choice box content must be rooted by bot"
+                _require(c.nodes[root[0]].kind == "bot",
+                         "choice box content must be rooted by bot")
                 validate(c)
         else:
-            raise AssertionError(f"unknown node kind {n.kind}")
+            raise InvalidNetError(f"unknown node kind {n.kind}")
 
 
 def count_units(a: Formula) -> int:
@@ -519,9 +549,12 @@ def _classify_cut(net: Net, cut: Node, ea: int, a: Node, eb: int, b: Node) -> Ne
 
 
 def reduce(net: Net, redex: NetRedex) -> Net:
-    """Apply a deterministic rule, returning a new net."""
-    assert redex.kind not in ("test",), "test reduction branches: use reduce_test"
-    net = copy.deepcopy(net)
+    """Apply a deterministic rule to `net` in place and return it.
+
+    The rule touches only the redex and the nodes around it, so a caller
+    that must keep the old net copies it first."""
+    if redex.kind == "test":
+        raise ValueError("test reduction branches: use reduce_test")
     handler = {
         "ax": _reduce_ax,
         "tensor_par": _reduce_tensor_par,
@@ -538,7 +571,8 @@ def reduce(net: Net, redex: NetRedex) -> Net:
 
 def reduce_test(net: Net, redex: NetRedex) -> tuple[Net, Net]:
     """Fire the choice-box cut, returning the (false, true) branch nets."""
-    assert redex.kind == "test"
+    if redex.kind != "test":
+        raise ValueError(f"{redex.kind} reduction is deterministic: use reduce")
     return (
         _reduce_bot_branch(copy.deepcopy(net), *redex.nodes, side=0),
         _reduce_bot_branch(copy.deepcopy(net), *redex.nodes, side=1),

@@ -6,6 +6,15 @@ reduces every non-terminal element of a distribution at once, under a policy
 that picks one redex per element.  On systems with the diamond property the
 terminal mass reached at each step count is independent of the policy, which
 is what the bundled diamond checker verifies.
+
+`FusedSystem` runs the non-branching (Dirac) redexes of a system as one
+closure and exposes only the elements where a choice is left.  Inside the
+closure it fires them through `step_det`, which returns the bare reduct:
+no `Distribution` is built and no intermediate element is hashed.  The
+closure owns its element: it takes one private copy from `own` when it
+starts, and `step_det` may rewrite that copy in place.  An element the
+closure has exposed (returned, or put in a distribution) is never changed
+afterwards, so every element a caller holds stays immutable.
 """
 
 from __future__ import annotations
@@ -24,9 +33,23 @@ Redex = Any
 class RewriteSystem(Protocol):
     def enumerate_redexes(self, a: Element) -> list[Redex]: ...
 
-    def apply(self, a: Element, r: Redex) -> "Distribution": ...
+    def apply(self, a: Element, r: Redex) -> "Distribution":
+        """Fire any redex; `a` is left unchanged."""
 
     def is_terminal(self, a: Element) -> bool: ...
+
+    # The rest is what `FusedSystem` needs to close over the system.
+
+    def is_branching(self, a: Element, r: Redex) -> bool: ...
+
+    def own(self, a: Element) -> Element:
+        """An element equal to `a` that no one else holds, for `step_det`
+        to rewrite (`a` itself where `step_det` never changes its input)."""
+
+    def step_det(self, a: Element, r: Redex) -> Element:
+        """The reduct of a non-branching redex, as a bare element.  May
+        rewrite `a` in place, so `a` must come from `own` or an earlier
+        `step_det` and is not to be used afterwards."""
 
 
 Policy = Callable[[Element, list[Redex]], Redex]
@@ -240,9 +263,11 @@ class FusedSystem:
     """Adapter that fuses runs of deterministic (Dirac) steps into one step.
 
     The underlying system tags each redex as branching or not via
-    `sys.is_branching(a, r)`; non-branching redexes must be Dirac.  Elements
-    of the fused system are kept closure-normal: all non-branching redexes are
-    exhausted (up to a step budget) before the element is exposed.  A fused
+    `sys.is_branching(a, r)`; non-branching redexes must be Dirac, and the
+    closure fires them with `sys.step_det` on a copy from `sys.own` (see the
+    module docstring).  Elements of the fused system are kept
+    closure-normal: all non-branching redexes are exhausted (up to a step
+    budget) before the element is exposed.  A fused
     step then fires one branching redex and re-closes every branch, so one
     step of this system corresponds to one observable choice point.  On
     diamond systems this leaves terminal parts unchanged while collapsing
@@ -253,20 +278,20 @@ class FusedSystem:
     resumes the closure, so the element stays non-terminal.
     """
 
-    def __init__(self, sys, budget: int = 500):
+    def __init__(self, sys: RewriteSystem, budget: int = 500):
         self.sys = sys
         self.budget = budget
 
     def _closure(self, a: Element) -> Element:
+        sys = self.sys
+        owned = False
         for _ in range(self.budget):
-            redexes = self.sys.enumerate_redexes(a)
-            det = [r for r in redexes if not self.sys.is_branching(a, r)]
-            if not det:
+            r = next((r for r in sys.enumerate_redexes(a) if not sys.is_branching(a, r)), None)
+            if r is None:
                 return a
-            rho = self.sys.apply(a, det[0])
-            if len(rho) != 1:
-                raise AssertionError("non-branching redex produced a branching step")
-            (a,) = rho.support()
+            if not owned:
+                a, owned = sys.own(a), True
+            a = sys.step_det(a, r)
         return a
 
     def prepare(self, a: Element) -> Element:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .memory import OperationLabel, fresh
 from .pars import Distribution
@@ -829,13 +830,25 @@ def _tuple_vars(t: Term) -> list[str] | None:
     return None
 
 
-def find_redex(t: Term):
-    """Locate the head redex: returns (redex kind, node, rebuild) or None."""
+class PcfRedex(NamedTuple):
+    """A redex: its rule kind, its term node, and the function that puts a
+    reduct of the node back into the whole term."""
+
+    kind: str
+    node: Term
+    rebuild: Callable[[Term], Term]
+
+    def __repr__(self) -> str:
+        return f"{self.kind}: {term_str(self.node)}"
+
+
+def find_redex(t: Term) -> PcfRedex | None:
+    """Locate the head redex, or None."""
 
     def descend(t: Term, rebuild):
         root = root_redex(t)
         if root is not None:
-            return root[0], t, rebuild
+            return PcfRedex(root[0], t, rebuild)
         if isinstance(t, App):
             if not is_value(t.fun):
                 return descend(t.fun, lambda h: rebuild(App(h, t.arg)))
@@ -880,46 +893,50 @@ def closure_step(cl: Closure, redex=None) -> Distribution:
     found = find_redex(cl.term) if redex is None else redex
     assert found is not None
     kind, node, rebuild = found
+    if kind != "test":
+        return Distribution.dirac(closure_step_det(cl, found))
+    assert isinstance(node, If) and isinstance(node.guard, Var)
+    i = cl.ind[node.guard.name]
+    ind2 = {v: a for v, a in cl.ind.items() if v != node.guard.name}
+    out = []
+    for (outcome, m2), p in cl.memory.test(i):
+        branch = node.then if outcome else node.els
+        out.append((Closure(rebuild(copy_term(branch)), ind2, m2), p))
+    return Distribution(out)
+
+
+def closure_step_det(cl: Closure, redex) -> Closure:
+    """The reduct of a non-branching redex; `cl` is left unchanged."""
+    kind, node, rebuild = redex
     if kind == "link":
         i = fresh(cl.memory, set(cl.ind.values()))
         name = _fresh_name(all_vars(cl.term) | set(cl.ind), base="x")
         ind2 = dict(cl.ind)
         ind2[name] = i
-        return Distribution.dirac(Closure(rebuild(Var(name)), ind2, cl.memory))
+        return Closure(rebuild(Var(name)), ind2, cl.memory)
     if kind == "letrec":
         assert isinstance(node, LetRec)
         unrolled = Lam(
             node.var,
             LetRec(node.fun, node.var, copy_term(node.fbody), copy_term(node.fbody)),
         )
-        return Distribution.dirac(
-            Closure(rebuild(subst(node.body, node.fun, unrolled)), cl.ind, cl.memory)
-        )
+        return Closure(rebuild(subst(node.body, node.fun, unrolled)), cl.ind, cl.memory)
     if kind == "beta":
         assert isinstance(node, App) and isinstance(node.fun, Lam)
         out = subst(node.fun.body, node.fun.var, node.arg)
-        return Distribution.dirac(Closure(rebuild(out), cl.ind, cl.memory))
+        return Closure(rebuild(out), cl.ind, cl.memory)
     if kind == "update":
         assert isinstance(node, App) and isinstance(node.fun, Const)
         names = _tuple_vars(node.arg)
         addrs = tuple(cl.ind[n] for n in names)
         m2 = cl.memory.update(addrs, node.fun.label)
-        return Distribution.dirac(Closure(rebuild(copy_term(node.arg)), cl.ind, m2))
+        return Closure(rebuild(copy_term(node.arg)), cl.ind, m2)
     if kind == "letpair":
         assert isinstance(node, LetPair) and isinstance(node.subject, Pair)
         out = subst(node.body, node.left, node.subject.left)
         out = subst(out, node.right, node.subject.right)
-        return Distribution.dirac(Closure(rebuild(out), cl.ind, cl.memory))
-    if kind == "test":
-        assert isinstance(node, If) and isinstance(node.guard, Var)
-        i = cl.ind[node.guard.name]
-        ind2 = {v: a for v, a in cl.ind.items() if v != node.guard.name}
-        out = []
-        for (outcome, m2), p in cl.memory.test(i):
-            branch = node.then if outcome else node.els
-            out.append((Closure(rebuild(copy_term(branch)), ind2, m2), p))
-        return Distribution(out)
-    raise AssertionError(kind)
+        return Closure(rebuild(out), cl.ind, cl.memory)
+    raise ValueError(f"{kind} redex branches: use closure_step")
 
 
 class PcfSystem:
@@ -931,6 +948,12 @@ class PcfSystem:
 
     def apply(self, cl: Closure, r) -> Distribution:
         return closure_step(cl, r)
+
+    def own(self, cl: Closure) -> Closure:
+        return cl
+
+    def step_det(self, cl: Closure, r) -> Closure:
+        return closure_step_det(cl, r)
 
     def is_terminal(self, cl: Closure) -> bool:
         return find_redex(cl.term) is None

@@ -13,12 +13,13 @@ elements compare equal up to graph isomorphism and address permutation.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from . import nets
 from .memory import fresh
 from .pars import Distribution
-from .nets import Net, NetRedex, find_redexes, reduce, reduce_test
+from .nets import InvalidNetError, Net, NetRedex, find_redexes, reduce, reduce_test
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,8 @@ class ProgramNet:
         self.net = net
         self.ind = dict(ind)
         self.memory = memory
-        assert len(set(self.ind.values())) == len(self.ind), "address map not injective"
+        if len(set(self.ind.values())) != len(self.ind):
+            raise ValueError(f"address map not injective: {self.ind}")
         self._key = None
         self._hash = None
 
@@ -140,15 +142,39 @@ def enumerate_redexes(pn: ProgramNet) -> list[PnRedex]:
     return sorted(out, key=PnRedex.sort_key)
 
 
-def step(pn: ProgramNet, r: PnRedex) -> Distribution:
+def own(pn: ProgramNet) -> ProgramNet:
+    """An equal program net with a private copy of the net, which `rewrite`
+    may then change in place."""
+    return ProgramNet(copy.deepcopy(pn.net), pn.ind, pn.memory)
+
+
+def rewrite(pn: ProgramNet, r: PnRedex) -> ProgramNet:
+    """Fire a non-branching redex, rewriting `pn.net` in place.
+
+    The reduct shares the rewritten net, so `pn` must be private to the
+    caller (see `own`) and is not to be used afterwards."""
     if r.kind == "link":
         one_edge = pn.net.nodes[r.node].concl[0]
-        i = fresh(pn.memory, set(pn.ind.values()))
         ind2 = dict(pn.ind)
-        ind2[one_edge] = i
-        return Distribution.dirac(ProgramNet(pn.net, ind2, pn.memory))
+        ind2[one_edge] = fresh(pn.memory, set(pn.ind.values()))
+        return ProgramNet(pn.net, ind2, pn.memory)
     nr = r.net_redex
-    if nr.kind == "test":
+    if nr.kind == "sync":
+        sync = pn.net.nodes[nr.nodes[0]]
+        addrs = tuple(pn.ind[e] for e in sync.prem)
+        m2 = pn.memory.update(addrs, sync.label)
+        return ProgramNet(reduce(pn.net, nr), pn.ind, m2)
+    net2 = reduce(pn.net, nr)
+    ind2 = {e: a for e, a in pn.ind.items() if e in net2.edges}
+    if len(ind2) != len(pn.ind):
+        raise InvalidNetError(f"pure {nr.kind} step consumed an input")
+    return ProgramNet(net2, ind2, pn.memory)
+
+
+def step(pn: ProgramNet, r: PnRedex) -> Distribution:
+    """Fire a redex, leaving `pn` unchanged."""
+    if r.kind == "net" and r.net_redex.kind == "test":
+        nr = r.net_redex
         one_edge = pn.net.nodes[nr.nodes[2]].concl[0]
         i = pn.ind[one_edge]
         left, right = reduce_test(pn.net, nr)
@@ -158,16 +184,8 @@ def step(pn: ProgramNet, r: PnRedex) -> Distribution:
             ind2 = {e: a for e, a in pn.ind.items() if e in branch.edges}
             out.append((ProgramNet(branch, ind2, m2), p))
         return Distribution(out)
-    if nr.kind == "sync":
-        sync = pn.net.nodes[nr.nodes[0]]
-        addrs = tuple(pn.ind[e] for e in sync.prem)
-        m2 = pn.memory.update(addrs, sync.label)
-        net2 = reduce(pn.net, nr)
-        return Distribution.dirac(ProgramNet(net2, pn.ind, m2))
-    net2 = reduce(pn.net, nr)
-    ind2 = {e: a for e, a in pn.ind.items() if e in net2.edges}
-    assert len(ind2) == len(pn.ind), "pure step must not consume an input"
-    return Distribution.dirac(ProgramNet(net2, ind2, pn.memory))
+    # A link leaves the net as it is; only net rules need the private copy.
+    return Distribution.dirac(rewrite(pn if r.kind == "link" else own(pn), r))
 
 
 class PnSystem:
@@ -178,6 +196,12 @@ class PnSystem:
 
     def apply(self, pn: ProgramNet, r: PnRedex) -> Distribution:
         return step(pn, r)
+
+    def own(self, pn: ProgramNet) -> ProgramNet:
+        return own(pn)
+
+    def step_det(self, pn: ProgramNet, r: PnRedex) -> ProgramNet:
+        return rewrite(pn, r)
 
     def is_terminal(self, pn: ProgramNet) -> bool:
         return not enumerate_redexes(pn)

@@ -8,6 +8,9 @@ import pytest
 
 from tokennets.cli import main
 
+REPO = Path(__file__).resolve().parent.parent
+CORPUS = sorted((REPO / "corpus").glob("*.pcf"))
+
 
 def write(tmp_path, src):
     f = tmp_path / "prog.pcf"
@@ -111,8 +114,29 @@ def test_incorrect_net_exit_code(tmp_path, capsys, monkeypatch):
     assert "cyclic switching" in err and err.count("\n") == 1
 
 
-REPO = Path(__file__).resolve().parent.parent
-CORPUS = sorted((REPO / "corpus").glob("*.pcf"))
+def test_invalid_net_exit_code(tmp_path, capsys, monkeypatch):
+    import tokennets.cli
+    from tokennets.nets import InvalidNetError
+
+    def reject(net):
+        raise InvalidNetError("bad ax")
+
+    f = write(tmp_path, "new")
+    monkeypatch.setattr(tokennets.cli, "validate", reject)
+    code = main([f])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.err == "internal error: translated net is invalid: bad ax\n"
+    assert not captured.out
+
+
+def test_trace_output_names_no_memory_address(capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
+    assert main(["corpus/coin_prob.pcf", "--engine", "pcf", "--backend", "prob",
+                 "--horizon", "5", "--trace"]) == 0
+    out = capsys.readouterr().out
+    assert "trace[pcf] step 1: test: if x_" in out
+    assert "0x" not in out
 
 
 def corpus_argv(path: Path) -> list[str]:

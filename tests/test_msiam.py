@@ -291,25 +291,32 @@ def test_indexed_enumeration_matches_full_scan(name, bk, src, policy):
 
 @pytest.mark.parametrize("horizon", [3, 12])
 def test_token_steps_per_micro_step_do_not_grow(horizon, monkeypatch):
-    calls = {"token_step": 0, "apply": 0}
-    token_step, apply = MsSystem.token_step, MsSystem.apply
+    # A micro-step is a step_det call inside a closure or an apply call at a
+    # branch point (the fused run applies only branching transitions).
+    calls = {"token_step": 0, "micro": 0}
+    token_step, apply, step_det = MsSystem.token_step, MsSystem.apply, MsSystem.step_det
 
     def counted_token_step(self, st, pos):
         calls["token_step"] += 1
         return token_step(self, st, pos)
 
     def counted_apply(self, st, tr):
-        calls["apply"] += 1
+        calls["micro"] += 1
         return apply(self, st, tr)
+
+    def counted_step_det(self, st, tr):
+        calls["micro"] += 1
+        return step_det(self, st, tr)
 
     monkeypatch.setattr(MsSystem, "token_step", counted_token_step)
     monkeypatch.setattr(MsSystem, "apply", counted_apply)
+    monkeypatch.setattr(MsSystem, "step_det", counted_step_det)
     (src,) = [src for name, _, src in CORPUS if name == "omega.pcf"]
     pn, _ = make(src, "int")
     p, hit = run(pn, horizon=horizon)
     assert hit and p == 0.0
-    assert calls["apply"] > 0
-    assert calls["token_step"] <= 4 * calls["apply"]
+    assert calls["micro"] > 0
+    assert calls["token_step"] <= 4 * calls["micro"]
 
 
 # -- invariant checks ------------------------------------------------------

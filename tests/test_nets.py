@@ -5,6 +5,7 @@ from tokennets.nets import (
     BOT,
     Edge,
     Formula,
+    InvalidNetError,
     Net,
     Node,
     ONE,
@@ -50,6 +51,29 @@ def test_validate_and_correct_single_ax():
     validate(net)
     assert check_correct(net) is None
     assert find_redexes(net) == []
+
+
+def dangling_conclusion(net):
+    net.conclusions = []
+
+
+def doubly_concluded_edge(net):
+    ax = next(iter(net.nodes.values()))
+    twin = Node(fresh_id(), "one", [ax.concl[1]])
+    net.nodes[twin.nid] = twin
+
+
+def mistyped_axiom(net):
+    ax = next(iter(net.nodes.values()))
+    net.edges[ax.concl[0]] = Edge(ax.concl[0], ONE)
+
+
+@pytest.mark.parametrize("breaking", [dangling_conclusion, doubly_concluded_edge, mistyped_axiom])
+def test_validate_rejects_broken_nets(breaking):
+    net = single_ax_net()
+    breaking(net)
+    with pytest.raises(InvalidNetError):
+        validate(net)
 
 
 def test_ax_cut_loop_is_cyclic_not_a_redex():

@@ -70,6 +70,13 @@ class Chain:
             return Distribution.dirac(a - 1)
         return Distribution({"halt": 0.5, 5: 0.5})
 
+    def own(self, a):
+        return a
+
+    def step_det(self, a, r):
+        assert r == "dec"
+        return a - 1
+
     def is_terminal(self, a):
         return a == "halt"
 

@@ -1,6 +1,22 @@
+import copy
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from tokennets.memory import COIN, IntRegisterMemory, ProbRegisterMemory, S
+from tokennets.memory import (
+    COIN,
+    IntRegisterMemory,
+    ProbRegisterMemory,
+    S,
+    int_backend,
+    prob_backend,
+    quantum_backend,
+)
+from tokennets.msiam import MachineState, MsSystem
 from tokennets.nets import BOT, Net, Node, ONE, fresh_id, validate
 from tokennets.pars import (
     Distribution,
@@ -9,9 +25,12 @@ from tokennets.pars import (
     converge,
     iterate,
     leftmost_policy,
+    lift_step,
     seeded_policy,
 )
+from tokennets.pcfll import Closure, PcfSystem, parse, typecheck
 from tokennets.prognets import PnSystem, ProgramNet, enumerate_redexes, inputs, step
+from tokennets.translate import translate
 
 
 def single_one_net():
@@ -150,3 +169,158 @@ def test_diamond_and_fusion():
     mu = Distribution.dirac(fused.prepare(seeds[0]))
     p, hit = converge(mu, fused, leftmost_policy, horizon=5)
     assert p == pytest.approx(1.0, abs=1e-12)
+
+
+# -- the closure's ownership rule ---------------------------------------------
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+CORPUS = sorted(CORPUS_DIR.glob("*.pcf"))
+BACKENDS = {"int": int_backend, "prob": prob_backend, "quantum": quantum_backend}
+
+
+def translated(path):
+    src = path.read_text()
+    backend = BACKENDS[re.search(r"^-- backend: *(\w+)", src, re.M).group(1)]()
+    return translate(typecheck(parse(src, backend.labels)), backend)
+
+
+def reference_closure(fused, a):
+    """The closure before the Dirac fast path: fire each non-branching redex
+    through the persistent `apply` and unwrap its Dirac distribution."""
+    sys = fused.sys
+    for _ in range(fused.budget):
+        det = [r for r in sys.enumerate_redexes(a) if not sys.is_branching(a, r)]
+        if not det:
+            return a
+        (a,) = sys.apply(a, det[0]).support()
+    return a
+
+
+class OracleFused(FusedSystem):
+    """Checks every closure against `reference_closure` run on the same
+    element afterwards, which also shows that the closure left it as it was."""
+
+    def __init__(self, sys):
+        super().__init__(sys)
+        self.closures = 0
+
+    def _closure(self, a):
+        out = super()._closure(a)
+        assert out.canonical_key() == reference_closure(self, a).canonical_key()
+        self.closures += 1
+        return out
+
+
+@pytest.mark.parametrize("policy", ["leftmost", "seeded"])
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
+def test_net_closure_owns_its_copy(path, policy):
+    pn = translated(path)
+    signature, ind = pn.net.signature(), dict(pn.ind)
+    fused = OracleFused(PnSystem())
+    pick = leftmost_policy if policy == "leftmost" else seeded_policy(0)
+    horizon = 3 if path.name == "omega.pcf" else 40
+    mu = Distribution.dirac(fused.prepare(pn))
+    exposed = list(mu.support())
+    for _ in range(horizon):
+        mu = lift_step(mu, fused, pick)
+        exposed.extend(mu.support())
+    assert fused.closures > 0
+    # The translated net is what the msiam engine walks afterwards.
+    assert pn.net.signature() == signature and pn.ind == ind
+    for el in exposed:
+        fresh = ProgramNet(copy.deepcopy(el.net), el.ind, el.memory)
+        assert el.canonical_key() == fresh.canonical_key()
+
+
+def test_one_closure_copies_once_and_hashes_nothing(monkeypatch):
+    path = CORPUS_DIR / "omega.pcf"
+    pn = translated(path)
+    term = parse(path.read_text(), int_backend().labels)
+    starts = [
+        (PnSystem(), pn),
+        (PcfSystem(), Closure(term, {}, int_backend().initial())),
+        (MsSystem(pn), MsSystem(pn).initial_state()),
+    ]
+    counts = {"copy": 0, "distribution": 0, "key": 0}
+    depth = [0]
+
+    def counting(name, f):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return call
+
+    deepcopy, refresh_copy = Net.__deepcopy__, Net.refresh_copy
+
+    def outer_deepcopy(self, memo):
+        # Only a copy made outside refresh_copy and outside another copy
+        # counts: refresh_copy belongs to the y_unfold rule, and nested
+        # calls copy box contents as part of one net.
+        counts["copy"] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return deepcopy(self, memo)
+        finally:
+            depth[0] -= 1
+
+    def inner_refresh_copy(self):
+        depth[0] += 1
+        try:
+            return refresh_copy(self)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Net, "__deepcopy__", outer_deepcopy)
+    monkeypatch.setattr(Net, "refresh_copy", inner_refresh_copy)
+    monkeypatch.setattr(Distribution, "__init__", counting("distribution", Distribution.__init__))
+    for cls in (ProgramNet, Closure, MachineState):
+        monkeypatch.setattr(cls, "canonical_key", counting("key", cls.canonical_key))
+    for sys, start in starts:
+        fused = FusedSystem(sys)
+        a = fused.prepare(start)
+        assert not fused.is_terminal(a)  # omega: the budget ends the closure
+    assert counts == {"copy": 1, "distribution": 0, "key": 0}
+
+
+OPTIMIZED_CHECKS = """
+import sys
+from tokennets.memory import IntRegisterMemory
+from tokennets.nets import (
+    BOT, ONE, InvalidNetError, Net, NetRedex, Node, fresh_id, reduce, validate)
+from tokennets.prognets import PnRedex, ProgramNet, step
+
+assert sys.flags.optimize
+net = Net()
+one = net.add_node("one", [ONE])
+ax = net.add_node("ax", [BOT, ONE])
+cut = Node(fresh_id(), "cut", [], [one.concl[0], ax.concl[0]])
+net.nodes[cut.nid] = cut
+net.conclusions = [ax.concl[1]]
+validate(net)
+
+def rejects(error, f, *args):
+    try:
+        f(*args)
+    except error:
+        return
+    raise SystemExit(f"{f.__name__} accepted {args}")
+
+rejects(ValueError, ProgramNet, net, {one.concl[0]: 0, ax.concl[1]: 0}, IntRegisterMemory())
+pure = PnRedex("net", net_redex=NetRedex("ax", (cut.nid, ax.nid)))
+rejects(InvalidNetError, step, ProgramNet(net, {ax.concl[1]: 0}, IntRegisterMemory({0: 0})), pure)
+rejects(ValueError, reduce, net, NetRedex("test", (cut.nid, ax.nid, one.nid)))
+twin = Node(fresh_id(), "one", [one.concl[0]])
+net.nodes[twin.nid] = twin
+rejects(InvalidNetError, validate, net)  # an edge concluded twice
+del net.nodes[twin.nid]
+net.conclusions = []
+rejects(InvalidNetError, validate, net)  # a dangling conclusion
+print("ok")
+"""
+
+
+def test_rewrite_checks_survive_optimized_python():
+    env = {**os.environ, "PYTHONPATH": str(CORPUS_DIR.parent / "src")}
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stdout + proc.stderr

@@ -20,7 +20,7 @@ import sys
 
 from .memory import int_backend, prob_backend, quantum_backend
 from .msiam import MsSystem
-from .nets import InvalidNetError, check_correct, validate
+from .nets import InvalidNetError, check_correct
 from .pars import (
     Distribution,
     FusedSystem,
@@ -148,9 +148,8 @@ def main(argv=None) -> int:
         print(f"type error: {e}", file=sys.stderr)
         return 3
 
-    pn = translate(tp, backend)
     try:
-        validate(pn.net)
+        pn = translate(tp, backend)  # validates the net it returns
     except InvalidNetError as e:
         print(f"internal error: translated net is invalid: {e}", file=sys.stderr)
         return 5

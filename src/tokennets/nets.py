@@ -311,7 +311,7 @@ class InvalidNetError(Exception):
     """A net breaks a structural or typing invariant."""
 
 
-def _require(ok: bool, message: str) -> None:
+def _require(ok, message: str) -> None:
     if not ok:
         raise InvalidNetError(message)
 
@@ -320,24 +320,25 @@ def validate(net: Net) -> None:
     """Check the structural and typing invariants, recursively.
 
     Raises `InvalidNetError` naming the first broken invariant."""
-    concl_of: dict[int, int] = {}
-    prem_of: dict[int, int] = {}
+    concluded: set[int] = set()
+    consumed: set[int] = set()
     for n in net.nodes.values():
         for e in n.concl:
-            _require(e not in concl_of, f"edge {e} concluded twice")
-            concl_of[e] = n.nid
+            if e in concluded:
+                raise InvalidNetError(f"edge {e} concluded twice")
+            concluded.add(e)
         for e in n.prem:
-            _require(e not in prem_of, f"edge {e} consumed twice")
-            prem_of[e] = n.nid
-    for eid in list(concl_of) + list(prem_of) + net.conclusions:
-        _require(eid in net.edges, f"edge {eid} is referenced but not declared")
+            if e in consumed:
+                raise InvalidNetError(f"edge {e} consumed twice")
+            consumed.add(e)
+    conclusions = set(net.conclusions)
     for eid in net.edges:
-        _require(eid in concl_of, f"edge {eid} is conclusion of no node")
-    for eid in net.conclusions:
-        _require(eid not in prem_of, f"net conclusion {eid} has a consumer")
-    for eid in net.edges:
-        if eid not in prem_of:
-            _require(eid in net.conclusions, f"dangling edge {eid} not listed as conclusion")
+        if eid not in concluded:
+            raise InvalidNetError(f"edge {eid} is conclusion of no node")
+        if eid in consumed and eid in conclusions:
+            raise InvalidNetError(f"net conclusion {eid} has a consumer")
+        if eid not in consumed and eid not in conclusions:
+            raise InvalidNetError(f"dangling edge {eid} not listed as conclusion")
     for n in net.nodes.values():
         t = [net.typ(e) for e in n.concl]
         p = [net.typ(e) for e in n.prem]
@@ -367,28 +368,24 @@ def validate(net: Net) -> None:
             _require(all(is_positive(x) for x in p), "sync premises must be positive")
             _require(sum(count_units(x) for x in p) == n.label.arity, "sync label arity mismatch")
         elif n.kind == "bangbox":
-            _require(len(n.contents) == 1, "exponential box needs one content")
             (content,) = n.contents
             ct = [content.typ(e) for e in content.conclusions]
-            _require(bool(t) and bool(ct) and t[0] == bang(ct[0]), "bad exponential box principal")
+            _require(t and t[0] == bang(ct[0]), "bad exponential box principal")
             _require(t[1:] == ct[1:] and all(x.kind == "quest" for x in t[1:]),
                      "bad box auxiliaries")
             validate(content)
         elif n.kind == "ybox":
-            _require(len(n.contents) == 1, "fixpoint box needs one content")
             (content,) = n.contents
             ct = [content.typ(e) for e in content.conclusions]
-            _require(len(ct) >= 2 and bool(t) and t[0] == bang(ct[0]),
-                     "bad fixpoint box principal")
+            _require(len(ct) >= 2 and t and t[0] == bang(ct[0]), "bad fixpoint box principal")
             _require(ct[1] == quest(neg(ct[0])), "bad fixpoint recursion port")
             _require(t[1:] == ct[2:] and all(x.kind == "quest" for x in t[1:]),
                      "bad box auxiliaries")
             validate(content)
         elif n.kind == "botbox":
-            _require(len(n.contents) == 2, "choice box needs two contents")
-            _require(bool(t) and t[0] == BOT and len(t) >= 2,
-                     "choice box needs a residual interface")
-            for c in n.contents:
+            left, right = n.contents
+            _require(t and t[0] == BOT and len(t) >= 2, "choice box needs a residual interface")
+            for c in (left, right):
                 ct = [c.typ(e) for e in c.conclusions]
                 _require(ct == t, "choice box contents must mirror the box interface")
                 root = c.concl_of()[c.conclusions[0]]

@@ -265,13 +265,12 @@ class FusedSystem:
     The underlying system tags each redex as branching or not via
     `sys.is_branching(a, r)`; non-branching redexes must be Dirac, and the
     closure fires them with `sys.step_det` on a copy from `sys.own` (see the
-    module docstring).  Elements of the fused system are kept
-    closure-normal: all non-branching redexes are exhausted (up to a step
-    budget) before the element is exposed.  A fused
-    step then fires one branching redex and re-closes every branch, so one
-    step of this system corresponds to one observable choice point.  On
-    diamond systems this leaves terminal parts unchanged while collapsing
-    long deterministic runs.
+    module docstring).  Elements of the fused system are kept closure-normal:
+    all non-branching redexes are exhausted (up to a step budget) before the
+    element is exposed.  A fused step then fires one branching redex and
+    re-closes every branch, so one step of this system corresponds to one
+    observable choice point.  On diamond systems this leaves terminal parts
+    unchanged while collapsing long deterministic runs.
 
     When the budget interrupts a closure mid-run (a diverging deterministic
     spine), the element is exposed with a single `CONTINUE` redex that simply

@@ -115,14 +115,14 @@ def test_incorrect_net_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_invalid_net_exit_code(tmp_path, capsys, monkeypatch):
-    import tokennets.cli
+    import tokennets.translate
     from tokennets.nets import InvalidNetError
 
     def reject(net):
         raise InvalidNetError("bad ax")
 
     f = write(tmp_path, "new")
-    monkeypatch.setattr(tokennets.cli, "validate", reject)
+    monkeypatch.setattr(tokennets.translate, "validate", reject)
     code = main([f])
     captured = capsys.readouterr()
     assert code == 5

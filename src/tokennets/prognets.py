@@ -155,8 +155,9 @@ def rewrite(pn: ProgramNet, r: PnRedex) -> ProgramNet:
     caller (see `own`) and is not to be used afterwards."""
     if r.kind == "link":
         one_edge = pn.net.nodes[r.node].concl[0]
+        i = fresh(pn.memory, set(pn.ind.values()))
         ind2 = dict(pn.ind)
-        ind2[one_edge] = fresh(pn.memory, set(pn.ind.values()))
+        ind2[one_edge] = i
         return ProgramNet(pn.net, ind2, pn.memory)
     nr = r.net_redex
     if nr.kind == "sync":

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-import random as _random
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -130,7 +129,8 @@ class Net:
         out = {}
         for n in self.nodes.values():
             for port, e in enumerate(n.concl):
-                assert e not in out, f"edge {e} concluded twice"
+                if e in out:
+                    raise InvalidNetError(f"edge {e} concluded twice")
                 out[e] = (n.nid, port)
         return out
 
@@ -138,7 +138,8 @@ class Net:
         out = {}
         for n in self.nodes.values():
             for port, e in enumerate(n.prem):
-                assert e not in out, f"edge {e} consumed twice"
+                if e in out:
+                    raise InvalidNetError(f"edge {e} consumed twice")
                 out[e] = (n.nid, port)
         return out
 
@@ -169,8 +170,10 @@ class Net:
 
     def splice(self, content: "Net") -> None:
         """Merge another net's nodes and edges into this level."""
-        assert not set(content.nodes) & set(self.nodes)
-        assert not set(content.edges) & set(self.edges)
+        # Views test the smaller side against the other: O(|content|) here.
+        _require(self.nodes.keys().isdisjoint(content.nodes.keys())
+                 and self.edges.keys().isdisjoint(content.edges.keys()),
+                 "spliced net shares node or edge ids with this level")
         self.nodes.update(content.nodes)
         self.edges.update(content.edges)
 
@@ -229,8 +232,8 @@ class Net:
 
         Starts from the conclusion edges in interface order and walks the
         undirected graph, visiting each node's conclusion edges before its
-        premises.  Returns (edge numbering, node numbering); asserts that
-        everything at this level was reached.
+        premises.  Returns (edge numbering, node numbering); raises
+        `InvalidNetError` unless everything at this level was reached.
         """
         concl_of = self.concl_of()
         prem_of = self.prem_of()
@@ -252,8 +255,8 @@ class Net:
                 node = self.nodes[nid]
                 queue.extend(node.concl)
                 queue.extend(node.prem)
-        assert len(node_no) == len(self.nodes), "net has nodes unreachable from its conclusions"
-        assert len(edge_no) == len(self.edges), "net has edges unreachable from its conclusions"
+        _require(len(node_no) == len(self.nodes), "net has nodes unreachable from its conclusions")
+        _require(len(edge_no) == len(self.edges), "net has edges unreachable from its conclusions")
         return edge_no, node_no
 
     def signature(self):
@@ -282,7 +285,7 @@ class Net:
         edge_no, node_no = {}, {}
         try:
             edge_no, node_no = self.traversal()
-        except AssertionError:
+        except InvalidNetError:
             edge_no = {e: i for i, e in enumerate(self.edges)}
             node_no = {n: i for i, n in enumerate(self.nodes)}
         lines = []
@@ -407,80 +410,144 @@ def count_units(a: Formula) -> int:
 # ---------------------------------------------------------------------------
 # Correctness (switching acyclicity)
 
-_MAX_SWITCHINGS = 4096
-
-
 def check_correct(net: Net) -> str | None:
-    """Return None if no switching path is cyclic, else a description.
+    """Return None if no switching of any level is cyclic, else a description.
 
     A switching keeps exactly one premise of every par/contraction node and
-    exactly one conclusion of every sync node, then the remaining undirected
-    graph must be acyclic.  All switchings are enumerated when few enough;
-    otherwise a fixed-seed sample is checked.  Box contents are checked
-    recursively, with boxes opaque at their own level.
+    exactly one conclusion of every sync node with more than one; the
+    remaining undirected graph of the level must be acyclic.  Each level is
+    decided exactly by `cyclic_switching_block`, boxes opaque at their own
+    level; box contents are walked with an explicit worklist, so nesting
+    depth is not bounded by Python's recursion limit.  The description of a
+    cyclic level inside boxes starts with one `inside box N: ` per box.
+    """
+    work: list[tuple[Net, tuple | None]] = [(net, None)]  # (level, box path)
+    while work:
+        level, path = work.pop()
+        block = cyclic_switching_block(level)
+        if block:
+            prefix = ""
+            while path is not None:
+                nid, path = path
+                prefix = f"inside box {nid}: " + prefix
+            return f"{prefix}cyclic switching path at depth 0 among nodes {sorted(block)}"
+        # Reversed, so that levels are checked in depth-first node order.
+        for n in reversed(level.nodes.values()):
+            for c in reversed(n.contents):
+                work.append((c, (n.nid, path)))
+    return None
+
+
+def cyclic_switching_block(net: Net) -> frozenset[int]:
+    """The nodes of a block of this level that holds a cyclic switching, or an
+    empty set if no switching of this level is cyclic.
+
+    The level is an undirected multigraph: its vertices are the level's
+    nodes and its edges the net edges with a concluder and a consumer here
+    (boxes are opaque vertices).  Each par/contraction node has a switch
+    group made of its premises, and each sync node with more than one
+    conclusion a group made of its conclusions.  A switching keeps one edge
+    of every group, so some switching is cyclic exactly when some simple
+    cycle never uses two edges of one group at that group's node: a
+    compatible cycle.  A self-loop is one: some switching keeps it.
+
+    Compatible cycles are found by block peeling.  A simple cycle lies in
+    one biconnected block.  In a block, a node whose block edges all lie in
+    its own group is on no compatible cycle of that block, so it is deleted
+    and what is left is split into blocks again.  A block with a cycle and
+    no such node holds a compatible cycle, by Yeo, "A note on alternating
+    cycles in edge-coloured graphs" (JCTB 1997): an edge-coloured graph
+    without a properly coloured cycle has a vertex z such that each
+    component of the graph minus z is joined to z by edges of one colour.
+    Subdividing every edge turns the switch groups into colour classes and
+    compatible cycles into properly coloured ones; in a biconnected block
+    with a cycle, z can only be a node all of whose block edges share one
+    class, which is a group as the block has minimum degree two.  Each
+    round deletes at least one node, so the decision takes polynomial time.
+    The nodes returned are those of a block with no node to delete.
     """
     concl_of = net.concl_of()
     prem_of = net.prem_of()
-    switch_groups: list[list[int]] = []  # per switched node: its removable edges
+    group: dict[int, frozenset[int]] = {}  # switched node -> its switch group
     for n in net.nodes.values():
         if n.kind in ("par", "contr"):
-            switch_groups.append(list(n.prem))
+            group[n.nid] = frozenset(n.prem)
         elif n.kind == "sync" and len(n.concl) > 1:
-            switch_groups.append(list(n.concl))
+            group[n.nid] = frozenset(n.concl)
 
-    base_edges = []
-    for eid in net.edges:
-        a = concl_of.get(eid)
-        b = prem_of.get(eid)
-        if a and b:
-            base_edges.append((eid, a[0], b[0]))
+    ends: dict[int, tuple[int, int]] = {}  # graph edge -> its two nodes
+    for eid, (u, _) in concl_of.items():
+        consumer = prem_of.get(eid)
+        if consumer is None:
+            continue
+        v = consumer[0]
+        if u == v:
+            return frozenset((u,))  # a switching that keeps this loop is cyclic
+        ends[eid] = (u, v)
 
-    def acyclic(removed: set[int]) -> bool:
-        parent: dict[int, int] = {}
+    work = [list(ends)]
+    while work:
+        for block in _blocks(work.pop(), ends):
+            if len(block) < 2:
+                continue  # a bridge is on no cycle
+            at: dict[int, list[int]] = {}  # node -> its block edges
+            for e in block:
+                for x in ends[e]:
+                    at.setdefault(x, []).append(e)
+            peel = {x for x, es in at.items() if x in group and group[x].issuperset(es)}
+            if not peel:
+                return frozenset(at)
+            work.append([e for e in block if ends[e][0] not in peel and ends[e][1] not in peel])
+    return frozenset()
 
-        def find(x):
-            while parent.get(x, x) != x:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            return x
 
-        for eid, u, v in base_edges:
-            if eid in removed:
-                continue
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
+def _blocks(edges: list[int], ends: dict[int, tuple[int, int]]) -> list[list[int]]:
+    """The biconnected blocks of the multigraph made of `edges`, as edge lists.
 
-    def choices():
-        total = 1
-        for g in switch_groups:
-            total *= len(g)
-        if total <= _MAX_SWITCHINGS:
-            yield from itertools.product(*switch_groups)
-        else:
-            rng = _random.Random(0)
-            for _ in range(_MAX_SWITCHINGS):
-                yield tuple(rng.choice(g) for g in switch_groups)
-
-    if not switch_groups:
-        if not acyclic(set()):
-            return "cyclic switching path at depth 0"
-    else:
-        for kept in choices():
-            removed = set()
-            for g, keep in zip(switch_groups, kept):
-                removed.update(e for e in g if e != keep)
-            if not acyclic(removed):
-                return f"cyclic switching path at depth 0 (kept {kept})"
-
-    for n in net.nodes.values():
-        for c in n.contents:
-            err = check_correct(c)
-            if err:
-                return f"inside box {n.nid}: {err}"
-    return None
+    Iterative Tarjan: depth-first search with an edge stack.  The search
+    leaves a node by the id of the edge it came in on, not by its parent
+    node, so parallel edges close cycles."""
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for e in edges:
+        u, v = ends[e]
+        adj.setdefault(u, []).append((e, v))
+        adj.setdefault(v, []).append((e, u))
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    blocks: list[list[int]] = []
+    for root in adj:
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        stack = [(root, None, iter(adj[root]))]  # (node, edge it came in on, rest of its edges)
+        estack: list[int] = []
+        while stack:
+            v, via, rest = stack[-1]
+            for e, w in rest:
+                if e == via:
+                    continue
+                if w not in disc:
+                    disc[w] = low[w] = len(disc)
+                    estack.append(e)
+                    stack.append((w, e, iter(adj[w])))
+                    break
+                if disc[w] < disc[v]:  # a back edge to an ancestor
+                    estack.append(e)
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= disc[u]:  # u separates v's subtree: one block
+                        block = []
+                        while True:
+                            e = estack.pop()
+                            block.append(e)
+                            if e == via:
+                                break
+                        blocks.append(block)
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +649,7 @@ def _cut_sides(net: Net, cut: Node, want_nid: int) -> tuple[int, int]:
     concl_of = net.concl_of()
     if concl_of[e1][0] == want_nid:
         return e1, e2
-    assert concl_of[e2][0] == want_nid
+    _require(concl_of[e2][0] == want_nid, "cut is not against the redex node")
     return e2, e1
 
 
@@ -618,7 +685,7 @@ def _open_box(net: Net, cut_id: int, box_id: int, der_id: int) -> tuple[int, Net
     Returns (content principal conclusion edge, content)."""
     cut, box, der = net.nodes[cut_id], net.nodes[box_id], net.nodes[der_id]
     e_box, e_der = _cut_sides(net, cut, box_id)
-    assert der.concl[0] == e_der
+    _require(der.concl[0] == e_der, "cut is not against the dereliction")
     (content,) = box.contents
     ed = der.prem[0]
     net.remove_node(cut_id)
@@ -653,7 +720,7 @@ def _reduce_y_unfold(net: Net, cut_id: int, box_id: int, der_id: int) -> None:
 def _reduce_w_box(net: Net, cut_id: int, box_id: int, weak_id: int) -> None:
     cut, box, weak = net.nodes[cut_id], net.nodes[box_id], net.nodes[weak_id]
     e_box, e_weak = _cut_sides(net, cut, box_id)
-    assert weak.concl[0] == e_weak
+    _require(weak.concl[0] == e_weak, "cut is not against the weakening")
     net.remove_node(cut_id)
     net.remove_node(box_id)
     net.remove_node(weak_id)
@@ -664,7 +731,7 @@ def _reduce_w_box(net: Net, cut_id: int, box_id: int, weak_id: int) -> None:
 def _reduce_c_box(net: Net, cut_id: int, box_id: int, contr_id: int) -> None:
     cut, box, contr = net.nodes[cut_id], net.nodes[box_id], net.nodes[contr_id]
     e_box, e_contr = _cut_sides(net, cut, box_id)
-    assert contr.concl[0] == e_contr
+    _require(contr.concl[0] == e_contr, "cut is not against the contraction")
     q1, q2 = contr.prem
     src = Net([box], [net.edges[e_box]], [e_box])
     net.remove_node(cut_id)
@@ -684,7 +751,7 @@ def _reduce_absorb(net: Net, cut_id: int, box_id: int, target_id: int) -> None:
     cut, box, target = net.nodes[cut_id], net.nodes[box_id], net.nodes[target_id]
     e_box, e_aux = _cut_sides(net, cut, box_id)
     aux_port = target.concl.index(e_aux)
-    assert aux_port >= 1
+    _require(aux_port >= 1, "absorbing box is cut against a principal door")
     src = Net([box], [net.edges[e_box]], [e_box])
     net.remove_node(cut_id)
     net.remove_node(box_id)
@@ -719,7 +786,7 @@ def _reduce_absorb(net: Net, cut_id: int, box_id: int, target_id: int) -> None:
 def _reduce_bot_branch(net: Net, cut_id: int, box_id: int, one_id: int, side: int) -> Net:
     cut, box, one = net.nodes[cut_id], net.nodes[box_id], net.nodes[one_id]
     e_bot, e_one = _cut_sides(net, cut, box_id)
-    assert one.concl[0] == e_one
+    _require(one.concl[0] == e_one, "cut is not against the one")
     content = box.contents[side]
     aux_edges = box.concl[1:]
     net.remove_node(cut_id)

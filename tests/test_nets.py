@@ -1,6 +1,12 @@
-import pytest
+import itertools
+import math
+import re
+from pathlib import Path
 
-from tokennets.memory import OperationLabel
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tokennets.memory import OperationLabel, int_backend, prob_backend, quantum_backend
 from tokennets.nets import (
     BOT,
     Edge,
@@ -12,6 +18,7 @@ from tokennets.nets import (
     bang,
     check_correct,
     count_units,
+    cyclic_switching_block,
     find_redexes,
     fresh_id,
     is_positive,
@@ -23,6 +30,8 @@ from tokennets.nets import (
     tensor,
     validate,
 )
+from tokennets.pcfll import parse, typecheck
+from tokennets.translate import translate
 
 
 def wire(net, node, *eids):
@@ -388,3 +397,161 @@ def test_signature_isomorphism_invariance():
 def test_dump_smoke():
     text = bot_box_net().dump()
     assert "botbox" in text and "left:" in text and "right:" in text
+
+
+# ---------------------------------------------------------------------------
+# Switching correctness: exact check against exhaustive enumeration
+
+
+def switch_groups(level):
+    """Per switched node, the edges a switching chooses one of."""
+    groups = []
+    for n in level.nodes.values():
+        if n.kind in ("par", "contr"):
+            groups.append(list(n.prem))
+        elif n.kind == "sync" and len(n.concl) > 1:
+            groups.append(list(n.concl))
+    # A node with no premises has nothing to switch (only generated levels
+    # have one); itertools.product over an empty group would yield nothing.
+    return [g for g in groups if g]
+
+
+def oracle_cyclic(level):
+    """Whether some switching of this level is cyclic, by trying them all."""
+    concl_of, prem_of = level.concl_of(), level.prem_of()
+    links = [(e, concl_of[e][0], prem_of[e][0]) for e in concl_of if e in prem_of]
+    groups = switch_groups(level)
+    for kept in itertools.product(*groups):
+        removed = {e for g, k in zip(groups, kept) for e in g if e != k}
+        parent = {}
+
+        def find(x):
+            while parent.get(x, x) != x:
+                x = parent[x]
+            return x
+
+        for e, u, v in links:
+            if e in removed:
+                continue
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                return True
+            parent[ru] = rv
+    return False
+
+
+def switchings(level):
+    return math.prod(len(g) for g in switch_groups(level))
+
+
+def contr_ring(k):
+    """k contraction nodes in a ring, each also fed by a weakening."""
+    net = Net()
+    weak = [net.add_node("weak", [quest(BOT)]) for _ in range(k)]
+    ring = [net.add_node("contr", [quest(BOT)]) for _ in range(k)]
+    for i, c in enumerate(ring):
+        wire(net, c, ring[i - 1].concl[0], weak[i].concl[0])
+    return net
+
+
+def test_contraction_ring_beyond_4096_switchings_is_cyclic():
+    net = contr_ring(14)
+    validate(net)
+    assert switchings(net) == 2 ** 14
+    assert check_correct(net) == (
+        "cyclic switching path at depth 0 among nodes "
+        f"{sorted(n.nid for n in net.nodes.values() if n.kind == 'contr')}")
+
+
+def test_sync_ring_without_ordinary_edges_is_cyclic():
+    # Every edge is a switched sync conclusion, so contracting ordinary
+    # edges (as in Danos's contractibility) would find nothing to merge.
+    net = Net()
+    label = OperationLabel("max", 2)
+    syncs = [net.add_node("sync", [ONE, ONE], label=label) for _ in range(3)]
+    for i, s in enumerate(syncs):
+        wire(net, s, syncs[i - 1].concl[0], syncs[i - 2].concl[1])
+    validate(net)
+    assert oracle_cyclic(net)
+    assert check_correct(net) is not None
+
+
+def single_one_net():
+    net = Net()
+    one = net.add_node("one", [ONE])
+    net.conclusions = [one.concl[0]]
+    return net
+
+
+def nest_in_boxes(content, depth):
+    """`content` inside `depth` nested !-boxes, and the box ids, outermost first."""
+    typ, boxes = ONE, []
+    for _ in range(depth):
+        outer = Net()
+        typ = bang(typ)
+        box = outer.add_node("bangbox", [typ], contents=[content])
+        outer.conclusions = [box.concl[0]]
+        boxes.append(box.nid)
+        content = outer
+    return content, boxes[::-1]
+
+
+def test_boxes_nested_1500_deep_are_checked_without_recursion():
+    net, _ = nest_in_boxes(single_one_net(), 1500)
+    assert check_correct(net) is None
+    inner = single_one_net()  # beside an ax whose conclusions are cut together
+    ax = inner.add_node("ax", [BOT, ONE])
+    cut = Node(fresh_id(), "cut", [], list(ax.concl))
+    inner.nodes[cut.nid] = cut
+    net, boxes = nest_in_boxes(inner, 1500)
+    path = "".join(f"inside box {nid}: " for nid in boxes)
+    assert check_correct(net) == (
+        f"{path}cyclic switching path at depth 0 among nodes {sorted((ax.nid, cut.nid))}")
+
+
+@st.composite
+def levels(draw):
+    """Small untyped levels: par/contr/n-ary sync groups, loops, parallel
+    edges, sync conclusions consumed as par/contr premises (one edge in two
+    groups) and edges left as conclusions."""
+    net = Net()
+    kinds = draw(st.lists(st.sampled_from(["par", "contr", "sync", "ax", "cut"]), min_size=1, max_size=6))
+    nodes = [Node(fresh_id(), k) for k in kinds]
+    net.nodes = {n.nid: n for n in nodes}
+    for _ in range(draw(st.integers(0, 10))):
+        eid = fresh_id()
+        net.edges[eid] = Edge(eid, ONE)
+        nodes[draw(st.integers(0, len(nodes) - 1))].concl.append(eid)
+        consumer = draw(st.integers(-1, len(nodes) - 1))
+        if consumer < 0:
+            net.conclusions.append(eid)
+        else:
+            nodes[consumer].prem.append(eid)
+    return net
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(levels())
+def test_switching_check_agrees_with_enumeration(level):
+    assert switchings(level) <= 4096
+    assert bool(cyclic_switching_block(level)) == oracle_cyclic(level)
+
+
+BACKENDS = {"int": int_backend, "prob": prob_backend, "quantum": quantum_backend}
+CORPUS = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.pcf"))
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
+def test_switching_check_agrees_with_enumeration_on_corpus(path):
+    src = path.read_text()
+    backend = BACKENDS[re.search(r"^-- backend: *(\w+)", src, re.M).group(1)]()
+    net = translate(typecheck(parse(src, backend.labels)), backend).net
+    checked, work = 0, [net]
+    while work:
+        level = work.pop()
+        work.extend(c for n in level.nodes.values() for c in n.contents)
+        if switchings(level) <= 4096:
+            assert not oracle_cyclic(level)
+            assert not cyclic_switching_block(level)
+            checked += 1
+    assert checked

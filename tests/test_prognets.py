@@ -312,9 +312,16 @@ rejects(ValueError, reduce, net, NetRedex("test", (cut.nid, ax.nid, one.nid)))
 twin = Node(fresh_id(), "one", [one.concl[0]])
 net.nodes[twin.nid] = twin
 rejects(InvalidNetError, validate, net)  # an edge concluded twice
+rejects(InvalidNetError, net.concl_of)
 del net.nodes[twin.nid]
 net.conclusions = []
 rejects(InvalidNetError, validate, net)  # a dangling conclusion
+floating = Net()
+kept = floating.add_node("one", [ONE])
+floating.add_node("one", [ONE])
+floating.conclusions = [kept.concl[0]]
+rejects(InvalidNetError, floating.signature)  # a node no conclusion reaches
+rejects(InvalidNetError, floating.splice, floating)
 print("ok")
 """
 

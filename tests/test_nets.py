@@ -444,23 +444,18 @@ def switchings(level):
     return math.prod(len(g) for g in switch_groups(level))
 
 
-def contr_ring(k):
-    """k contraction nodes in a ring, each also fed by a weakening."""
+def test_contraction_ring_beyond_4096_switchings_is_cyclic():
+    # 14 contraction nodes in a ring, each also fed by a weakening.
     net = Net()
-    weak = [net.add_node("weak", [quest(BOT)]) for _ in range(k)]
-    ring = [net.add_node("contr", [quest(BOT)]) for _ in range(k)]
+    weak = [net.add_node("weak", [quest(BOT)]) for _ in range(14)]
+    ring = [net.add_node("contr", [quest(BOT)]) for _ in range(14)]
     for i, c in enumerate(ring):
         wire(net, c, ring[i - 1].concl[0], weak[i].concl[0])
-    return net
-
-
-def test_contraction_ring_beyond_4096_switchings_is_cyclic():
-    net = contr_ring(14)
     validate(net)
     assert switchings(net) == 2 ** 14
     assert check_correct(net) == (
         "cyclic switching path at depth 0 among nodes "
-        f"{sorted(n.nid for n in net.nodes.values() if n.kind == 'contr')}")
+        f"{sorted(c.nid for c in ring)}")
 
 
 def test_sync_ring_without_ordinary_edges_is_cyclic():

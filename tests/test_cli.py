@@ -139,24 +139,37 @@ def test_trace_output_names_no_memory_address(capsys, monkeypatch):
     assert "0x" not in out
 
 
-def corpus_argv(path: Path) -> list[str]:
-    """`--engine all` with the file's header backend; omega at horizon 6."""
+def corpus_argv(path: Path, horizon: str) -> list[str]:
+    """`--engine all` with the file's header backend."""
     backend = re.search(r"^-- backend: *(\w+)", path.read_text(), re.M).group(1)
-    horizon = "6" if path.name == "omega.pcf" else "200"
     return [f"corpus/{path.name}", "--engine", "all", "--backend", backend,
             "--horizon", horizon]
 
 
-@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
-def test_corpus_output_matches_golden(path):
+# (test id, golden file stem, CLI arguments): every corpus file (omega at
+# horizon 6), and traced runs with a diamond check (omega at horizon 3).
+GOLDEN = [
+    (p.name, p.stem, corpus_argv(p, "6" if p.name == "omega.pcf" else "200"))
+    for p in CORPUS
+] + [
+    (f"{name}.pcf-trace-diamond", f"{name}.trace",
+     corpus_argv(REPO / "corpus" / f"{name}.pcf", horizon)
+     + ["--trace", "--check-diamond", "6"])
+    for name, horizon in (("coin_prob", "200"), ("bell", "200"), ("parallel", "200"),
+                          ("omega", "3"))
+]
+
+
+@pytest.mark.parametrize("stem, argv", [pytest.param(s, a, id=i) for i, s, a in GOLDEN])
+def test_corpus_output_matches_golden(stem, argv):
     # Each run gets a fresh process: fresh variable names and node ids are
     # drawn from process-wide counters, and the golden files were written
     # by one `tokennets` process per file, run from the repository root.
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     proc = subprocess.run(
-        [sys.executable, "-m", "tokennets.cli", *corpus_argv(path)],
+        [sys.executable, "-m", "tokennets.cli", *argv],
         cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    golden = REPO / "tests" / "golden" / f"{path.stem}.out"
+    golden = REPO / "tests" / "golden" / f"{stem}.out"
     assert proc.stdout == golden.read_text()

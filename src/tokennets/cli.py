@@ -26,9 +26,8 @@ from .pars import (
     FusedSystem,
     check_diamond,
     leftmost_policy,
-    lift_step,
+    lifted_steps,
     seeded_policy,
-    terminal_split,
 )
 from .pcfll import Closure, ParseError, PcfSystem, TypecheckError, parse, term_str, typecheck
 from .prognets import PnSystem
@@ -63,21 +62,17 @@ def make_engine(name: str, term, backend, pn):
 
 def run_to_horizon(fused, start, horizon, tol, policy, trace=False, tag=""):
     """Drive the lifted step, returning (probability, truncated, terminals)."""
-    mu = Distribution.dirac(start)
-    step = 0
 
     def picker(a, redexes):
         r = policy(a, redexes)
         if trace:
-            print(f"trace[{tag}] step {step}: {r!r}")
+            # Step k is lifted inside the next() that yields it; `k` still holds k - 1.
+            print(f"trace[{tag}] step {k + 1}: {r!r}")
         return r
 
-    for step in range(1, horizon + 1):
-        term, red = terminal_split(mu, fused)
-        if red.mass() < tol:
-            break
-        mu = lift_step(mu, fused, picker)
-    term, red = terminal_split(mu, fused)
+    steps = lifted_steps(Distribution.dirac(start), fused, picker, horizon, tol)
+    for k, (_, term, red) in enumerate(steps):
+        pass
     return term.mass(), red.mass() >= tol, term
 
 

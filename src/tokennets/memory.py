@@ -38,6 +38,21 @@ def fresh(m, used: set[Address] = frozenset()) -> Address:
     return i
 
 
+def canonical_addresses(order: list[Address], m) -> dict[Address, Address]:
+    """Canonical address permutation for an element with memory `m`: the
+    addresses of `order` numbered from 0 in order of first appearance, then
+    any addresses live only in the memory, ordered by their stored value
+    (equal-valued registers are interchangeable)."""
+    sigma: dict[Address, Address] = {}
+    for a in order:
+        sigma.setdefault(a, len(sigma))
+    get = getattr(m, "get", None)
+    orphans = set(m.support()) - set(sigma)
+    for a in sorted(orphans, key=lambda a: (repr(get(a)) if get else "", a)):
+        sigma[a] = len(sigma)
+    return sigma
+
+
 def _check_update_args(addrs: tuple[Address, ...], label: OperationLabel) -> None:
     if len(addrs) != label.arity:
         raise ValueError(f"{label.name} expects {label.arity} addresses, got {len(addrs)}")
@@ -327,16 +342,19 @@ class QuantumMemory:
         tensor = np.transpose(tensor, axes=list(order)) if self.bound else tensor
         return self._with(tuple(sorted(renamed)), tensor.reshape(-1))
 
+    def _rounded(self):
+        # Adding 0.0 maps any -0.0 component to +0.0.
+        return self.bound, (np.round(self.amps, 6) + 0.0).tobytes()
+
     def __eq__(self, other) -> bool:
-        # Amplitude comparison is tolerant so that states reached through
-        # different but equivalent operation orders merge in distributions;
-        # the hash rounds amplitudes coarsely enough to stay consistent for
-        # any amplitudes further than 1e-9 from a rounding boundary.
-        return self.approx_eq(other)
+        # Equal when the amplitudes rounded to 6 decimals are, as the hash sees
+        # them; equal arrays skip the rounding.  Tolerance is left to approx_eq.
+        if not isinstance(other, QuantumMemory) or self.bound != other.bound:
+            return False
+        return np.array_equal(self.amps, other.amps) or self._rounded() == other._rounded()
 
     def __hash__(self) -> int:
-        # Adding 0.0 maps any -0.0 component to +0.0 before hashing.
-        return hash((self.bound, (np.round(self.amps, 6) + 0.0).tobytes()))
+        return hash(self._rounded())
 
     def approx_eq(self, other, tol: float = TOL) -> bool:
         return (

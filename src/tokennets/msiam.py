@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .memory import fresh
+from .memory import canonical_addresses, fresh
 from .nets import Formula, Net
 from .pars import Distribution, FusedSystem, Policy, converge, leftmost_policy
 from .prognets import ProgramNet
@@ -110,7 +110,8 @@ def indicator(s: tuple, a: Formula) -> str | None:
 
 class MachineInvariantError(RuntimeError):
     """A transition would break the machine's structural invariants: a
-    second token with an existing origin, or an address bound twice."""
+    second token with an existing origin, an address bound twice, or a
+    token moved, tested or routed where its position does not allow."""
 
 
 class NetIndex:
@@ -205,10 +206,6 @@ def _flat(obj) -> str:
     return "|".join(out)
 
 
-def _sort_key(x):
-    return _flat(x)
-
-
 class MachineState:
     """Immutable multi-token state: tokens with origins, the address map on
     origins, and a memory.  Compared up to address permutation.
@@ -232,22 +229,13 @@ class MachineState:
         self.pending = pending
         self._key = None
 
-    def _sigma(self) -> dict:
-        sigma: dict = {}
-        for orig in sorted(self.ind, key=_sort_key):
-            sigma[self.ind[orig]] = len(sigma)
-        get = getattr(self.memory, "get", None)
-        orphans = set(self.memory.support()) - set(sigma)
-        for a in sorted(orphans, key=lambda a: (repr(get(a)) if get else "", a)):
-            sigma[a] = len(sigma)
-        return sigma
-
     def canonical_key(self):
         if self._key is None:
-            sigma = self._sigma()
-            toks = tuple(sorted(self.tokens, key=_sort_key))
+            order = sorted(self.ind, key=_flat)
+            sigma = canonical_addresses([self.ind[o] for o in order], self.memory)
+            toks = tuple(sorted(self.tokens, key=_flat))
             ind_c = tuple(
-                sorted(((o, sigma[a]) for o, a in self.ind.items()), key=_sort_key)
+                sorted(((o, sigma[a]) for o, a in self.ind.items()), key=_flat)
             )
             self._key = (toks, ind_c, self.memory.rename(sigma))
         return self._key
@@ -356,7 +344,8 @@ class MsSystem:
             return ("move", ((level, other), fstack, bstack))
         if node.kind in ("tensor", "par"):
             tag, rest = fstack[0], fstack[1:]
-            assert tag in ("l", "r")
+            if tag not in ("l", "r"):
+                raise MachineInvariantError(f"invalid stack {fstack} at {node.kind} {nkey}")
             target = node.prem[0 if tag == "l" else 1]
             return ("move", ((level, target), rest, bstack))
         if node.kind == "contr":
@@ -418,7 +407,8 @@ class MsSystem:
         level, bnid = box_nkey
         node = self.index.node[box_nkey]
         if kind == "botbox":
-            assert cpos >= 1
+            if cpos < 1:
+                raise MachineInvariantError(f"token leaves {box_nkey} by its principal door")
             return ("move", ((level, node.concl[cpos]), fstack, bstack))
         if cpos == 0:
             copy = bstack[-1]
@@ -522,7 +512,8 @@ class MsSystem:
         pos = st.live[orig]
         ekey, fstack, bstack = pos
         box_nkey, j = self.index.edge_concl[ekey]
-        assert j == 0 and self.index.node[box_nkey].kind == "botbox"
+        if j != 0 or self.index.node[box_nkey].kind != "botbox":
+            raise MachineInvariantError(f"test by a token not at a choice box: {pos}")
         i = st.ind[orig]
         out = []
         for (outcome, m2), p in st.memory.test(i):
@@ -562,7 +553,8 @@ class MsSystem:
             (orig,) = tr.data
             pos = st.live[orig]
             act = self.token_step(st, pos)
-            assert act is not None and act[0] == "move"
+            if act is None or act[0] != "move":
+                raise MachineInvariantError(f"token {orig} cannot move: {act}")
             return self._successor(st, [(orig, pos, act[1])])
         if tr.kind == "update":
             sync_nkey, t = tr.data

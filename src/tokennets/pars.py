@@ -7,6 +7,10 @@ that picks one redex per element.  On systems with the diamond property the
 terminal mass reached at each step count is independent of the policy, which
 is what the bundled diamond checker verifies.
 
+The generator `lifted_steps` is the one driver of the lifted step: the
+convergence, trace, iteration and diamond functions below, and the CLI,
+read the terminal and reducible parts it yields after each step.
+
 `FusedSystem` runs the non-branching (Dirac) redexes of a system as one
 closure and exposes only the elements where a choice is left.  Inside the
 closure it fires them through `step_det`, which returns the bare reduct:
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable, Protocol
+from typing import Any, Callable, Hashable, Iterable, Iterator, Protocol
 
 TOL = 1e-9
 PRUNE = 1e-15
@@ -119,9 +123,6 @@ class Distribution:
     def mass(self) -> float:
         return sum(self.entries.values())
 
-    def scale(self, c: float) -> "Distribution":
-        return Distribution({a: c * p for a, p in self.entries.items()})
-
     def map(self, f: Callable[[Element], Element]) -> "Distribution":
         return Distribution([(f(a), p) for a, p in self.entries.items()])
 
@@ -130,34 +131,60 @@ class Distribution:
         return all(abs(self[a] - other[a]) <= tol for a in keys)
 
 
+def lifted_steps(
+    mu: Distribution, sys: RewriteSystem, policy: Policy, horizon: int, tol: float
+) -> Iterator[tuple[Distribution, Distribution, Distribution]]:
+    """Yield (mu, terminal part, reducible part) after 0, 1, 2, ... lifted
+    steps, up to `horizon` steps or the first step count whose reducible
+    mass is below `tol` (with `tol` 0, exactly `horizon` steps).
+
+    An element's status is decided by one `is_terminal` call when it
+    appears; one terminal at the previous step is not asked again.  A step
+    enumerates each reducible element's redexes once and calls the policy
+    once per reducible element, in support order; it builds the next
+    distribution from one list in that order.  The lift to step k runs
+    inside the `next()` that yields step k.
+    """
+    term: dict[Element, float] = {}
+    for k in range(horizon + 1):
+        carried, term, red = term, {}, {}
+        for a, p in mu:
+            if a in carried or sys.is_terminal(a):
+                term[a] = p
+            else:
+                red[a] = p
+        reducible = Distribution(red)
+        yield mu, Distribution(term), reducible
+        if k == horizon or reducible.mass() < tol:
+            return
+        out: list[tuple[Element, float]] = []
+        for a, p in mu:
+            if a in term:
+                out.append((a, p))
+            else:
+                rho = sys.apply(a, policy(a, sys.enumerate_redexes(a)))
+                out.extend((b, p * q) for b, q in rho)
+        mu = Distribution(out)
+
+
 def terminal_split(mu: Distribution, sys: RewriteSystem) -> tuple[Distribution, Distribution]:
     """Split mu into its terminal and reducible parts (pointwise sum is mu)."""
-    term = {a: p for a, p in mu if sys.is_terminal(a)}
-    red = {a: p for a, p in mu if a not in term}
-    return Distribution(term), Distribution(red)
+    return next(lifted_steps(mu, sys, leftmost_policy, 0, 0.0))[1:]
 
 
 def degree_of_termination(mu: Distribution, sys: RewriteSystem) -> float:
-    return sum(p for a, p in mu if sys.is_terminal(a))
+    return terminal_split(mu, sys)[0].mass()
+
+
+def iterate(mu: Distribution, n: int, sys: RewriteSystem, policy: Policy) -> Distribution:
+    for mu, _, _ in lifted_steps(mu, sys, policy, n, 0.0):
+        pass
+    return mu
 
 
 def lift_step(mu: Distribution, sys: RewriteSystem, policy: Policy) -> Distribution:
     """One parallel step: every non-terminal support element is reduced once."""
-    out: list[tuple[Element, float]] = []
-    for a, p in mu:
-        if sys.is_terminal(a):
-            out.append((a, p))
-        else:
-            redexes = sys.enumerate_redexes(a)
-            rho = sys.apply(a, policy(a, redexes))
-            out.extend((b, p * q) for b, q in rho)
-    return Distribution(out)
-
-
-def iterate(mu: Distribution, n: int, sys: RewriteSystem, policy: Policy) -> Distribution:
-    for _ in range(n):
-        mu = lift_step(mu, sys, policy)
-    return mu
+    return iterate(mu, 1, sys, policy)
 
 
 def converge(
@@ -175,42 +202,22 @@ def converge(
     degree is not a stopping criterion: a looping system keeps mass reducible
     forever and must report hitting the horizon.
     """
-    for _ in range(horizon):
-        _, red = terminal_split(mu, sys)
-        if red.mass() < tol:
-            return degree_of_termination(mu, sys), False
-        mu = lift_step(mu, sys, policy)
-    _, red = terminal_split(mu, sys)
-    return degree_of_termination(mu, sys), red.mass() >= tol
+    for _, term, red in lifted_steps(mu, sys, policy, horizon, tol):
+        pass
+    return term.mass(), red.mass() >= tol
 
 
 def converge_trace(
     mu: Distribution, sys: RewriteSystem, policy: Policy, horizon: int
 ) -> list[float]:
     """Terminal degree after 0..horizon lifted steps (stops when mass settles)."""
-    trace = [degree_of_termination(mu, sys)]
-    for _ in range(horizon):
-        _, red = terminal_split(mu, sys)
-        if red.mass() < PRUNE:
-            break
-        mu = lift_step(mu, sys, policy)
-        trace.append(degree_of_termination(mu, sys))
-    return trace
+    return [term.mass() for _, term, _ in lifted_steps(mu, sys, policy, horizon, PRUNE)]
 
 
 @dataclass
 class DiamondReport:
     passed: bool
     failures: list[str] = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def _terminal_parts_equal(nu: Distribution, xi: Distribution, sys: RewriteSystem, tol: float) -> bool:
-    nu0, _ = terminal_split(nu, sys)
-    xi0, _ = terminal_split(xi, sys)
-    return nu0.close_to(xi0, tol)
 
 
 def check_diamond(
@@ -228,32 +235,28 @@ def check_diamond(
     joinable with one more step.
     """
     p1, p2 = policies
-    report = DiamondReport(True)
+    failures: list[str] = []
     for seed in seeds:
-        mu1 = mu2 = Distribution.dirac(seed)
-        for k in range(1, depth + 1):
-            mu1 = lift_step(mu1, sys, p1)
-            mu2 = lift_step(mu2, sys, p2)
-            if not _terminal_parts_equal(mu1, mu2, sys, tol):
-                report.passed = False
-                report.failures.append(
-                    f"seed {seed!r}: terminal parts differ at step {k}: "
-                    f"{terminal_split(mu1, sys)[0]!r} vs {terminal_split(mu2, sys)[0]!r}"
+        mu = Distribution.dirac(seed)
+        runs = zip(lifted_steps(mu, sys, p1, depth, 0.0), lifted_steps(mu, sys, p2, depth, 0.0))
+        for k, ((_, term1, _), (_, term2, _)) in enumerate(runs):
+            if not term1.close_to(term2, tol):
+                failures.append(
+                    f"seed {seed!r}: terminal parts differ at step {k}: {term1!r} vs {term2!r}"
                 )
                 break
         if not sys.is_terminal(seed):
-            nu = lift_step(Distribution.dirac(seed), sys, p1)
-            xi = lift_step(Distribution.dirac(seed), sys, p2)
+            nu = lift_step(mu, sys, p1)
+            xi = lift_step(mu, sys, p2)
             if nu != xi:
                 nu2 = lift_step(nu, sys, p2)
                 xi2 = lift_step(xi, sys, p1)
                 if not (nu2.close_to(xi2, tol) or nu.close_to(xi, tol)):
-                    report.passed = False
-                    report.failures.append(
+                    failures.append(
                         f"seed {seed!r}: one-step divergence not joinable in one step: "
                         f"{nu2!r} vs {xi2!r}"
                     )
-    return report
+    return DiamondReport(not failures, failures)
 
 
 CONTINUE = "continue"

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .memory import OperationLabel, fresh
+from .memory import OperationLabel, canonical_addresses, fresh
 from .pars import Distribution
 
 
@@ -593,7 +593,8 @@ class Closure:
         self.term = term
         self.ind = dict(ind)
         self.memory = memory
-        assert len(set(self.ind.values())) == len(self.ind)
+        if len(set(self.ind.values())) != len(self.ind):
+            raise ValueError(f"address map not injective: {self.ind}")
         self._key = None
         self._hash = None
 
@@ -627,17 +628,10 @@ class Closure:
                     first_use(t.els, bound)
 
             first_use(self.term, frozenset())
-            assert all(v in self.ind for v in order), "free variable without address"
-            sigma: dict[int, int] = {}
-            for v in order:
-                sigma[self.ind[v]] = len(sigma)
-            for a in sorted(self.ind.values()):
-                if a not in sigma:
-                    sigma[a] = len(sigma)
-            get = getattr(self.memory, "get", None)
-            orphans = set(self.memory.support()) - set(sigma)
-            for a in sorted(orphans, key=lambda a: (repr(get(a)) if get else "", a)):
-                sigma[a] = len(sigma)
+            if not self.ind.keys() >= set(order):
+                raise ValueError(f"free variable without address in {term_str(self.term)}")
+            addrs = [self.ind[v] for v in order] + sorted(self.ind.values())
+            sigma = canonical_addresses(addrs, self.memory)
 
             def canon(t: Term, env: dict[str, object]):
                 if isinstance(t, Var):
@@ -889,13 +883,19 @@ def find_redex(t: Term) -> PcfRedex | None:
     return descend(t, lambda h: h)
 
 
+def _check_redex(ok: bool, kind: str, node) -> None:
+    if not ok:
+        raise ValueError(f"not a {kind} redex: {type(node).__name__} node")
+
+
 def closure_step(cl: Closure, redex=None) -> Distribution:
     found = find_redex(cl.term) if redex is None else redex
-    assert found is not None
+    if found is None:
+        raise ValueError(f"no redex in {term_str(cl.term)}")
     kind, node, rebuild = found
     if kind != "test":
         return Distribution.dirac(closure_step_det(cl, found))
-    assert isinstance(node, If) and isinstance(node.guard, Var)
+    _check_redex(isinstance(node, If) and isinstance(node.guard, Var), kind, node)
     i = cl.ind[node.guard.name]
     ind2 = {v: a for v, a in cl.ind.items() if v != node.guard.name}
     out = []
@@ -915,24 +915,24 @@ def closure_step_det(cl: Closure, redex) -> Closure:
         ind2[name] = i
         return Closure(rebuild(Var(name)), ind2, cl.memory)
     if kind == "letrec":
-        assert isinstance(node, LetRec)
+        _check_redex(isinstance(node, LetRec), kind, node)
         unrolled = Lam(
             node.var,
             LetRec(node.fun, node.var, copy_term(node.fbody), copy_term(node.fbody)),
         )
         return Closure(rebuild(subst(node.body, node.fun, unrolled)), cl.ind, cl.memory)
     if kind == "beta":
-        assert isinstance(node, App) and isinstance(node.fun, Lam)
+        _check_redex(isinstance(node, App) and isinstance(node.fun, Lam), kind, node)
         out = subst(node.fun.body, node.fun.var, node.arg)
         return Closure(rebuild(out), cl.ind, cl.memory)
     if kind == "update":
-        assert isinstance(node, App) and isinstance(node.fun, Const)
+        _check_redex(isinstance(node, App) and isinstance(node.fun, Const), kind, node)
         names = _tuple_vars(node.arg)
         addrs = tuple(cl.ind[n] for n in names)
         m2 = cl.memory.update(addrs, node.fun.label)
         return Closure(rebuild(copy_term(node.arg)), cl.ind, m2)
     if kind == "letpair":
-        assert isinstance(node, LetPair) and isinstance(node.subject, Pair)
+        _check_redex(isinstance(node, LetPair) and isinstance(node.subject, Pair), kind, node)
         out = subst(node.body, node.left, node.subject.left)
         out = subst(out, node.right, node.subject.right)
         return Closure(rebuild(out), cl.ind, cl.memory)

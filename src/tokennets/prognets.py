@@ -17,7 +17,7 @@ import copy
 from dataclasses import dataclass
 
 from . import nets
-from .memory import fresh
+from .memory import canonical_addresses, fresh
 from .pars import Distribution
 from .nets import InvalidNetError, Net, NetRedex, find_redexes, reduce, reduce_test
 
@@ -57,19 +57,10 @@ class ProgramNet:
         self._hash = None
 
     def _sigma(self) -> dict[int, int]:
-        """Canonical address permutation: inputs in traversal order first,
-        then any addresses live only in the memory, ordered by their stored
-        value (equal-valued registers are interchangeable)."""
+        """Canonical address permutation: inputs in traversal order first."""
         edge_no, _ = self.net.traversal()
-        ordered = sorted(self.ind.items(), key=lambda kv: edge_no[kv[0]])
-        sigma: dict[int, int] = {}
-        for _, a in ordered:
-            sigma[a] = len(sigma)
-        orphans = set(self.memory.support()) - set(sigma)
-        get = getattr(self.memory, "get", None)
-        for a in sorted(orphans, key=lambda a: (repr(get(a)) if get else "", a)):
-            sigma[a] = len(sigma)
-        return sigma
+        order = sorted(self.ind, key=edge_no.__getitem__)
+        return canonical_addresses([self.ind[e] for e in order], self.memory)
 
     def canonical_key(self):
         if self._key is None:

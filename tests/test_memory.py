@@ -258,3 +258,12 @@ def test_equivariance_quantum(pair):
     left = m.update((3,), X1).rename(sigma)
     right = m.rename(sigma).update((sigma.get(3, 3),), X1)
     assert left.approx_eq(right)
+
+
+def test_quantum_equal_states_hash_alike():
+    # Two states 1e-12 apart on either side of a 6-decimal rounding boundary.
+    a1, a2 = 0.6000005 - 1e-12, 0.6000005 + 1e-12
+    m1 = QuantumMemory((0,), [a1, math.sqrt(1 - a1 * a1)])
+    m2 = QuantumMemory((0,), [a2, math.sqrt(1 - a2 * a2)])
+    assert m1.approx_eq(m2)
+    assert m1 != m2 or hash(m1) == hash(m2)

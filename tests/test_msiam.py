@@ -349,3 +349,15 @@ def test_link_to_a_bound_address_is_rejected(monkeypatch):
     monkeypatch.setattr(tokennets.msiam, "fresh", lambda memory, used: bound)
     with pytest.raises(MachineInvariantError):
         sys.apply(st, second)
+
+
+def test_test_transition_off_a_choice_box_is_rejected():
+    pn, _ = make(r"(\x. x) new", "int")
+    sys = MsSystem(pn)
+    st = sys.initial_state()
+    (link,) = sys.enumerate_redexes(st)
+    (st,) = sys.apply(st, link).support()
+    (move,) = sys.enumerate_redexes(st)
+    assert move.kind == "move"
+    with pytest.raises(MachineInvariantError):
+        sys.apply(st, Transition("test", move.data))

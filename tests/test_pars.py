@@ -1,10 +1,15 @@
 import math
+import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from tokennets.cli import ENGINES, build_backend, make_engine
 from tokennets.pars import (
     CONTINUE,
+    TOL,
     Distribution,
     FusedSystem,
     check_diamond,
@@ -14,10 +19,15 @@ from tokennets.pars import (
     iterate,
     leftmost_policy,
     lift_step,
+    lifted_steps,
     rightmost_policy,
     seeded_policy,
     terminal_split,
 )
+from tokennets.pcfll import parse, typecheck
+from tokennets.translate import translate
+
+CORPUS = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.pcf"))
 
 
 class Geometric:
@@ -218,3 +228,78 @@ def test_fused_system_budget_continue():
     assert fused.enumerate_redexes(a) == [CONTINUE]
     assert not fused.is_terminal(a)
     assert fused.apply(a, CONTINUE) == Distribution.dirac(4)
+
+
+# -- the driver against the step loop it replaced ---------------------------
+
+
+def reference_converge(mu, sys, policy, horizon, tol):
+    """`converge` as a plain loop that splits and lifts, asking `is_terminal`
+    of every element each time: (terminal part, truncated).  The reference
+    for `lifted_steps`."""
+
+    def split(mu):
+        term = {a: p for a, p in mu if sys.is_terminal(a)}
+        return Distribution(term), Distribution({a: p for a, p in mu if a not in term})
+
+    def lift(mu):
+        out = []
+        for a, p in mu:
+            if sys.is_terminal(a):
+                out.append((a, p))
+            else:
+                rho = sys.apply(a, policy(a, sys.enumerate_redexes(a)))
+                out.extend((b, p * q) for b, q in rho)
+        return Distribution(out)
+
+    for _ in range(horizon):
+        _, red = split(mu)
+        if red.mass() < tol:
+            break
+        mu = lift(mu)
+    term, red = split(mu)
+    return term, red.mass() >= tol
+
+
+def corpus_engine(path, engine):
+    """The CLI's fused system and prepared start for a corpus file."""
+    src = path.read_text()
+    backend = build_backend(re.search(r"^-- backend: *(\w+)", src, re.M).group(1), None)
+    term = parse(src, backend.labels)
+    pn = translate(typecheck(term), backend)
+    fused, start, _ = make_engine(engine, term, backend, pn)
+    return fused, start
+
+
+@pytest.mark.parametrize("policy", ["leftmost", "seeded"])
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
+def test_driver_matches_reference_and_bounds_enumerations(path, engine, policy):
+    fused, start = corpus_engine(path, engine)
+    pick = (lambda: leftmost_policy) if policy == "leftmost" else (lambda: seeded_policy(0))
+    horizon = 3 if path.name == "omega.pcf" else 40
+    mu = Distribution.dirac(start)
+    ref_term, ref_truncated = reference_converge(mu, fused, pick(), horizon, TOL)
+
+    p, truncated = converge(mu, fused, pick(), horizon, TOL)
+    assert (p, truncated) == (ref_term.mass(), ref_truncated)
+
+    # Count the enumerations made inside each next(): the status checks of
+    # the new step's elements and the redexes of the last step's reducible
+    # ones.  FusedSystem.is_terminal enumerates through the same attribute.
+    calls = Counter()
+    enumerate_redexes = fused.enumerate_redexes
+
+    def counted(a):
+        calls[a] += 1
+        return enumerate_redexes(a)
+
+    fused.enumerate_redexes = counted
+    carried = Distribution()
+    for _, term, red in lifted_steps(mu, fused, pick(), horizon, TOL):
+        assert not any(calls[a] for a in carried.support())
+        assert max(calls.values(), default=0) <= 2
+        calls.clear()
+        carried = term
+    assert term == ref_term and term.mass() == ref_term.mass()
+    assert (red.mass() >= TOL) == ref_truncated

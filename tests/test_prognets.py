@@ -287,6 +287,7 @@ import sys
 from tokennets.memory import IntRegisterMemory
 from tokennets.nets import (
     BOT, ONE, InvalidNetError, Net, NetRedex, Node, fresh_id, reduce, validate)
+from tokennets.pcfll import Closure, New, PcfRedex, Var, closure_step, closure_step_det
 from tokennets.prognets import PnRedex, ProgramNet, step
 
 assert sys.flags.optimize
@@ -322,6 +323,12 @@ floating.add_node("one", [ONE])
 floating.conclusions = [kept.concl[0]]
 rejects(InvalidNetError, floating.signature)  # a node no conclusion reaches
 rejects(InvalidNetError, floating.splice, floating)
+rejects(ValueError, Closure, New(), {"x": 0, "y": 0}, IntRegisterMemory())
+rejects(ValueError, Closure(Var("x"), {}, IntRegisterMemory()).canonical_key)
+stuck = Closure(Var("x"), {"x": 0}, IntRegisterMemory({0: 0}))
+rejects(ValueError, closure_step, stuck)  # no redex
+rejects(ValueError, closure_step, stuck, PcfRedex("test", New(), lambda h: h))
+rejects(ValueError, closure_step_det, stuck, PcfRedex("beta", New(), lambda h: h))
 print("ok")
 """
 

@@ -8,8 +8,10 @@ probability deltas are reported and the run fails if any exceeds the
 tolerance.  Exit codes: 2 bad input (unreadable program, parse error,
 missing or malformed `--gates` file, non-integer `MSIAM_SEED`), 3 type
 error, 4 engine disagreement, 5 the translated net is malformed or fails
-its correctness check (an internal fault), 1 diamond-check failure.  Each
-failure prints a one-line message on stderr.
+its correctness check (an internal fault), 6 any other internal fault
+(for instance a program nested too deeply for the parser, or a case an
+engine does not implement), 1 diamond-check failure.  Each failure prints
+a one-line message on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -91,6 +93,14 @@ def report_engine(name, fused, start, describe, args) -> float:
 
 
 def main(argv=None) -> int:
+    try:
+        return _main(argv)
+    except Exception as e:  # noqa: BLE001 - reported as exit code 6, not a traceback
+        print(f"internal error: {type(e).__name__}: {' '.join(str(e).split())}", file=sys.stderr)
+        return 6
+
+
+def _main(argv) -> int:
     ap = argparse.ArgumentParser(
         prog="tokennets",
         description="Evaluate a linear functional program by term reduction, "

@@ -63,10 +63,6 @@ def leftmost_policy(a: Element, redexes: list[Redex]) -> Redex:
     return redexes[0]
 
 
-def rightmost_policy(a: Element, redexes: list[Redex]) -> Redex:
-    return redexes[-1]
-
-
 def seeded_policy(seed: int) -> Policy:
     rng = random.Random(seed)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import is_not
 from typing import Callable, NamedTuple
 
 from .memory import OperationLabel, canonical_addresses, fresh
@@ -90,6 +91,45 @@ class If(Term):
     guard: Term
     then: Term
     els: Term
+
+
+# ---------------------------------------------------------------------------
+# Binding structure: the one table the term walkers read.  Terms are never
+# mutated, so a rewritten term shares every subterm it leaves alone.
+#
+# For each node class: its subterms in evaluation order, each with the names
+# that the node binds in it.  A binder node binds all of its names in its
+# first scope that binds any, and its fields are those names followed by its
+# subterms, so `type(t)(*names, *subterms)` builds a node like `t`.
+SCOPES: dict[type, Callable[[Term], tuple[tuple[Term, tuple[str, ...]], ...]]] = {
+    Var: lambda t: (),
+    Lam: lambda t: ((t.body, (t.var,)),),
+    App: lambda t: ((t.fun, ()), (t.arg, ())),
+    Pair: lambda t: ((t.left, ()), (t.right, ())),
+    LetPair: lambda t: ((t.subject, ()), (t.body, (t.left, t.right))),
+    LetRec: lambda t: ((t.fbody, (t.fun, t.var)), (t.body, (t.fun,))),
+    New: lambda t: (),
+    Const: lambda t: (),
+    If: lambda t: ((t.guard, ()), (t.then, ()), (t.els, ())),
+}
+
+
+def scopes(t: Term) -> tuple[tuple[Term, tuple[str, ...]], ...]:
+    """The subterms of `t` in evaluation order, each with the names `t` binds in it."""
+    return SCOPES[type(t)](t)
+
+
+def walk(t: Term):
+    """Yield (node, bound) for every node of `t` in evaluation pre-order,
+    where `bound` lists the names bound around the node, innermost first.
+    A bound variable's binder depth (de Bruijn level) is therefore
+    `len(bound) - 1 - bound.index(name)`."""
+    todo = [(t, ())]
+    while todo:
+        t, bound = todo.pop()
+        yield t, bound
+        for s, names in reversed(scopes(t)):
+            todo.append((s, names[::-1] + bound if names else bound))
 
 
 def term_str(t: Term) -> str:
@@ -352,44 +392,23 @@ def is_value(t: Term) -> bool:
 
 
 def count_occurrences(t: Term, name: str) -> int:
-    if isinstance(t, Var):
-        return 1 if t.name == name else 0
-    if isinstance(t, Lam):
-        return 0 if t.var == name else count_occurrences(t.body, name)
-    if isinstance(t, App):
-        return count_occurrences(t.fun, name) + count_occurrences(t.arg, name)
-    if isinstance(t, Pair):
-        return count_occurrences(t.left, name) + count_occurrences(t.right, name)
-    if isinstance(t, LetPair):
-        n = count_occurrences(t.subject, name)
-        if name not in (t.left, t.right):
-            n += count_occurrences(t.body, name)
-        return n
-    if isinstance(t, LetRec):
-        n = 0
-        if name not in (t.fun, t.var):
-            n += count_occurrences(t.fbody, name)
-        if name != t.fun:
-            n += count_occurrences(t.body, name)
-        return n
-    if isinstance(t, If):
-        return (
-            count_occurrences(t.guard, name)
-            + count_occurrences(t.then, name)
-            + count_occurrences(t.els, name)
-        )
-    return 0
+    """The number of free occurrences of `name` in `t`."""
+    return sum(
+        isinstance(s, Var) and s.name == name and name not in bound for s, bound in walk(t)
+    )
 
 
 class Checker:
     """Unification-based inference with promotion insertion.
 
     A binder whose variable occurs zero or several times in its scope is
-    forced to a !(A -o B) type; a once-used binder gets a plain variable,
-    which can never resolve to a !-type because checking against a !-type
-    promotes first.  `promotions` collects term nodes that are boxed by the
-    translation; `use` records for each variable occurrence whether it is a
-    linear use or a dereliction of a !-variable.
+    forced to a !(A -o B) type; a once-used binder gets a plain variable.
+    Unification can still resolve that variable to a !-type, for instance
+    when the two branches of an `if` are functions whose binders are used
+    once in one branch and not at all in the other; its one occurrence then
+    stays a linear use.  `promotions` collects term nodes that are boxed by
+    the translation; `use` records for each variable occurrence whether it
+    is a linear use or a dereliction of a !-variable.
     """
 
     def __init__(self):
@@ -599,73 +618,25 @@ class Closure:
         self._hash = None
 
     def canonical_key(self):
+        """(shape, renamed memory).  The shape lists the term's nodes in
+        pre-order: a bound variable as its binder's depth, the n-th free
+        variable by first use as ~n (its address's canonical number is n),
+        a constant as its label and any other node as its class."""
         if self._key is None:
-            order: list[str] = []
-            seen = set()
-
-            def first_use(t: Term, bound: frozenset):
+            shape, order = [], {}
+            for t, bound in walk(self.term):
                 if isinstance(t, Var):
-                    if t.name not in bound and t.name not in seen:
-                        seen.add(t.name)
-                        order.append(t.name)
-                elif isinstance(t, Lam):
-                    first_use(t.body, bound | {t.var})
-                elif isinstance(t, App):
-                    first_use(t.fun, bound)
-                    first_use(t.arg, bound)
-                elif isinstance(t, Pair):
-                    first_use(t.left, bound)
-                    first_use(t.right, bound)
-                elif isinstance(t, LetPair):
-                    first_use(t.subject, bound)
-                    first_use(t.body, bound | {t.left, t.right})
-                elif isinstance(t, LetRec):
-                    first_use(t.fbody, bound | {t.fun, t.var})
-                    first_use(t.body, bound | {t.fun})
-                elif isinstance(t, If):
-                    first_use(t.guard, bound)
-                    first_use(t.then, bound)
-                    first_use(t.els, bound)
-
-            first_use(self.term, frozenset())
-            if not self.ind.keys() >= set(order):
-                raise ValueError(f"free variable without address in {term_str(self.term)}")
+                    if t.name in bound:
+                        shape.append(len(bound) - 1 - bound.index(t.name))
+                    elif t.name in self.ind:
+                        shape.append(~order.setdefault(t.name, len(order)))
+                    else:
+                        raise ValueError(f"free variable {t.name} has no address")
+                else:
+                    shape.append(t.label if isinstance(t, Const) else type(t))
             addrs = [self.ind[v] for v in order] + sorted(self.ind.values())
             sigma = canonical_addresses(addrs, self.memory)
-
-            def canon(t: Term, env: dict[str, object]):
-                if isinstance(t, Var):
-                    v = env.get(t.name)
-                    if v is None:
-                        return ("fvar", sigma[self.ind[t.name]])
-                    return ("bvar", v)
-                if isinstance(t, Lam):
-                    return ("lam", canon(t.body, {**env, t.var: len(env)}))
-                if isinstance(t, App):
-                    return ("app", canon(t.fun, env), canon(t.arg, env))
-                if isinstance(t, Pair):
-                    return ("pair", canon(t.left, env), canon(t.right, env))
-                if isinstance(t, LetPair):
-                    e2 = {**env, t.left: len(env), t.right: len(env) + 1}
-                    return ("letpair", canon(t.subject, env), canon(t.body, e2))
-                if isinstance(t, LetRec):
-                    e1 = {**env, t.fun: len(env), t.var: len(env) + 1}
-                    e2 = {**env, t.fun: len(env)}
-                    return ("letrec", canon(t.fbody, e1), canon(t.body, e2))
-                if isinstance(t, New):
-                    return ("new",)
-                if isinstance(t, Const):
-                    return ("const", t.label)
-                if isinstance(t, If):
-                    return (
-                        "if",
-                        canon(t.guard, env),
-                        canon(t.then, env),
-                        canon(t.els, env),
-                    )
-                raise TypeError(t)
-
-            self._key = (canon(self.term, {}), self.memory.rename(sigma))
+            self._key = (tuple(shape), self.memory.rename(sigma))
         return self._key
 
     def __eq__(self, other) -> bool:
@@ -687,39 +658,20 @@ class Closure:
 
 
 def free_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Lam):
-        return free_vars(t.body) - {t.var}
-    if isinstance(t, App):
-        return free_vars(t.fun) | free_vars(t.arg)
-    if isinstance(t, Pair):
-        return free_vars(t.left) | free_vars(t.right)
-    if isinstance(t, LetPair):
-        return free_vars(t.subject) | (free_vars(t.body) - {t.left, t.right})
-    if isinstance(t, LetRec):
-        return (free_vars(t.fbody) - {t.fun, t.var}) | (free_vars(t.body) - {t.fun})
-    if isinstance(t, If):
-        return free_vars(t.guard) | free_vars(t.then) | free_vars(t.els)
-    return set()
+    return {s.name for s, bound in walk(t) if isinstance(s, Var) and s.name not in bound}
 
 
 def all_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Lam):
-        return all_vars(t.body) | {t.var}
-    if isinstance(t, App):
-        return all_vars(t.fun) | all_vars(t.arg)
-    if isinstance(t, Pair):
-        return all_vars(t.left) | all_vars(t.right)
-    if isinstance(t, LetPair):
-        return all_vars(t.subject) | all_vars(t.body) | {t.left, t.right}
-    if isinstance(t, LetRec):
-        return all_vars(t.fbody) | all_vars(t.body) | {t.fun, t.var}
-    if isinstance(t, If):
-        return all_vars(t.guard) | all_vars(t.then) | all_vars(t.els)
-    return set()
+    """Every variable name in `t`, bound or free."""
+    out, todo = set(), [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Var):
+            out.add(t.name)
+        for s, names in scopes(t):
+            out.update(names)
+            todo.append(s)
+    return out
 
 
 _rename_counter = itertools.count()
@@ -733,83 +685,51 @@ def _fresh_name(avoid: set[str], base: str = "v") -> str:
 
 
 def subst(t: Term, name: str, value: Term) -> Term:
-    """Capture-avoiding substitution (value free variables are protected)."""
-    fv = free_vars(value)
+    """Capture-avoiding substitution of `value` for the free `name` in `t`.
 
-    def go(t: Term, name: str) -> Term:
+    Subterms the substitution leaves alone are shared, not copied.  Where
+    `name` is free, a binder that would capture a free variable of `value`
+    is renamed, its fresh name drawn just before the walk enters its first
+    scope."""
+    fv = None  # free_vars(value), computed at the first binder that needs it
+    done: list[Term] = []
+    # An entry (term, env, bound, scope) visits `term` with `env` mapping
+    # names to their replacements.  `term` is a subterm of the node of
+    # `scope` = (node, its scopes, its renamings), which binds `bound` in
+    # it.  With env None, the entry rebuilds the node from `done`.
+    todo: list = [(t, {name: value}, (), None)]
+    while todo:
+        t, env, bound, scope = todo.pop()
+        if env is None:
+            _, kids, ren = scope
+            new = done[len(done) - len(kids):]
+            del done[len(done) - len(kids):]
+            if ren or any(map(is_not, new, [s for s, _ in kids])):
+                names = next((bs for _, bs in kids if bs), ())
+                t = type(t)(*[ren[v].name if v in ren else v for v in names], *new)
+            done.append(t)
+            continue
+        if bound:
+            node, _, ren = scope
+            if name in env:
+                if fv is None:
+                    fv = free_vars(value)
+                for v in bound:
+                    if v in fv and v not in ren:
+                        ren[v] = Var(_fresh_name(fv | all_vars(node) | {name}))
+            if ren or not env.keys().isdisjoint(bound):
+                env = {k: r for k, r in env.items() if k not in bound}
+                env.update((v, ren[v]) for v in bound if v in ren)
         if isinstance(t, Var):
-            return copy_term(value) if t.name == name else Var(t.name)
-        if isinstance(t, Lam):
-            if t.var == name:
-                return Lam(t.var, copy_term(t.body))
-            if t.var in fv:
-                newv = _fresh_name(fv | all_vars(t.body) | {name})
-                return Lam(newv, go(subst(t.body, t.var, Var(newv)), name))
-            return Lam(t.var, go(t.body, name))
-        if isinstance(t, App):
-            return App(go(t.fun, name), go(t.arg, name))
-        if isinstance(t, Pair):
-            return Pair(go(t.left, name), go(t.right, name))
-        if isinstance(t, LetPair):
-            subj = go(t.subject, name)
-            l, r, body = t.left, t.right, t.body
-            if name in (l, r):
-                return LetPair(l, r, subj, copy_term(body))
-            for v in (l, r):
-                if v in fv:
-                    newv = _fresh_name(fv | all_vars(body) | {name, l, r})
-                    body = subst(body, v, Var(newv))
-                    if v == l:
-                        l = newv
-                    else:
-                        r = newv
-            return LetPair(l, r, subj, go(body, name))
-        if isinstance(t, LetRec):
-            f, x, fbody, body = t.fun, t.var, t.fbody, t.body
-            if f in fv or x in fv:
-                for v in (f, x):
-                    if v in fv:
-                        newv = _fresh_name(fv | all_vars(fbody) | all_vars(body) | {name})
-                        fbody = subst(fbody, v, Var(newv))
-                        if v == f:
-                            body = subst(body, v, Var(newv))
-                            f = newv
-                        else:
-                            x = newv
-            fbody2 = copy_term(fbody) if name in (f, x) else go(fbody, name)
-            body2 = copy_term(body) if name == f else go(body, name)
-            return LetRec(f, x, fbody2, body2)
-        if isinstance(t, New):
-            return New()
-        if isinstance(t, Const):
-            return Const(t.label)
-        if isinstance(t, If):
-            return If(go(t.guard, name), go(t.then, name), go(t.els, name))
-        raise TypeError(t)
-
-    return go(t, name)
-
-
-def copy_term(t: Term) -> Term:
-    if isinstance(t, Var):
-        return Var(t.name)
-    if isinstance(t, Lam):
-        return Lam(t.var, copy_term(t.body))
-    if isinstance(t, App):
-        return App(copy_term(t.fun), copy_term(t.arg))
-    if isinstance(t, Pair):
-        return Pair(copy_term(t.left), copy_term(t.right))
-    if isinstance(t, LetPair):
-        return LetPair(t.left, t.right, copy_term(t.subject), copy_term(t.body))
-    if isinstance(t, LetRec):
-        return LetRec(t.fun, t.var, copy_term(t.fbody), copy_term(t.body))
-    if isinstance(t, New):
-        return New()
-    if isinstance(t, Const):
-        return Const(t.label)
-    if isinstance(t, If):
-        return If(copy_term(t.guard), copy_term(t.then), copy_term(t.els))
-    raise TypeError(t)
+            done.append(env.get(t.name, t))
+        elif not env or isinstance(t, (New, Const)):
+            done.append(t)
+        else:
+            scope = (t, scopes(t), {})
+            todo.append((t, None, (), scope))
+            for s, bs in reversed(scope[1]):
+                todo.append((s, env, bs, scope))
+    return done[0]
 
 
 def _tuple_vars(t: Term) -> list[str] | None:
@@ -901,7 +821,7 @@ def closure_step(cl: Closure, redex=None) -> Distribution:
     out = []
     for (outcome, m2), p in cl.memory.test(i):
         branch = node.then if outcome else node.els
-        out.append((Closure(rebuild(copy_term(branch)), ind2, m2), p))
+        out.append((Closure(rebuild(branch), ind2, m2), p))
     return Distribution(out)
 
 
@@ -916,10 +836,7 @@ def closure_step_det(cl: Closure, redex) -> Closure:
         return Closure(rebuild(Var(name)), ind2, cl.memory)
     if kind == "letrec":
         _check_redex(isinstance(node, LetRec), kind, node)
-        unrolled = Lam(
-            node.var,
-            LetRec(node.fun, node.var, copy_term(node.fbody), copy_term(node.fbody)),
-        )
+        unrolled = Lam(node.var, LetRec(node.fun, node.var, node.fbody, node.fbody))
         return Closure(rebuild(subst(node.body, node.fun, unrolled)), cl.ind, cl.memory)
     if kind == "beta":
         _check_redex(isinstance(node, App) and isinstance(node.fun, Lam), kind, node)
@@ -930,7 +847,7 @@ def closure_step_det(cl: Closure, redex) -> Closure:
         names = _tuple_vars(node.arg)
         addrs = tuple(cl.ind[n] for n in names)
         m2 = cl.memory.update(addrs, node.fun.label)
-        return Closure(rebuild(copy_term(node.arg)), cl.ind, m2)
+        return Closure(rebuild(node.arg), cl.ind, m2)
     if kind == "letpair":
         _check_redex(isinstance(node, LetPair) and isinstance(node.subject, Pair), kind, node)
         out = subst(node.body, node.left, node.subject.left)

@@ -72,14 +72,6 @@ class ProgramNet:
             self._key = (self.net.signature(), ind_c, self.memory.rename(sigma))
         return self._key
 
-    def canonicalize(self) -> "ProgramNet":
-        sigma = self._sigma()
-        return ProgramNet(
-            self.net,
-            {e: sigma[a] for e, a in self.ind.items()},
-            self.memory.rename(sigma),
-        )
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ProgramNet) and self.canonical_key() == other.canonical_key()
 

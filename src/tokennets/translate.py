@@ -13,9 +13,9 @@ body's ?-conclusion for the recursive name.
 
 from __future__ import annotations
 
-from . import nets
 from .memory import Backend
-from .nets import BOT, Formula, Net, Node, ONE, bang, fresh_id, neg, par, quest, tensor, validate
+from .nets import (BOT, Formula, InvalidNetError, Net, Node, ONE, bang, fresh_id, neg, par,
+                   quest, tensor, validate)
 from .pcfll import (
     App,
     Const,
@@ -29,6 +29,7 @@ from .pcfll import (
     Ty,
     TypedProgram,
     Var,
+    free_vars,
 )
 from .prognets import ProgramNet
 
@@ -46,7 +47,8 @@ def type_formula(ty: Ty) -> Formula:
 
 
 def _qtype(d: Ty) -> Formula:
-    assert d.kind == "bang"
+    if d.kind != "bang":
+        raise InvalidNetError(f"duplicable variable of type {d}")
     return quest(neg(type_formula(d.sub[0])))
 
 
@@ -63,7 +65,8 @@ def _merge_bang(a: dict, b: dict) -> dict:
 
 
 def _merge_lin(a: dict, b: dict) -> dict:
-    assert not (set(a) & set(b)), "linear variable used in both parts"
+    if set(a) & set(b):
+        raise InvalidNetError(f"linear variables {sorted(set(a) & set(b))} used in both parts")
     return {**a, **b}
 
 
@@ -86,10 +89,12 @@ class _Translator:
         return edges[0]
 
     def bind(self, net: Net, var: str, d: Ty, lin: dict, bng: dict) -> int:
-        """Extract the context edge of a binder's variable."""
-        if d.kind == "bang":
-            return self.combine(net, bng.pop(var, []), _qtype(d))
-        return lin.pop(var)
+        """Extract the context edge of a binder's variable: its linear edge
+        if it was used linearly (a once-used binder can still get a !-type
+        by unification), else its ?-edges merged into one."""
+        if var in lin:
+            return lin.pop(var)
+        return self.combine(net, bng.pop(var, []), _qtype(d))
 
     # -- main recursion ---------------------------------------------------
 
@@ -101,7 +106,8 @@ class _Translator:
     def boxed(self, net: Net, t: Term, env: dict[str, Ty]):
         content = Net()
         e, lin, bng = self.go_raw(content, t, env)
-        assert not lin, "linear variable inside a duplicable value"
+        if lin:
+            raise InvalidNetError(f"linear variables {sorted(lin)} inside a duplicable value")
         ctx_vars = sorted(bng)
         concl = [e]
         types = [bang(content.typ(e))]
@@ -139,7 +145,8 @@ class _Translator:
             e_f, lin1, bng1 = self.go(net, t.fun, env)
             e_a, lin2, bng2 = self.go(net, t.arg, env)
             fty = net.typ(e_f)
-            assert fty.kind == "par", fty
+            if fty.kind != "par":
+                raise InvalidNetError(f"applied a term of formula {fty}")
             bty = fty.sub[1]
             ax = net.add_node("ax", [neg(bty), bty])
             tn = net.add_node("tensor", [tensor(net.typ(e_a), neg(bty))])
@@ -211,22 +218,24 @@ class _Translator:
 
     def conditional(self, net: Net, t: If, env: dict[str, Ty]):
         e_g, lin_g, bng_g = self.go(net, t.guard, env)
-        from .pcfll import free_vars
-
         branch_vars = sorted((free_vars(t.then) | free_vars(t.els)) & set(env))
         # Branches may only capture duplicable variables.
-        assert all(env[v].kind == "bang" for v in branch_vars)
+        linear = [v for v in branch_vars if env[v].kind != "bang"]
+        if linear:
+            raise InvalidNetError(f"linear variables {linear} inside a conditional branch")
         contents = []
         btype = None
         for branch in (t.els, t.then):  # left content is the false branch
             c = Net()
             root = c.add_node("bot", [BOT])
             e_b, lin_b, bng_b = self.go(c, branch, env)
-            assert not lin_b
+            if lin_b:
+                raise InvalidNetError(f"linear variables {sorted(lin_b)} inside a conditional branch")
             concl = [root.concl[0], e_b]
             for v in branch_vars:
                 concl.append(self.combine(c, bng_b.pop(v, []), _qtype(env[v])))
-            assert not bng_b, f"unexpected context {set(bng_b)}"
+            if bng_b:
+                raise InvalidNetError(f"unexpected context {sorted(bng_b)} in a conditional branch")
             c.conclusions = concl
             btype = c.typ(e_b)
             contents.append(c)
@@ -247,9 +256,11 @@ class _Translator:
         x_edge = self.bind(content, t.var, d_x, lin_m, bng_m)
         lam = content.add_node("par", [par(content.typ(x_edge), content.typ(e_m))])
         lam.prem = [x_edge, e_m]
-        assert content.typ(lam.concl[0]) == c_f, (content.typ(lam.concl[0]), c_f)
+        if content.typ(lam.concl[0]) != c_f:
+            raise InvalidNetError(f"recursive body of formula {content.typ(lam.concl[0])}, not {c_f}")
         f_port = self.combine(content, bng_m.pop(t.fun, []), quest(neg(c_f)))
-        assert not lin_m, "linear variable inside a recursive definition"
+        if lin_m:
+            raise InvalidNetError(f"linear variables {sorted(lin_m)} inside a recursive definition")
         ctx_vars = sorted(bng_m)
         concl = [lam.concl[0], f_port]
         types = [bang(c_f)]
@@ -274,7 +285,8 @@ def translate(tp: TypedProgram, backend: Backend) -> ProgramNet:
     net = Net()
     tr = _Translator(tp)
     e, lin, bng = tr.go(net, tp.term, {})
-    assert not lin and not bng, "free variable escaped translation"
+    if lin or bng:
+        raise InvalidNetError(f"free variables {sorted({*lin, *bng})} escaped translation")
     net.conclusions = [e]
     validate(net)
     return ProgramNet(net, {}, backend.initial())

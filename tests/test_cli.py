@@ -130,6 +130,32 @@ def test_invalid_net_exit_code(tmp_path, capsys, monkeypatch):
     assert not captured.out
 
 
+@pytest.mark.parametrize("engine", ["pcf", "net"])
+def test_if_branches_with_a_once_used_bang_binder(tmp_path, capsys, engine):
+    # The inner x is used once, but unifying the branches gives its binder a
+    # !-type: the translation must take its linear edge.
+    f = write(tmp_path, r"if c new then (\x. \x. \y. x) else (\x. \x. \y. y)")
+    assert main([f, "--backend", "prob", "--engine", engine]) == 0
+    out = capsys.readouterr().out
+    assert "probability: 1.000000000000" in out
+    assert out.count("  0.500000000000  ") == 2
+
+
+@pytest.mark.parametrize("src, engine", [
+    pytest.param("S (" * 400 + "new" + ")" * 400, "all", id="too-deep-for-the-parser"),
+    pytest.param(r"\f. <f new, f new>", "msiam", id="initial-tokens-under-modalities"),
+])
+def test_internal_error_exit_code(tmp_path, src, engine):
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "tokennets.cli", write(tmp_path, src), "--engine", engine],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 6
+    assert proc.stderr.startswith("internal error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_trace_output_names_no_memory_address(capsys, monkeypatch):
     monkeypatch.chdir(REPO)
     assert main(["corpus/coin_prob.pcf", "--engine", "pcf", "--backend", "prob",

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from tokennets.memory import (
@@ -23,6 +25,7 @@ from tokennets.pcfll import (
     If,
     Lam,
     LetPair,
+    LetRec,
     New,
     Pair,
     ParseError,
@@ -30,8 +33,11 @@ from tokennets.pcfll import (
     Ty,
     TypecheckError,
     Var,
+    all_vars,
     closure_step,
+    count_occurrences,
     find_redex,
+    free_vars,
     parse,
     subst,
     term_str,
@@ -147,6 +153,95 @@ def test_subst_capture_avoiding():
     assert term_str(out.body.left) == "y"
 
 
+def alpha_eq(a, b, free):
+    ind = {v: i for i, v in enumerate(free)}
+    return Closure(a, ind, IntRegisterMemory()) == Closure(b, ind, IntRegisterMemory())
+
+
+def test_subst_renames_pair_and_recursive_binders():
+    # let <a, b> = x in <a, x>  [x := a]: the subject is substituted, `a` renamed.
+    t = LetPair("a", "b", Var("x"), Pair(Var("a"), Var("x")))
+    out = subst(t, "x", Var("a"))
+    assert out.left not in ("a", "b") and out.right == "b"
+    assert alpha_eq(out, LetPair("c", "b", Var("a"), Pair(Var("c"), Var("a"))), ["a"])
+    # letrec f y = f x in f x  [x := f]: `f` is renamed in both of its scopes.
+    t = LetRec("f", "y", App(Var("f"), Var("x")), App(Var("f"), Var("x")))
+    out = subst(t, "x", Var("f"))
+    assert out.fun != "f" and free_vars(out) == {"f"}
+    assert alpha_eq(out, LetRec("g", "y", App(Var("g"), Var("f")), App(Var("g"), Var("f"))), ["f"])
+
+
+def test_subst_shares_what_it_leaves_alone():
+    fun = Lam("y", Pair(Var("y"), New()))
+    t = App(fun, Lam("x", Var("x")))
+    out = subst(t, "x", Var("z"))
+    assert out is t  # no free x: nothing is rebuilt
+    t = Pair(fun, Var("x"))
+    out = subst(t, "x", Var("z"))
+    assert out.left is fun and out.right.name == "z"
+
+
+DEEP = 10**4
+
+
+def deep_terms(binder, head):
+    """A DEEP-long chain S (S (... new)) and a DEEP-deep nest
+    \\v0. ... \\v9999. v0 y, with the given binder prefix and head index."""
+    chain = New()
+    for _ in range(DEEP):
+        chain = App(Const(S), chain)
+    nest = App(Var(f"{binder}{head}"), Var("y"))
+    for i in reversed(range(DEEP)):
+        nest = Lam(f"{binder}{i}", nest)
+    return chain, nest
+
+
+def check_free_vars(chain, nest):
+    assert free_vars(chain) == set() and free_vars(nest) == {"y"}
+
+
+def check_all_vars(chain, nest):
+    assert all_vars(chain) == set()
+    assert all_vars(nest) == {f"v{i}" for i in range(DEEP)} | {"y"}
+
+
+def check_count_occurrences(chain, nest):
+    assert count_occurrences(chain, "y") == 0
+    assert count_occurrences(nest, "y") == 1 and count_occurrences(nest, "v0") == 0
+
+
+def check_subst(chain, nest):
+    assert subst(chain, "y", New()) is chain
+    out = subst(nest, "y", Var("v1"))  # captured: the binder v1 is renamed
+    for _ in range(DEEP):
+        out = out.body
+    assert out.fun.name == "v0" and out.arg.name == "v1"
+
+
+def check_canonical_key(chain, nest):
+    m = IntRegisterMemory({0: 1})
+    a = Closure(chain, {}, m)
+    assert a == Closure(deep_terms("v", 0)[0], {}, m) and hash(a) == hash(Closure(chain, {}, m))
+    b, alpha = Closure(nest, {"y": 0}, m), Closure(deep_terms("w", 0)[1], {"y": 0}, m)
+    assert b == alpha and hash(b) == hash(alpha)
+    assert b != Closure(deep_terms("v", 1)[1], {"y": 0}, m)
+
+
+@pytest.fixture
+def default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("check", [
+    check_free_vars, check_all_vars, check_count_occurrences, check_subst, check_canonical_key,
+])
+def test_walkers_are_stack_safe(check, default_recursion_limit):
+    check(*deep_terms("v", 0))
+
+
 # ---------------------------------------------------------------------------
 # Abstract machine
 
@@ -216,6 +311,19 @@ def test_closure_alpha_and_address_equivalence():
     c = Closure(Var("u"), {"u": 4}, IntRegisterMemory({4: 2}))
     d = Closure(Var("w"), {"w": 0}, IntRegisterMemory({0: 2}))
     assert c == d
+
+
+@pytest.mark.parametrize("a, b", [
+    (r"\x. \x. \y. x", r"\x. \x. \y. y"),
+    (r"\x. letrec f x = \y. <x, y> in f", r"\x. letrec f x = \y. <y, x> in f"),
+])
+def test_closure_key_separates_shadowing_binders(a, b):
+    # Bound variables are numbered by binder depth, so a binder that shadows
+    # an outer one does not reuse the outer one's number.
+    m = IntRegisterMemory()
+    ca, cb = Closure(parse(a, {}), {}, m), Closure(parse(b, {}), {}, m)
+    assert ca != cb and ca.canonical_key() != cb.canonical_key()
+    assert len(list(Distribution([(ca, 0.5), (cb, 0.5)]))) == 2
 
 
 def test_machine_diamond_smoke():

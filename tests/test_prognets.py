@@ -71,8 +71,6 @@ def test_canonical_equality_across_addresses_and_isomorphism():
     pn_b = ProgramNet(net2, {net2.conclusions[0]: 0}, IntRegisterMemory({0: 3}))
     assert pn_a == pn_b
     assert hash(pn_a) == hash(pn_b)
-    assert pn_a.canonicalize() == pn_a
-    assert pn_a.canonicalize().ind == {e: 0}
     pn_c = ProgramNet(net, {e: 5}, IntRegisterMemory({5: 4}))
     assert pn_a != pn_c
 
@@ -284,11 +282,13 @@ def test_one_closure_copies_once_and_hashes_nothing(monkeypatch):
 
 OPTIMIZED_CHECKS = """
 import sys
-from tokennets.memory import IntRegisterMemory
+from tokennets.memory import IntRegisterMemory, int_backend
 from tokennets.nets import (
     BOT, ONE, InvalidNetError, Net, NetRedex, Node, fresh_id, reduce, validate)
-from tokennets.pcfll import Closure, New, PcfRedex, Var, closure_step, closure_step_det
+from tokennets.pcfll import (
+    BASE, App, Closure, New, PcfRedex, TypedProgram, Var, closure_step, closure_step_det)
 from tokennets.prognets import PnRedex, ProgramNet, step
+from tokennets.translate import translate
 
 assert sys.flags.optimize
 net = Net()
@@ -329,6 +329,8 @@ stuck = Closure(Var("x"), {"x": 0}, IntRegisterMemory({0: 0}))
 rejects(ValueError, closure_step, stuck)  # no redex
 rejects(ValueError, closure_step, stuck, PcfRedex("test", New(), lambda h: h))
 rejects(ValueError, closure_step_det, stuck, PcfRedex("beta", New(), lambda h: h))
+applied_new = TypedProgram(App(New(), New()), BASE, {}, {}, {}, set(), {})
+rejects(InvalidNetError, translate, applied_new, int_backend())  # `new` is not a function
 print("ok")
 """
 

@@ -116,7 +116,7 @@ class MachineInvariantError(RuntimeError):
 
 class NetIndex:
     """Static index of a net: every edge at every box level, with its type,
-    producing node, consuming node, exponential depth, and door wiring.
+    producing node, consuming node, and door wiring.
 
     `doors` maps the content-side edge of each principal door (of each
     choice box side) to (box nkey, content index, stack a parked marker
@@ -130,16 +130,14 @@ class NetIndex:
         self.edge_prem: dict = {}  # ekey -> (nkey, index); absent = interface edge
         self.node: dict = {}  # nkey -> Node
         self.level_net: dict = {}  # level -> Net
-        self.exp_depth: dict = {}  # level -> int
         self.doors: dict = {}  # door ekey -> (box nkey, ci, marker fstack)
         self.gate_sites: dict = {}  # gate -> [(kind, nkey)]
         self.root_conclusions: list = []
-        self._walk(net, (), 0)
+        self._walk(net, ())
         self.root_conclusions = [((), e) for e in net.conclusions]
 
-    def _walk(self, net: Net, level: tuple, depth: int, gate=(None, 0)) -> None:
+    def _walk(self, net: Net, level: tuple, gate=(None, 0)) -> None:
         self.level_net[level] = net
-        self.exp_depth[level] = depth
         for eid, edge in net.edges.items():
             self.edge_type[(level, eid)] = edge.typ
         for nid, node in net.nodes.items():
@@ -156,7 +154,7 @@ class NetIndex:
             for ci, content in enumerate(node.contents):
                 inner = level + ((nid, ci),)
                 self.doors[(inner, content.conclusions[0])] = (nkey, ci, (DELTA,) if exp else ())
-                self._walk(content, inner, depth + (1 if exp else 0), (nkey, ci))
+                self._walk(content, inner, (nkey, ci))
 
     def typ(self, ekey) -> Formula:
         return self.edge_type[ekey]
@@ -243,12 +241,6 @@ class MachineState:
     def __eq__(self, other) -> bool:
         return isinstance(other, MachineState) and self.canonical_key() == other.canonical_key()
 
-    def approx_eq(self, other, tol: float = 1e-9) -> bool:
-        if not isinstance(other, MachineState):
-            return False
-        k1, k2 = self.canonical_key(), other.canonical_key()
-        return k1[0] == k2[0] and k1[1] == k2[1] and k1[2].approx_eq(k2[2], tol)
-
     def __hash__(self) -> int:
         # Positions carry no addresses, so the raw token set is already
         # canonical; address-sensitive parts are left to __eq__.
@@ -293,7 +285,7 @@ class MsSystem:
             return "up"
         if kind in ("one", "quest"):
             return "down"
-        raise AssertionError(f"invalid stack {fstack} on {self.index.typ(ekey)}")
+        raise MachineInvariantError(f"invalid stack {fstack} on {self.index.typ(ekey)}")
 
     def copies(self, st: MachineState, box_nkey, ci: int = 0) -> set:
         """Box stacks of the copies opened for a box (per side for choice
@@ -505,9 +497,11 @@ class MsSystem:
             pending,
         )
 
-    def apply(self, st: MachineState, tr: Transition) -> Distribution:
+    def apply(self, st: MachineState, tr: Transition) -> list[tuple[MachineState, float]]:
+        """Fire a transition: the successor states with their
+        probabilities.  `st` is left unchanged."""
         if tr.kind != "test":
-            return Distribution.dirac(self.step_det(st, tr))
+            return [(self.step_det(st, tr), 1.0)]
         (orig,) = tr.data
         pos = st.live[orig]
         ekey, fstack, bstack = pos
@@ -521,7 +515,7 @@ class MsSystem:
             root = self.index.principal_premise(box_nkey, side)
             nxt = self._successor(st, [(orig, pos, (root, fstack, bstack))], memory=m2)
             out.append((nxt, p))
-        return Distribution(out)
+        return out
 
     def own(self, st: MachineState) -> MachineState:
         return st
@@ -582,9 +576,6 @@ class MsSystem:
         if not self.enumerate_redexes(st):
             return "deadlock"
         return "running"
-
-    def is_terminal(self, st: MachineState) -> bool:
-        return self.is_final(st)
 
     def is_branching(self, st: MachineState, tr: Transition) -> bool:
         return tr.kind == "test"

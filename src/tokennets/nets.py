@@ -323,17 +323,8 @@ def validate(net: Net) -> None:
     """Check the structural and typing invariants, recursively.
 
     Raises `InvalidNetError` naming the first broken invariant."""
-    concluded: set[int] = set()
-    consumed: set[int] = set()
-    for n in net.nodes.values():
-        for e in n.concl:
-            if e in concluded:
-                raise InvalidNetError(f"edge {e} concluded twice")
-            concluded.add(e)
-        for e in n.prem:
-            if e in consumed:
-                raise InvalidNetError(f"edge {e} consumed twice")
-            consumed.add(e)
+    concluded = net.concl_of()
+    consumed = net.prem_of()
     conclusions = set(net.conclusions)
     for eid in net.edges:
         if eid not in concluded:

@@ -9,15 +9,19 @@ is what the bundled diamond checker verifies.
 
 The generator `lifted_steps` is the one driver of the lifted step: the
 convergence, trace, iteration and diamond functions below, and the CLI,
-read the terminal and reducible parts it yields after each step.
+read the terminal and reducible parts it yields after each step.  It is
+also the one place that merges equal reducts and decides termination: a
+system's `apply` returns a plain list of (reduct, probability) pairs, and
+an element is terminal exactly when it has no redex.
 
 `FusedSystem` runs the non-branching (Dirac) redexes of a system as one
 closure and exposes only the elements where a choice is left.  Inside the
 closure it fires them through `step_det`, which returns the bare reduct:
 no `Distribution` is built and no intermediate element is hashed.  The
-closure owns its element: it takes one private copy from `own` when it
-starts, and `step_det` may rewrite that copy in place.  An element the
-closure has exposed (returned, or put in a distribution) is never changed
+closure owns its element: a branch reduct from `apply` is private to it
+already, and any other element it starts from is copied once through
+`own`; `step_det` may then rewrite it in place.  An element the closure
+has exposed (returned, or put in a distribution) is never changed
 afterwards, so every element a caller holds stays immutable.
 """
 
@@ -37,10 +41,10 @@ Redex = Any
 class RewriteSystem(Protocol):
     def enumerate_redexes(self, a: Element) -> list[Redex]: ...
 
-    def apply(self, a: Element, r: Redex) -> "Distribution":
-        """Fire any redex; `a` is left unchanged."""
-
-    def is_terminal(self, a: Element) -> bool: ...
+    def apply(self, a: Element, r: Redex) -> list[tuple[Element, float]]:
+        """Fire any redex: its reducts with their probabilities, unmerged.
+        `a` is left unchanged, and each reduct is private to the caller,
+        who may hand it to `step_det`."""
 
     # The rest is what `FusedSystem` needs to close over the system.
 
@@ -119,9 +123,6 @@ class Distribution:
     def mass(self) -> float:
         return sum(self.entries.values())
 
-    def map(self, f: Callable[[Element], Element]) -> "Distribution":
-        return Distribution([(f(a), p) for a, p in self.entries.items()])
-
     def close_to(self, other: "Distribution", tol: float = TOL) -> bool:
         keys = set(self.entries) | set(other.entries)
         return all(abs(self[a] - other[a]) <= tol for a in keys)
@@ -134,32 +135,30 @@ def lifted_steps(
     steps, up to `horizon` steps or the first step count whose reducible
     mass is below `tol` (with `tol` 0, exactly `horizon` steps).
 
-    An element's status is decided by one `is_terminal` call when it
-    appears; one terminal at the previous step is not asked again.  A step
-    enumerates each reducible element's redexes once and calls the policy
-    once per reducible element, in support order; it builds the next
-    distribution from one list in that order.  The lift to step k runs
-    inside the `next()` that yields step k.
+    Each element is enumerated once, when it appears, and is terminal
+    exactly when it has no redex; one terminal at the previous step is not
+    enumerated again.  A step hands each reducible element's redex list to
+    the policy, once per reducible element, in support order, and builds
+    the next distribution from one list of reducts in that order: that
+    `Distribution` is where equal reducts merge.  The lift to step k, and
+    the enumeration of its new elements, run inside the `next()` that
+    yields step k.
     """
     term: dict[Element, float] = {}
     for k in range(horizon + 1):
-        carried, term, red = term, {}, {}
-        for a, p in mu:
-            if a in carried or sys.is_terminal(a):
-                term[a] = p
-            else:
-                red[a] = p
-        reducible = Distribution(red)
+        carried = term
+        rows = [(a, p, [] if a in carried else sys.enumerate_redexes(a)) for a, p in mu]
+        term = {a: p for a, p, redexes in rows if not redexes}
+        reducible = Distribution({a: p for a, p, redexes in rows if redexes})
         yield mu, Distribution(term), reducible
         if k == horizon or reducible.mass() < tol:
             return
         out: list[tuple[Element, float]] = []
-        for a, p in mu:
-            if a in term:
-                out.append((a, p))
+        for a, p, redexes in rows:
+            if redexes:
+                out.extend((b, p * q) for b, q in sys.apply(a, policy(a, redexes)))
             else:
-                rho = sys.apply(a, policy(a, sys.enumerate_redexes(a)))
-                out.extend((b, p * q) for b, q in rho)
+                out.append((a, p))
         mu = Distribution(out)
 
 
@@ -241,17 +240,17 @@ def check_diamond(
                     f"seed {seed!r}: terminal parts differ at step {k}: {term1!r} vs {term2!r}"
                 )
                 break
-        if not sys.is_terminal(seed):
-            nu = lift_step(mu, sys, p1)
-            xi = lift_step(mu, sys, p2)
-            if nu != xi:
-                nu2 = lift_step(nu, sys, p2)
-                xi2 = lift_step(xi, sys, p1)
-                if not (nu2.close_to(xi2, tol) or nu.close_to(xi, tol)):
-                    failures.append(
-                        f"seed {seed!r}: one-step divergence not joinable in one step: "
-                        f"{nu2!r} vs {xi2!r}"
-                    )
+        # A terminal seed lifts to itself under both policies.
+        nu = lift_step(mu, sys, p1)
+        xi = lift_step(mu, sys, p2)
+        if nu != xi:
+            nu2 = lift_step(nu, sys, p2)
+            xi2 = lift_step(xi, sys, p1)
+            if not (nu2.close_to(xi2, tol) or nu.close_to(xi, tol)):
+                failures.append(
+                    f"seed {seed!r}: one-step divergence not joinable in one step: "
+                    f"{nu2!r} vs {xi2!r}"
+                )
     return DiamondReport(not failures, failures)
 
 
@@ -263,7 +262,7 @@ class FusedSystem:
 
     The underlying system tags each redex as branching or not via
     `sys.is_branching(a, r)`; non-branching redexes must be Dirac, and the
-    closure fires them with `sys.step_det` on a copy from `sys.own` (see the
+    closure fires them with `sys.step_det` on an element it owns (see the
     module docstring).  Elements of the fused system are kept closure-normal:
     all non-branching redexes are exhausted (up to a step budget) before the
     element is exposed.  A fused step then fires one branching redex and
@@ -280,9 +279,11 @@ class FusedSystem:
         self.sys = sys
         self.budget = budget
 
-    def _closure(self, a: Element) -> Element:
+    def _closure(self, a: Element, owned: bool = False) -> Element:
+        """Fire non-branching redexes from `a` until none is left or the
+        budget runs out.  With `owned` false, `a` is copied through `own`
+        before the first step rewrites it; a branch reduct is owned."""
         sys = self.sys
-        owned = False
         for _ in range(self.budget):
             r = next((r for r in sys.enumerate_redexes(a) if not sys.is_branching(a, r)), None)
             if r is None:
@@ -304,11 +305,7 @@ class FusedSystem:
             return [CONTINUE]
         return []
 
-    def apply(self, a: Element, r: Redex) -> Distribution:
+    def apply(self, a: Element, r: Redex) -> list[tuple[Element, float]]:
         if r == CONTINUE:
-            return Distribution.dirac(self._closure(a))
-        rho = self.sys.apply(a, r)
-        return rho.map(self._closure)
-
-    def is_terminal(self, a: Element) -> bool:
-        return not self.enumerate_redexes(a)
+            return [(self._closure(a), 1.0)]
+        return [(self._closure(b, owned=True), p) for b, p in self.sys.apply(a, r)]

@@ -25,7 +25,6 @@ from operator import is_not
 from typing import Callable, NamedTuple
 
 from .memory import OperationLabel, canonical_addresses, fresh
-from .pars import Distribution
 
 
 # ---------------------------------------------------------------------------
@@ -642,12 +641,6 @@ class Closure:
     def __eq__(self, other) -> bool:
         return isinstance(other, Closure) and self.canonical_key() == other.canonical_key()
 
-    def approx_eq(self, other, tol: float = 1e-9) -> bool:
-        if not isinstance(other, Closure):
-            return False
-        k1, k2 = self.canonical_key(), other.canonical_key()
-        return k1[0] == k2[0] and k1[1].approx_eq(k2[1], tol)
-
     def __hash__(self) -> int:
         if self._hash is None:
             self._hash = hash(self.canonical_key())
@@ -808,21 +801,22 @@ def _check_redex(ok: bool, kind: str, node) -> None:
         raise ValueError(f"not a {kind} redex: {type(node).__name__} node")
 
 
-def closure_step(cl: Closure, redex=None) -> Distribution:
+def closure_step(cl: Closure, redex=None) -> list[tuple[Closure, float]]:
+    """Fire a redex (the head redex by default): the reducts with their
+    probabilities.  `cl` is left unchanged."""
     found = find_redex(cl.term) if redex is None else redex
     if found is None:
         raise ValueError(f"no redex in {term_str(cl.term)}")
     kind, node, rebuild = found
     if kind != "test":
-        return Distribution.dirac(closure_step_det(cl, found))
+        return [(closure_step_det(cl, found), 1.0)]
     _check_redex(isinstance(node, If) and isinstance(node.guard, Var), kind, node)
     i = cl.ind[node.guard.name]
     ind2 = {v: a for v, a in cl.ind.items() if v != node.guard.name}
-    out = []
-    for (outcome, m2), p in cl.memory.test(i):
-        branch = node.then if outcome else node.els
-        out.append((Closure(rebuild(branch), ind2, m2), p))
-    return Distribution(out)
+    return [
+        (Closure(rebuild(node.then if outcome else node.els), ind2, m2), p)
+        for (outcome, m2), p in cl.memory.test(i)
+    ]
 
 
 def closure_step_det(cl: Closure, redex) -> Closure:
@@ -863,7 +857,7 @@ class PcfSystem:
         found = find_redex(cl.term)
         return [found] if found is not None else []
 
-    def apply(self, cl: Closure, r) -> Distribution:
+    def apply(self, cl: Closure, r) -> list[tuple[Closure, float]]:
         return closure_step(cl, r)
 
     def own(self, cl: Closure) -> Closure:
@@ -871,9 +865,6 @@ class PcfSystem:
 
     def step_det(self, cl: Closure, r) -> Closure:
         return closure_step_det(cl, r)
-
-    def is_terminal(self, cl: Closure) -> bool:
-        return find_redex(cl.term) is None
 
     def is_branching(self, cl: Closure, r) -> bool:
         return r[0] == "test"

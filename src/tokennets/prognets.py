@@ -16,9 +16,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 
-from . import nets
 from .memory import canonical_addresses, fresh
-from .pars import Distribution
 from .nets import InvalidNetError, Net, NetRedex, find_redexes, reduce, reduce_test
 
 
@@ -32,14 +30,6 @@ class PnRedex:
         if self.kind == "link":
             return (0, "link", (self.node,))
         return (1,) + self.net_redex.sort_key()
-
-
-def inputs(net: Net) -> list[int]:
-    """Surface one-node conclusions plus bot-typed net conclusions."""
-    edge_no, _ = net.traversal()
-    ones = {n.concl[0] for n in net.nodes.values() if n.kind == "one"}
-    bots = {e for e in net.conclusions if net.typ(e) == nets.BOT}
-    return sorted(ones | bots, key=lambda e: edge_no[e])
 
 
 class ProgramNet:
@@ -56,30 +46,20 @@ class ProgramNet:
         self._key = None
         self._hash = None
 
-    def _sigma(self) -> dict[int, int]:
-        """Canonical address permutation: inputs in traversal order first."""
-        edge_no, _ = self.net.traversal()
-        order = sorted(self.ind, key=edge_no.__getitem__)
-        return canonical_addresses([self.ind[e] for e in order], self.memory)
-
     def canonical_key(self):
+        """(net signature, address map, renamed memory).  Inputs are
+        numbered by the top level's traversal, and addresses canonically
+        with the inputs' addresses first, in that order."""
         if self._key is None:
-            sigma = self._sigma()
             edge_no, _ = self.net.traversal()
-            ind_c = tuple(
-                sorted((edge_no[e], sigma[a]) for e, a in self.ind.items())
-            )
+            order = sorted(self.ind, key=edge_no.__getitem__)
+            sigma = canonical_addresses([self.ind[e] for e in order], self.memory)
+            ind_c = tuple((edge_no[e], sigma[self.ind[e]]) for e in order)
             self._key = (self.net.signature(), ind_c, self.memory.rename(sigma))
         return self._key
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ProgramNet) and self.canonical_key() == other.canonical_key()
-
-    def approx_eq(self, other, tol: float = 1e-9) -> bool:
-        if not isinstance(other, ProgramNet):
-            return False
-        k1, k2 = self.canonical_key(), other.canonical_key()
-        return k1[0] == k2[0] and k1[1] == k2[1] and k1[2].approx_eq(k2[2], tol)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -91,37 +71,23 @@ class ProgramNet:
 
 
 def enumerate_redexes(pn: ProgramNet) -> list[PnRedex]:
-    out: list[PnRedex] = []
-    linked: set[int] = set()
-
-    def link_for(one_edge: int, concl_of) -> None:
-        nid = concl_of[one_edge][0]
-        if nid not in linked:
-            linked.add(nid)
-            out.append(PnRedex("link", node=nid))
-
-    concl_of = pn.net.concl_of()
-    for r in find_redexes(pn.net):
+    """Links of the top-level one nodes without an address, and the net
+    redexes; a test or sync redex waits until its one nodes are linked."""
+    net = pn.net
+    out = [
+        PnRedex("link", node=n.nid)
+        for n in net.nodes.values()
+        if n.kind == "one" and n.concl[0] not in pn.ind
+    ]
+    for r in find_redexes(net):
         if r.kind == "test":
-            one_edge = pn.net.nodes[r.nodes[2]].concl[0]
-            if one_edge in pn.ind:
-                out.append(PnRedex("net", net_redex=r))
-            else:
-                link_for(one_edge, concl_of)
+            ready = net.nodes[r.nodes[2]].concl[0] in pn.ind
         elif r.kind == "sync":
-            sync = pn.net.nodes[r.nodes[0]]
-            missing = [e for e in sync.prem if e not in pn.ind]
-            if missing:
-                for e in missing:
-                    link_for(e, concl_of)
-            else:
-                out.append(PnRedex("net", net_redex=r))
+            ready = all(e in pn.ind for e in net.nodes[r.nodes[0]].prem)
         else:
+            ready = True
+        if ready:
             out.append(PnRedex("net", net_redex=r))
-    for n in pn.net.nodes.values():
-        if n.kind == "one" and n.concl[0] not in pn.ind and n.nid not in linked:
-            linked.add(n.nid)
-            out.append(PnRedex("link", node=n.nid))
     return sorted(out, key=PnRedex.sort_key)
 
 
@@ -155,8 +121,9 @@ def rewrite(pn: ProgramNet, r: PnRedex) -> ProgramNet:
     return ProgramNet(net2, ind2, pn.memory)
 
 
-def step(pn: ProgramNet, r: PnRedex) -> Distribution:
-    """Fire a redex, leaving `pn` unchanged."""
+def step(pn: ProgramNet, r: PnRedex) -> list[tuple[ProgramNet, float]]:
+    """Fire a redex: the reducts with their probabilities.  `pn` is left
+    unchanged, and each reduct has a net of its own."""
     if r.kind == "net" and r.net_redex.kind == "test":
         nr = r.net_redex
         one_edge = pn.net.nodes[nr.nodes[2]].concl[0]
@@ -167,9 +134,8 @@ def step(pn: ProgramNet, r: PnRedex) -> Distribution:
             branch = right if outcome else left
             ind2 = {e: a for e, a in pn.ind.items() if e in branch.edges}
             out.append((ProgramNet(branch, ind2, m2), p))
-        return Distribution(out)
-    # A link leaves the net as it is; only net rules need the private copy.
-    return Distribution.dirac(rewrite(pn if r.kind == "link" else own(pn), r))
+        return out
+    return [(rewrite(own(pn), r), 1.0)]
 
 
 class PnSystem:
@@ -178,7 +144,7 @@ class PnSystem:
     def enumerate_redexes(self, pn: ProgramNet) -> list[PnRedex]:
         return enumerate_redexes(pn)
 
-    def apply(self, pn: ProgramNet, r: PnRedex) -> Distribution:
+    def apply(self, pn: ProgramNet, r: PnRedex) -> list[tuple[ProgramNet, float]]:
         return step(pn, r)
 
     def own(self, pn: ProgramNet) -> ProgramNet:
@@ -186,9 +152,6 @@ class PnSystem:
 
     def step_det(self, pn: ProgramNet, r: PnRedex) -> ProgramNet:
         return rewrite(pn, r)
-
-    def is_terminal(self, pn: ProgramNet) -> bool:
-        return not enumerate_redexes(pn)
 
     def is_branching(self, pn: ProgramNet, r: PnRedex) -> bool:
         return r.kind == "net" and r.net_redex.kind == "test"

@@ -40,10 +40,7 @@ class Geometric:
         return [] if a == "halt" else ["flip"]
 
     def apply(self, a, r):
-        return Distribution({"halt": 0.5, "a": 0.5})
-
-    def is_terminal(self, a):
-        return a == "halt"
+        return [("halt", 0.5), ("a", 0.5)]
 
 
 class Loop:
@@ -51,10 +48,7 @@ class Loop:
         return ["spin"]
 
     def apply(self, a, r):
-        return Distribution.dirac(a)
-
-    def is_terminal(self, a):
-        return False
+        return [(a, 1.0)]
 
 
 class Fork:
@@ -64,10 +58,7 @@ class Fork:
         return ["to_b", "to_c"] if a == "a" else []
 
     def apply(self, a, r):
-        return Distribution.dirac("b" if r == "to_b" else "c")
-
-    def is_terminal(self, a):
-        return a != "a"
+        return [("b" if r == "to_b" else "c", 1.0)]
 
 
 class Chain:
@@ -80,8 +71,8 @@ class Chain:
 
     def apply(self, a, r):
         if r == "dec":
-            return Distribution.dirac(a - 1)
-        return Distribution({"halt": 0.5, 5: 0.5})
+            return [(a - 1, 1.0)]
+        return [("halt", 0.5), (5, 0.5)]
 
     def own(self, a):
         return a
@@ -89,9 +80,6 @@ class Chain:
     def step_det(self, a, r):
         assert r == "dec"
         return a - 1
-
-    def is_terminal(self, a):
-        return a == "halt"
 
     def is_branching(self, a, r):
         return r == "branch"
@@ -130,8 +118,8 @@ def test_degree_of_termination():
     assert degree_of_termination(Distribution({"halt": 1.0}), GEO) == 1.0
 
     class TwoTerminal(Geometric):
-        def is_terminal(self, a):
-            return a in ("halt", "stop")
+        def enumerate_redexes(self, a):
+            return [] if a in ("halt", "stop") else ["flip"]
 
     sys = TwoTerminal()
     mu = Distribution({"halt": 0.25, "stop": 0.25, "a": 0.5})
@@ -213,42 +201,35 @@ def test_fused_system_collapses_deterministic_runs():
     assert start == 0
     assert fused.enumerate_redexes(start) == ["branch"]
     rho = fused.apply(start, "branch")
-    assert rho == Distribution({"halt": 0.5, 0: 0.5})  # 5 re-closes to 0
+    assert rho == [("halt", 0.5), (0, 0.5)]  # 5 re-closes to 0
     p, hit = converge(Distribution.dirac(start), fused, leftmost_policy, 25)
     assert abs(p - (1 - 2**-25)) < 1e-12 and hit
 
 
 def test_fused_system_budget_continue():
-    class DivergentChain(Chain):
-        def apply(self, a, r):
-            if r == "dec":
-                return Distribution.dirac(a - 1)
-            return Distribution({"halt": 0.5, 5: 0.5})
-
-    fused = FusedSystem(DivergentChain(), budget=3)
+    fused = FusedSystem(Chain(), budget=3)
     a = fused.prepare(10)
     assert a == 7
     assert fused.enumerate_redexes(a) == [CONTINUE]
-    assert not fused.is_terminal(a)
-    assert fused.apply(a, CONTINUE) == Distribution.dirac(4)
+    assert fused.apply(a, CONTINUE) == [(4, 1.0)]
 
 
 # -- the driver against the step loop it replaced ---------------------------
 
 
 def reference_converge(mu, sys, policy, horizon, tol):
-    """`converge` as a plain loop that splits and lifts, asking `is_terminal`
-    of every element each time: (terminal part, truncated).  The reference
-    for `lifted_steps`."""
+    """`converge` as a plain loop that splits and lifts, testing every
+    element for redexes each time: (terminal part, truncated).  The
+    reference for `lifted_steps`."""
 
     def split(mu):
-        term = {a: p for a, p in mu if sys.is_terminal(a)}
+        term = {a: p for a, p in mu if not sys.enumerate_redexes(a)}
         return Distribution(term), Distribution({a: p for a, p in mu if a not in term})
 
     def lift(mu):
         out = []
         for a, p in mu:
-            if sys.is_terminal(a):
+            if not sys.enumerate_redexes(a):
                 out.append((a, p))
             else:
                 rho = sys.apply(a, policy(a, sys.enumerate_redexes(a)))
@@ -287,9 +268,9 @@ def test_driver_matches_reference_and_bounds_enumerations(path, engine, policy):
     p, truncated = converge(mu, fused, pick(), horizon, TOL)
     assert (p, truncated) == (ref_term.mass(), ref_truncated)
 
-    # Count the enumerations made inside each next(): the status checks of
-    # the new step's elements and the redexes of the last step's reducible
-    # ones.  FusedSystem.is_terminal enumerates through the same attribute.
+    # Count the enumerations made inside each next(): one per new element,
+    # whose list decides its status and, if it is reducible, goes to the
+    # policy at the next step.
     calls = Counter()
     enumerate_redexes = fused.enumerate_redexes
 
@@ -301,7 +282,7 @@ def test_driver_matches_reference_and_bounds_enumerations(path, engine, policy):
     carried = Distribution()
     for _, term, red in lifted_steps(mu, fused, pick(), horizon, TOL):
         assert not any(calls[a] for a in carried.support())
-        assert max(calls.values(), default=0) <= 2
+        assert max(calls.values(), default=0) <= 1
         calls.clear()
         carried = term
     assert term == ref_term and term.mass() == ref_term.mass()

@@ -29,7 +29,7 @@ from tokennets.pars import (
     seeded_policy,
 )
 from tokennets.pcfll import Closure, PcfSystem, parse, typecheck
-from tokennets.prognets import PnSystem, ProgramNet, enumerate_redexes, inputs, step
+from tokennets.prognets import PnSystem, ProgramNet, enumerate_redexes, step
 from tokennets.translate import translate
 
 
@@ -43,10 +43,9 @@ def single_one_net():
 def test_inputs_and_link():
     net = single_one_net()
     pn = ProgramNet(net, {}, IntRegisterMemory())
-    assert inputs(net) == net.conclusions
     (r,) = enumerate_redexes(pn)
     assert r.kind == "link"
-    ((pn2, p),) = list(step(pn, r))
+    ((pn2, p),) = step(pn, r)
     assert p == 1.0
     assert pn2.ind == {net.conclusions[0]: 0}
     assert enumerate_redexes(pn2) == []
@@ -59,7 +58,7 @@ def test_link_avoids_memory_support_and_ind():
     net.conclusions = [one1.concl[0], one2.concl[0]]
     pn = ProgramNet(net, {one1.concl[0]: 0}, IntRegisterMemory({2: 7}))
     r = next(x for x in enumerate_redexes(pn) if x.kind == "link")
-    ((pn2, _),) = list(step(pn, r))
+    ((pn2, _),) = step(pn, r)
     assert pn2.ind[one2.concl[0]] == 1  # skips 0 (ind) but also 2 (memory)
 
 
@@ -101,7 +100,7 @@ def test_sync_update():
     dist = iterate(Distribution.dirac(pn), 2, sys, leftmost_policy)
     ((final, p),) = list(dist)
     assert p == 1.0
-    assert sys.is_terminal(final)
+    assert not sys.enumerate_redexes(final)
     (addr,) = final.ind.values()
     assert final.memory.get(addr) == 1
 
@@ -145,7 +144,7 @@ def test_coin_choice_probabilities():
     probs = sorted(p for _, p in dist)
     assert probs == [pytest.approx(0.5), pytest.approx(0.5)]
     for final, _ in dist:
-        assert sys.is_terminal(final)
+        assert not sys.enumerate_redexes(final)
         assert [n.kind for n in final.net.nodes.values()] == ["one"]
 
 
@@ -184,27 +183,31 @@ def translated(path):
 
 def reference_closure(fused, a):
     """The closure before the Dirac fast path: fire each non-branching redex
-    through the persistent `apply` and unwrap its Dirac distribution."""
+    through the persistent `apply` and unwrap its single reduct."""
     sys = fused.sys
     for _ in range(fused.budget):
         det = [r for r in sys.enumerate_redexes(a) if not sys.is_branching(a, r)]
         if not det:
             return a
-        (a,) = sys.apply(a, det[0]).support()
+        ((a, p),) = sys.apply(a, det[0])
+        assert p == 1.0
     return a
 
 
 class OracleFused(FusedSystem):
-    """Checks every closure against `reference_closure` run on the same
-    element afterwards, which also shows that the closure left it as it was."""
+    """Checks every closure against `reference_closure`.  An element the
+    closure does not own is checked afterwards, which also shows that the
+    closure left it as it was; a branch reduct, which the closure rewrites
+    in place, is checked on a deep copy taken before."""
 
     def __init__(self, sys):
         super().__init__(sys)
         self.closures = 0
 
-    def _closure(self, a):
-        out = super()._closure(a)
-        assert out.canonical_key() == reference_closure(self, a).canonical_key()
+    def _closure(self, a, owned=False):
+        before = ProgramNet(copy.deepcopy(a.net), a.ind, a.memory) if owned else a
+        out = super()._closure(a, owned)
+        assert out.canonical_key() == reference_closure(self, before).canonical_key()
         self.closures += 1
         return out
 
@@ -276,8 +279,52 @@ def test_one_closure_copies_once_and_hashes_nothing(monkeypatch):
     for sys, start in starts:
         fused = FusedSystem(sys)
         a = fused.prepare(start)
-        assert not fused.is_terminal(a)  # omega: the budget ends the closure
+        assert fused.enumerate_redexes(a)  # omega: the budget ends the closure
     assert counts == {"copy": 1, "distribution": 0, "key": 0}
+
+
+ENTANGLED_IFS = """
+let <c1, q1> = CNOT <H new, H new> in
+let <c2, q2> = CNOT <c1, H new> in
+<(if c2 then X new else new), <(if q1 then X new else new), (if q2 then X new else new)>>
+"""
+
+
+def test_branch_reducts_are_hashed_once_and_never_copied_again(monkeypatch):
+    backend = quantum_backend()
+    pn = translate(typecheck(parse(ENTANGLED_IFS, backend.labels)), backend)
+    fused = FusedSystem(PnSystem())
+    start = fused.prepare(pn)
+    counts = {"signature": 0, "test": 0, "own": 0}
+    depth = [0]
+    signature, apply, own = Net.signature, PnSystem.apply, PnSystem.own
+
+    def top_signature(self):
+        # Box contents are signed inside their box's signature: not counted.
+        counts["signature"] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return signature(self)
+        finally:
+            depth[0] -= 1
+
+    def counted(name, f):
+        def call(*args):
+            counts[name] += 1
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(Net, "signature", top_signature)
+    # The fused system applies the underlying system only at test redexes.
+    monkeypatch.setattr(PnSystem, "apply", counted("test", apply))
+    monkeypatch.setattr(PnSystem, "own", counted("own", own))
+    p, truncated = converge(Distribution.dirac(start), fused, leftmost_policy, horizon=20)
+    assert p == pytest.approx(1.0) and not truncated
+    assert counts["test"] >= 3
+    # Each branch reduct is hashed once, by the driver's merge, and the
+    # first support is hashed once.
+    assert counts["signature"] <= 2 * counts["test"] + 1
+    assert counts["own"] == 0
 
 
 OPTIMIZED_CHECKS = """

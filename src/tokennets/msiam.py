@@ -28,8 +28,15 @@ again (nor does an exited one).  So a token leaves the live index for good
 when it becomes stable or exits, the open copies only grow, a site becomes
 pending exactly when its gate's copy opens and stops being pending when it
 fires, and a state is final exactly when no token is live.
-`MsSystem.apply` keeps the indexes up to date; the token set itself still
-drives hashing and equality.
+
+A fused closure owns the state it steps, as the net engine's closure owns
+its net: `MsSystem.own` copies the token set and the three indexes into
+mutable containers once per closure, and `step_det` then updates them in
+place, in time proportional to the tokens that move.  `apply` does the
+same on a fresh copy for each outcome, so its argument is left unchanged.
+A state is never changed once exposed, so its hash, taken from the token
+set on first use, is cached, as is its canonical key.  Each distinct
+transition's sort key is computed once per `MsSystem`.
 """
 
 from __future__ import annotations
@@ -205,20 +212,21 @@ def _flat(obj) -> str:
 
 
 class MachineState:
-    """Immutable multi-token state: tokens with origins, the address map on
-    origins, and a memory.  Compared up to address permutation.
+    """Multi-token state: the set of tokens with their origins, the address
+    map on origins, and a memory.  Compared up to address permutation.
 
     It also carries the indexes `MsSystem` keeps (see the module docstring):
     `live` (origin -> position of each token neither stable nor exited),
-    `open_copies`
-    ((box nkey, content index) -> frozenset of opened box stacks) and
-    `pending` (frozenset of (kind, nkey, box stack) link/spawn sites).
-    States share these containers and `ind`; none is mutated."""
+    `open_copies` ((box nkey, content index) -> set of opened box stacks)
+    and `pending` (set of (kind, nkey, box stack) link/spawn sites).  Only
+    the closure that owns a state (see `MsSystem.own`) changes these
+    containers, and only until it exposes the state; from then on nothing
+    changes them, which is what makes the cached hash and key safe."""
 
-    __slots__ = ("tokens", "ind", "memory", "live", "open_copies", "pending", "_key")
+    __slots__ = ("tokens", "ind", "memory", "live", "open_copies", "pending", "_key", "_hash")
 
-    def __init__(self, tokens: frozenset, ind: dict, memory, live: dict,
-                 open_copies: dict, pending: frozenset):
+    def __init__(self, tokens: set, ind: dict, memory, live: dict,
+                 open_copies: dict, pending: set):
         self.tokens = tokens
         self.ind = ind
         self.memory = memory
@@ -226,6 +234,7 @@ class MachineState:
         self.open_copies = open_copies
         self.pending = pending
         self._key = None
+        self._hash = None
 
     def canonical_key(self):
         if self._key is None:
@@ -244,7 +253,9 @@ class MachineState:
     def __hash__(self) -> int:
         # Positions carry no addresses, so the raw token set is already
         # canonical; address-sensitive parts are left to __eq__.
-        return hash(self.tokens)
+        if self._hash is None:
+            self._hash = hash(frozenset(self.tokens))
+        return self._hash
 
     def __repr__(self) -> str:
         return (
@@ -253,14 +264,16 @@ class MachineState:
         )
 
 
+_KIND_ORDER = {"link": 0, "spawn": 1, "move": 2, "update": 3, "test": 4}
+
+
 @dataclass(frozen=True)
 class Transition:
     kind: str  # move | update | test | link | spawn
     data: tuple
 
     def sort_key(self):
-        order = {"link": 0, "spawn": 1, "move": 2, "update": 3, "test": 4}
-        return (order[self.kind], _flat(self.data))
+        return (_KIND_ORDER[self.kind], _flat(self.data))
 
 
 class MsSystem:
@@ -270,6 +283,7 @@ class MsSystem:
         self.index = NetIndex(pn.net)
         self.pn_ind = {((), e): a for e, a in pn.ind.items()}
         self.initial_memory = pn.memory
+        self._sort_keys: dict = {}  # Transition -> its sort_key
 
     # -- token kinematics --------------------------------------------------
 
@@ -454,24 +468,31 @@ class MsSystem:
                 out.append(Transition("update", (sync_nkey, t)))
         for kind, nkey, t in st.pending:
             out.append(Transition(kind, (nkey, t)))
-        return sorted(out, key=Transition.sort_key)
+        out.sort(key=self._sort_key)
+        return out
+
+    def _sort_key(self, tr: Transition):
+        key = self._sort_keys.get(tr)
+        if key is None:
+            key = self._sort_keys[tr] = tr.sort_key()
+        return key
 
     # -- transition application -------------------------------------------
 
-    def _successor(self, st: MachineState, moves, ind=None, memory=None, pending=None):
-        """The state after each (origin, old position or None, new position)
-        of `moves`, with the live, open-copy and pending-site indexes brought
-        up to date: a token that turns stable or exits leaves the live index,
-        and one parked at a door opens its copy, which makes the sites under
-        that gate pending."""
-        live = dict(st.live)
-        open_copies = st.open_copies
-        pending = st.pending if pending is None else pending
-        removed, added = set(), set()
+    def _successor(self, st: MachineState, moves) -> MachineState:
+        """Move each (origin, old position or None, new position) of
+        `moves` in `st`, in place, and bring the live, open-copy and
+        pending-site indexes up to date: a token that turns stable or exits
+        leaves the live index, and one parked at a door opens its copy,
+        which makes the sites under that gate pending."""
+        tokens, live, open_copies, pending = st.tokens, st.live, st.open_copies, st.pending
         for orig, old, new in moves:
             if old is not None:
-                removed.add((old, orig))
-            added.add((new, orig))
+                try:
+                    tokens.remove((old, orig))
+                except KeyError:
+                    raise MachineInvariantError(f"token {orig} is not at {old}") from None
+            tokens.add((new, orig))
             d = self.direction(new)
             exited = d == "down" and self.index.is_root_conclusion(new[0]) and not new[2]
             if d != "stable" and not exited:
@@ -482,26 +503,19 @@ class MsSystem:
             if door is None or new[1] != door[2]:
                 continue
             gate, t = door[:2], new[2]
-            have = open_copies.get(gate, frozenset())
+            have = open_copies.setdefault(gate, set())
             if t not in have:
-                open_copies = {**open_copies, gate: have | {t}}
+                have.add(t)
                 sites = self.index.gate_sites.get(gate, ())
-                pending = pending | {(kind, nkey, t) for kind, nkey in sites}
-        tokens = (st.tokens - removed if removed else st.tokens) | added
-        return MachineState(
-            tokens,
-            st.ind if ind is None else ind,
-            st.memory if memory is None else memory,
-            live,
-            open_copies,
-            pending,
-        )
+                pending.update((kind, nkey, t) for kind, nkey in sites)
+        return st
 
     def apply(self, st: MachineState, tr: Transition) -> list[tuple[MachineState, float]]:
         """Fire a transition: the successor states with their
-        probabilities.  `st` is left unchanged."""
+        probabilities.  `st` is left unchanged, and each successor is a
+        copy of its own."""
         if tr.kind != "test":
-            return [(self.step_det(st, tr), 1.0)]
+            return [(self.step_det(self.own(st), tr), 1.0)]
         (orig,) = tr.data
         pos = st.live[orig]
         ekey, fstack, bstack = pos
@@ -513,15 +527,28 @@ class MsSystem:
         for (outcome, m2), p in st.memory.test(i):
             side = 1 if outcome else 0
             root = self.index.principal_premise(box_nkey, side)
-            nxt = self._successor(st, [(orig, pos, (root, fstack, bstack))], memory=m2)
+            nxt = self.own(st)
+            nxt.memory = m2
+            self._successor(nxt, [(orig, pos, (root, fstack, bstack))])
             out.append((nxt, p))
         return out
 
     def own(self, st: MachineState) -> MachineState:
-        return st
+        """An equal state with private token, live, open-copy and pending
+        containers, which `step_det` may then change in place."""
+        return MachineState(
+            set(st.tokens),
+            st.ind,
+            st.memory,
+            dict(st.live),
+            {gate: set(copies) for gate, copies in st.open_copies.items()},
+            set(st.pending),
+        )
 
     def step_det(self, st: MachineState, tr: Transition) -> MachineState:
-        """The state after a non-branching transition; `st` is unchanged."""
+        """The state after a non-branching transition, made by changing
+        `st` in place: `st` must come from `own` (or an earlier `step_det`)
+        and is not to be used afterwards."""
         if tr.kind in ("link", "spawn"):
             nkey, t = tr.data
             site = (tr.kind, nkey, t)
@@ -532,7 +559,6 @@ class MsSystem:
                 )
             ekey = (nkey[0], self.index.node[nkey].concl[0])
             p = (ekey, () if tr.kind == "link" else (STAR, DELTA), t)
-            ind = None
             if tr.kind == "link":
                 taken = set(st.ind.values())
                 if not t and ekey in self.pn_ind:
@@ -541,8 +567,10 @@ class MsSystem:
                     i = fresh(st.memory, taken | set(self.pn_ind.values()))
                 if i in taken:
                     raise MachineInvariantError(f"link at {nkey}: address {i} is already bound")
-                ind = {**st.ind, p: i}
-            return self._successor(st, [(p, None, p)], ind=ind, pending=st.pending - {site})
+                # `ind` is shared with the state this one was owned from.
+                st.ind = {**st.ind, p: i}
+            st.pending.remove(site)
+            return self._successor(st, [(p, None, p)])
         if tr.kind == "move":
             (orig,) = tr.data
             pos = st.live[orig]
@@ -561,8 +589,8 @@ class MsSystem:
                 orig = at[pos]
                 addrs.append(st.ind[orig])
                 moves.append((orig, pos, ((level, node.concl[i]), (), t)))
-            m2 = st.memory.update(tuple(addrs), node.label)
-            return self._successor(st, moves, memory=m2)
+            st.memory = st.memory.update(tuple(addrs), node.label)
+            return self._successor(st, moves)
         raise ValueError(f"{tr.kind} transition branches: use apply")
 
     # -- classification ----------------------------------------------------
@@ -593,8 +621,8 @@ class MsSystem:
                     ind[p] = self.pn_ind[ekey]
         # The whole net is one open copy, with the empty box stack.
         root_sites = self.index.gate_sites.get((None, 0), ())
-        pending = frozenset((kind, nkey, ()) for kind, nkey in root_sites)
-        empty = MachineState(frozenset(), ind, self.initial_memory, {}, {}, pending)
+        pending = {(kind, nkey, ()) for kind, nkey in root_sites}
+        empty = MachineState(set(), ind, self.initial_memory, {}, {}, pending)
         return self._successor(empty, moves)
 
 

@@ -624,14 +624,13 @@ def reduce(net: Net, redex: NetRedex) -> Net:
     return net
 
 
-def reduce_test(net: Net, redex: NetRedex) -> tuple[Net, Net]:
-    """Fire the choice-box cut, returning the (false, true) branch nets."""
+def reduce_test(net: Net, redex: NetRedex, side: int) -> Net:
+    """Fire the choice-box cut in place, keeping content `side` (0 for the
+    false branch, 1 for the true one), and return `net`.  A caller that
+    must keep the old net, or build the other branch too, copies it first."""
     if redex.kind != "test":
         raise ValueError(f"{redex.kind} reduction is deterministic: use reduce")
-    return (
-        _reduce_bot_branch(copy.deepcopy(net), *redex.nodes, side=0),
-        _reduce_bot_branch(copy.deepcopy(net), *redex.nodes, side=1),
-    )
+    return _reduce_bot_branch(net, *redex.nodes, side=side)
 
 
 def _cut_sides(net: Net, cut: Node, want_nid: int) -> tuple[int, int]:

@@ -128,10 +128,9 @@ def step(pn: ProgramNet, r: PnRedex) -> list[tuple[ProgramNet, float]]:
         nr = r.net_redex
         one_edge = pn.net.nodes[nr.nodes[2]].concl[0]
         i = pn.ind[one_edge]
-        left, right = reduce_test(pn.net, nr)
         out = []
         for (outcome, m2), p in pn.memory.test(i):
-            branch = right if outcome else left
+            branch = reduce_test(copy.deepcopy(pn.net), nr, 1 if outcome else 0)
             ind2 = {e: a for e, a in pn.ind.items() if e in branch.edges}
             out.append((ProgramNet(branch, ind2, m2), p))
         return out

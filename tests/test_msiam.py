@@ -1,4 +1,5 @@
 import os
+import random
 
 import pytest
 
@@ -317,6 +318,29 @@ def test_token_steps_per_micro_step_do_not_grow(horizon, monkeypatch):
     assert hit and p == 0.0
     assert calls["micro"] > 0
     assert calls["token_step"] <= 4 * calls["micro"]
+
+
+def test_each_transition_is_keyed_once_per_machine(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    from programs import wide_quantum_source
+
+    (coin,) = [(src, bk) for name, bk, src in CORPUS if name == "coin.pcf"]
+    programs = [coin, (wide_quantum_source(8, random.Random(1)), "quantum")]
+    keyed = []
+    sort_key = Transition.sort_key
+
+    def counted_sort_key(self):
+        keyed.append(self)
+        return sort_key(self)
+
+    monkeypatch.setattr(Transition, "sort_key", counted_sort_key)
+    for src, bk in programs:
+        pn, _ = make(src, bk)
+        keyed.clear()
+        p, hit = run(pn, horizon=200)  # one MsSystem per run
+        assert not hit and p == pytest.approx(1.0)
+        assert keyed
+        assert len(set(keyed)) == len(keyed)
 
 
 # -- invariant checks ------------------------------------------------------

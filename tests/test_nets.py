@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import re
@@ -311,8 +312,10 @@ def test_bot_box_reduction():
     assert check_correct(net) is None
     (r,) = find_redexes(net)
     assert r.kind == "test"
-    left, right = reduce_test(net, r)
-    for out in (left, right):
+    for side in (0, 1):
+        copied = copy.deepcopy(net)
+        out = reduce_test(copied, r, side)
+        assert out is copied  # rewritten in place
         validate(out)
         assert find_redexes(out) == []
         assert [n.kind for n in out.nodes.values()] == ["one"]

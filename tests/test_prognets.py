@@ -181,6 +181,10 @@ def translated(path):
     return translate(typecheck(parse(src, backend.labels)), backend)
 
 
+def net_snapshot(pn):
+    return ProgramNet(copy.deepcopy(pn.net), pn.ind, pn.memory)
+
+
 def reference_closure(fused, a):
     """The closure before the Dirac fast path: fire each non-branching redex
     through the persistent `apply` and unwrap its single reduct."""
@@ -198,14 +202,15 @@ class OracleFused(FusedSystem):
     """Checks every closure against `reference_closure`.  An element the
     closure does not own is checked afterwards, which also shows that the
     closure left it as it was; a branch reduct, which the closure rewrites
-    in place, is checked on a deep copy taken before."""
+    in place, is checked on a deep copy (`snapshot`) taken before."""
 
-    def __init__(self, sys):
+    def __init__(self, sys, snapshot):
         super().__init__(sys)
+        self.snapshot = snapshot
         self.closures = 0
 
     def _closure(self, a, owned=False):
-        before = ProgramNet(copy.deepcopy(a.net), a.ind, a.memory) if owned else a
+        before = self.snapshot(a) if owned else a
         out = super()._closure(a, owned)
         assert out.canonical_key() == reference_closure(self, before).canonical_key()
         self.closures += 1
@@ -217,7 +222,7 @@ class OracleFused(FusedSystem):
 def test_net_closure_owns_its_copy(path, policy):
     pn = translated(path)
     signature, ind = pn.net.signature(), dict(pn.ind)
-    fused = OracleFused(PnSystem())
+    fused = OracleFused(PnSystem(), net_snapshot)
     pick = leftmost_policy if policy == "leftmost" else seeded_policy(0)
     horizon = 3 if path.name == "omega.pcf" else 40
     mu = Distribution.dirac(fused.prepare(pn))
@@ -229,34 +234,64 @@ def test_net_closure_owns_its_copy(path, policy):
     # The translated net is what the msiam engine walks afterwards.
     assert pn.net.signature() == signature and pn.ind == ind
     for el in exposed:
-        fresh = ProgramNet(copy.deepcopy(el.net), el.ind, el.memory)
-        assert el.canonical_key() == fresh.canonical_key()
+        assert el.canonical_key() == net_snapshot(el).canonical_key()
 
 
-def test_one_closure_copies_once_and_hashes_nothing(monkeypatch):
-    path = CORPUS_DIR / "omega.pcf"
-    pn = translated(path)
-    term = parse(path.read_text(), int_backend().labels)
-    starts = [
-        (PnSystem(), pn),
-        (PcfSystem(), Closure(term, {}, int_backend().initial())),
-        (MsSystem(pn), MsSystem(pn).initial_state()),
-    ]
-    counts = {"copy": 0, "distribution": 0, "key": 0}
+def ms_snapshot(st):
+    """A machine state equal to `st` that shares no container with it."""
+    return MachineState(set(st.tokens), dict(st.ind), copy.deepcopy(st.memory), dict(st.live),
+                        {gate: set(c) for gate, c in st.open_copies.items()}, set(st.pending))
+
+
+def ms_parts(st):
+    return (st.tokens, st.ind, st.memory, st.live, st.open_copies, st.pending)
+
+
+class UnchangedApply(MsSystem):
+    """The machine, checking that `apply` leaves its argument as it was."""
+
+    def __init__(self, pn):
+        super().__init__(pn)
+        self.applied = {"test": 0, "other": 0}
+
+    def apply(self, st, tr):
+        before = ms_snapshot(st)
+        out = super().apply(st, tr)
+        assert ms_parts(st) == ms_parts(before), tr
+        self.applied["test" if tr.kind == "test" else "other"] += 1
+        return out
+
+
+@pytest.mark.parametrize("policy", ["leftmost", "seeded"])
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
+def test_machine_closure_owns_its_copy(path, policy):
+    sys = UnchangedApply(translated(path))
+    fused = OracleFused(sys, ms_snapshot)
+    pick = leftmost_policy if policy == "leftmost" else seeded_policy(0)
+    horizon = 3 if path.name == "omega.pcf" else 40
+    mu = Distribution.dirac(fused.prepare(sys.initial_state()))
+    exposed = [(el, ms_snapshot(el)) for el in mu.support()]
+    for _ in range(horizon):
+        mu = lift_step(mu, fused, pick)
+        exposed.extend((el, ms_snapshot(el)) for el in mu.support())
+    assert fused.closures > 0
+    # The reference closures apply every non-branching kind of transition.
+    assert sys.applied["other"] > 0
+    assert sys.applied["test"] > 0 or "if " not in path.read_text()
+    for el, snap in exposed:
+        assert ms_parts(el) == ms_parts(snap)
+        assert el._hash == hash(frozenset(el.tokens))
+
+
+def count_whole_net_copies(monkeypatch, counts):
+    """Count in `counts["copy"]` each whole-net `Net.__deepcopy__`: only a
+    copy made outside refresh_copy and outside another copy counts, as
+    refresh_copy belongs to the y_unfold rule, and nested calls copy box
+    contents as part of one net."""
     depth = [0]
-
-    def counting(name, f):
-        def call(*args, **kwargs):
-            counts[name] += 1
-            return f(*args, **kwargs)
-        return call
-
     deepcopy, refresh_copy = Net.__deepcopy__, Net.refresh_copy
 
     def outer_deepcopy(self, memo):
-        # Only a copy made outside refresh_copy and outside another copy
-        # counts: refresh_copy belongs to the y_unfold rule, and nested
-        # calls copy box contents as part of one net.
         counts["copy"] += depth[0] == 0
         depth[0] += 1
         try:
@@ -273,14 +308,61 @@ def test_one_closure_copies_once_and_hashes_nothing(monkeypatch):
 
     monkeypatch.setattr(Net, "__deepcopy__", outer_deepcopy)
     monkeypatch.setattr(Net, "refresh_copy", inner_refresh_copy)
+
+
+def test_one_closure_copies_once_and_hashes_nothing(monkeypatch):
+    path = CORPUS_DIR / "omega.pcf"
+    pn = translated(path)
+    term = parse(path.read_text(), int_backend().labels)
+    starts = [
+        (PnSystem(), pn),
+        (PcfSystem(), Closure(term, {}, int_backend().initial())),
+        (MsSystem(pn), MsSystem(pn).initial_state()),
+    ]
+    counts = {"copy": 0, "own": 0, "distribution": 0, "key": 0}
+
+    def counting(name, f):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return call
+
+    count_whole_net_copies(monkeypatch, counts)
+    monkeypatch.setattr(MsSystem, "own", counting("own", MsSystem.own))
     monkeypatch.setattr(Distribution, "__init__", counting("distribution", Distribution.__init__))
     for cls in (ProgramNet, Closure, MachineState):
         monkeypatch.setattr(cls, "canonical_key", counting("key", cls.canonical_key))
+        monkeypatch.setattr(cls, "__hash__", counting("key", cls.__hash__))
     for sys, start in starts:
         fused = FusedSystem(sys)
         a = fused.prepare(start)
         assert fused.enumerate_redexes(a)  # omega: the budget ends the closure
-    assert counts == {"copy": 1, "distribution": 0, "key": 0}
+    # One whole-net copy for the net engine's closure, one machine-state
+    # copy for msiam's, and no key or hash for any engine.
+    assert counts == {"copy": 1, "own": 1, "distribution": 0, "key": 0}
+
+
+@pytest.mark.parametrize("name", ["letrec_count.pcf", "bell.pcf"])
+def test_a_test_copies_the_net_once_per_outcome(name, monkeypatch):
+    fused = FusedSystem(PnSystem())
+    start = fused.prepare(translated(CORPUS_DIR / name))
+    counts = {"copy": 0, "reducts": 0, "single": 0}
+    apply = PnSystem.apply
+
+    def counted_apply(self, pn, r):
+        out = apply(self, pn, r)
+        counts["reducts"] += len(out)
+        counts["single"] += len(out) == 1
+        return out
+
+    count_whole_net_copies(monkeypatch, counts)
+    # The fused system applies the underlying system only at test redexes,
+    # and closes each branch reduct without copying it again.
+    monkeypatch.setattr(PnSystem, "apply", counted_apply)
+    p, truncated = converge(Distribution.dirac(start), fused, leftmost_policy, horizon=200)
+    assert p == pytest.approx(1.0) and not truncated
+    assert counts["single"] > 0
+    assert counts["copy"] == counts["reducts"]
 
 
 ENTANGLED_IFS = """
@@ -330,10 +412,12 @@ def test_branch_reducts_are_hashed_once_and_never_copied_again(monkeypatch):
 OPTIMIZED_CHECKS = """
 import sys
 from tokennets.memory import IntRegisterMemory, int_backend
+from tokennets.msiam import MachineInvariantError, MsSystem
 from tokennets.nets import (
     BOT, ONE, InvalidNetError, Net, NetRedex, Node, fresh_id, reduce, validate)
 from tokennets.pcfll import (
-    BASE, App, Closure, New, PcfRedex, TypedProgram, Var, closure_step, closure_step_det)
+    BASE, App, Closure, New, PcfRedex, TypedProgram, Var, closure_step, closure_step_det,
+    parse, typecheck)
 from tokennets.prognets import PnRedex, ProgramNet, step
 from tokennets.translate import translate
 
@@ -378,6 +462,15 @@ rejects(ValueError, closure_step, stuck, PcfRedex("test", New(), lambda h: h))
 rejects(ValueError, closure_step_det, stuck, PcfRedex("beta", New(), lambda h: h))
 applied_new = TypedProgram(App(New(), New()), BASE, {}, {}, {}, set(), {})
 rejects(InvalidNetError, translate, applied_new, int_backend())  # `new` is not a function
+identity = typecheck(parse(r"(\\x. x) new", int_backend().labels))
+machine = MsSystem(translate(identity, int_backend()))
+st = machine.own(machine.initial_state())
+(link,) = machine.enumerate_redexes(st)
+st = machine.step_det(st, link)
+(move,) = machine.enumerate_redexes(st)
+(orig,) = move.data
+st.tokens.remove((st.live[orig], orig))
+rejects(MachineInvariantError, machine.step_det, st, move)  # a token missing from the token set
 print("ok")
 """
 

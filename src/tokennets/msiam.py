@@ -35,8 +35,14 @@ mutable containers once per closure, and `step_det` then updates them in
 place, in time proportional to the tokens that move.  `apply` does the
 same on a fresh copy for each outcome, so its argument is left unchanged.
 A state is never changed once exposed, so its hash, taken from the token
-set on first use, is cached, as is its canonical key.  Each distinct
-transition's sort key is computed once per `MsSystem`.
+set on first use, is cached, as is its canonical key.
+
+A position is a nested tuple of ints: stack tags are negative ints and
+exponential signatures are ids interned per machine, so positions, and the
+transitions and canonical keys made of them, are put in order by Python's
+native tuple order.  That order depends only on the program: node ids keep
+their relative order in whatever range a process hands them out, and the
+signature ids of a machine are numbered in the order its run meets them.
 """
 
 from __future__ import annotations
@@ -48,46 +54,10 @@ from .nets import Formula, Net
 from .pars import Distribution, FusedSystem, Policy, converge, leftmost_policy
 from .prognets import ProgramNet
 
-DELTA = "D"
-
-# Exponential signatures are hash-consed: each distinct signature gets a
-# small-integer id, and compound signatures reference the ids of their parts.
-# Stacks therefore stay flat no matter how deep the recursion nesting gets,
-# keeping token comparison and hashing cheap and recursion-safe.
-_SIG_IDS: dict[tuple, int] = {}
-_SIG_STRUCT: list[tuple] = []
-
-
-def _intern(struct: tuple) -> int:
-    i = _SIG_IDS.get(struct)
-    if i is None:
-        i = len(_SIG_STRUCT)
-        _SIG_IDS[struct] = i
-        _SIG_STRUCT.append(struct)
-    return i
-
-
-def sig_struct(sig: int) -> tuple:
-    return _SIG_STRUCT[sig]
-
-
-STAR = _intern(("*",))
-
-
-def l_sig(s: int) -> int:
-    return _intern(("l", s))
-
-
-def r_sig(s: int) -> int:
-    return _intern(("r", s))
-
-
-def pair_sig(a: int, b: int) -> int:
-    return _intern(("p", a, b))
-
-
-def y_sig(a: int, b: int) -> int:
-    return _intern(("y", a, b))
+# Stack tags are negative ints, below every signature id; `STAR` is the
+# signature every machine interns first (see `MsSystem.sig`).
+L, R, DELTA = -1, -2, -3
+STAR = 0
 
 
 def indicator(s: tuple, a: Formula) -> str | None:
@@ -97,10 +67,10 @@ def indicator(s: tuple, a: Formula) -> str | None:
     h = s[0]
     if h == DELTA:
         return None
-    if h in ("l", "r"):
+    if h == L or h == R:
         if a.kind not in ("tensor", "par"):
             return None
-        return indicator(s[1:], a.sub[0 if h == "l" else 1])
+        return indicator(s[1:], a.sub[0 if h == L else 1])
     # h is an interned signature id
     if a.kind not in ("bang", "quest"):
         return None
@@ -112,7 +82,8 @@ def indicator(s: tuple, a: Formula) -> str | None:
 
 # A position is (edge_key, fstack, bstack); a token is (position, origin).
 # Edge keys are (level, eid) where a level is a tuple of (box node id,
-# content index) pairs from the root down.
+# content index) pairs from the root down.  Stacks hold tags and signature
+# ids, so every part of a position is an int or a tuple of them.
 
 
 class MachineInvariantError(RuntimeError):
@@ -193,24 +164,6 @@ class NetIndex:
         return self.inner_edge(box_nkey, ci, 0)
 
 
-def _flat(obj) -> str:
-    """Deterministic string encoding of nested tuples, built iteratively so
-    deeply nested recursion signatures cannot overflow the recursion limit."""
-    out = []
-    stack = [obj]
-    while stack:
-        x = stack.pop()
-        if x.__class__ is tuple:
-            out.append("(")
-            stack.append(")")
-            stack.extend(reversed(x))
-        elif isinstance(x, str):
-            out.append(x)
-        else:
-            out.append(repr(x))
-    return "|".join(out)
-
-
 class MachineState:
     """Multi-token state: the set of tokens with their origins, the address
     map on origins, and a memory.  Compared up to address permutation.
@@ -221,7 +174,10 @@ class MachineState:
     and `pending` (set of (kind, nkey, box stack) link/spawn sites).  Only
     the closure that owns a state (see `MsSystem.own`) changes these
     containers, and only until it exposes the state; from then on nothing
-    changes them, which is what makes the cached hash and key safe."""
+    changes them, which is what makes the cached hash and key safe.
+
+    Positions are int tuples (see the module docstring), so the canonical
+    key sorts `tokens` and `ind` in native tuple order."""
 
     __slots__ = ("tokens", "ind", "memory", "live", "open_copies", "pending", "_key", "_hash")
 
@@ -238,12 +194,9 @@ class MachineState:
 
     def canonical_key(self):
         if self._key is None:
-            order = sorted(self.ind, key=_flat)
-            sigma = canonical_addresses([self.ind[o] for o in order], self.memory)
-            toks = tuple(sorted(self.tokens, key=_flat))
-            ind_c = tuple(
-                sorted(((o, sigma[a]) for o, a in self.ind.items()), key=_flat)
-            )
+            sigma = canonical_addresses([self.ind[o] for o in sorted(self.ind)], self.memory)
+            toks = tuple(sorted(self.tokens))
+            ind_c = tuple(sorted((o, sigma[a]) for o, a in self.ind.items()))
             self._key = (toks, ind_c, self.memory.rename(sigma))
         return self._key
 
@@ -273,7 +226,7 @@ class Transition:
     data: tuple
 
     def sort_key(self):
-        return (_KIND_ORDER[self.kind], _flat(self.data))
+        return (_KIND_ORDER[self.kind], self.data)
 
 
 class MsSystem:
@@ -283,7 +236,23 @@ class MsSystem:
         self.index = NetIndex(pn.net)
         self.pn_ind = {((), e): a for e, a in pn.ind.items()}
         self.initial_memory = pn.memory
-        self._sort_keys: dict = {}  # Transition -> its sort_key
+        # Exponential signatures are hash-consed: each distinct signature
+        # gets a small-int id, its index in `sig_struct`, and a compound
+        # signature refers to the ids of its parts.  Stacks therefore stay
+        # flat however deep recursion nests, which keeps comparing and
+        # hashing tokens cheap and recursion-safe.
+        self.sig_struct: list[tuple] = [("*",)]
+        self._sig_ids: dict[tuple, int] = {("*",): STAR}
+
+    def sig(self, *struct) -> int:
+        """The id of the signature `struct`: ("*",), (L, s) or (R, s) for a
+        contraction side, ("p", box copy, inner) at an auxiliary door, or
+        ("y", copy, s) for a recursive copy."""
+        i = self._sig_ids.get(struct)
+        if i is None:
+            i = self._sig_ids[struct] = len(self.sig_struct)
+            self.sig_struct.append(struct)
+        return i
 
     # -- token kinematics --------------------------------------------------
 
@@ -327,12 +296,12 @@ class MsSystem:
             if node.kind == "cut":
                 other = node.prem[1 - i]
                 return ("move", ((level, other), fstack, bstack))
+            tag = L if i == 0 else R
             if node.kind in ("tensor", "par"):
-                tag = "l" if i == 0 else "r"
                 return ("move", ((level, node.concl[0]), (tag,) + fstack, bstack))
             if node.kind == "contr":
-                wrap = l_sig if i == 0 else r_sig
-                return ("move", ((level, node.concl[0]), (wrap(fstack[0]),) + fstack[1:], bstack))
+                wrapped = self.sig(tag, fstack[0])
+                return ("move", ((level, node.concl[0]), (wrapped,) + fstack[1:], bstack))
             if node.kind == "der":
                 return ("move", ((level, node.concl[0]), (STAR,) + fstack, bstack))
             if node.kind == "sync":
@@ -350,16 +319,16 @@ class MsSystem:
             return ("move", ((level, other), fstack, bstack))
         if node.kind in ("tensor", "par"):
             tag, rest = fstack[0], fstack[1:]
-            if tag not in ("l", "r"):
+            if tag != L and tag != R:
                 raise MachineInvariantError(f"invalid stack {fstack} at {node.kind} {nkey}")
-            target = node.prem[0 if tag == "l" else 1]
+            target = node.prem[0 if tag == L else 1]
             return ("move", ((level, target), rest, bstack))
         if node.kind == "contr":
             sig, rest = fstack[0], fstack[1:]
-            struct = sig_struct(sig)
-            if struct[0] == "l":
+            struct = self.sig_struct[sig]
+            if struct[0] == L:
                 return ("move", ((level, node.prem[0]), (struct[1],) + rest, bstack))
-            if struct[0] == "r":
+            if struct[0] == R:
                 return ("move", ((level, node.prem[1]), (struct[1],) + rest, bstack))
             return None
         if node.kind == "der":
@@ -389,7 +358,7 @@ class MsSystem:
                 return ("move", (inner, rest, bstack + (sig,)))
             return None
         # auxiliary door: the signature pairs the box copy with the inner one
-        struct = sig_struct(sig)
+        struct = self.sig_struct[sig]
         if struct[0] != "p":
             return None
         box_copy, inner_sig = struct[1], struct[2]
@@ -418,7 +387,7 @@ class MsSystem:
             return ("move", ((level, node.concl[cpos]), fstack, bstack))
         if cpos == 0:
             copy = bstack[-1]
-            struct = sig_struct(copy)
+            struct = self.sig_struct[copy]
             if struct[0] == "y":
                 # Retrace into the copy that requested this one, at the
                 # recursion port.
@@ -430,7 +399,7 @@ class MsSystem:
             # Downward at the recursion port: request a new copy of the box.
             sig, rest = fstack[0], fstack[1:]
             c0 = bstack[-1]
-            new_copy = y_sig(c0, sig)
+            new_copy = self.sig("y", c0, sig)
             inner = self.index.inner_edge(box_nkey, 0, 0)
             if rest == (DELTA,):
                 return ("move", (inner, (DELTA,), bstack[:-1] + (new_copy,)))
@@ -443,7 +412,7 @@ class MsSystem:
         copy = bstack[-1]
         return (
             "move",
-            ((level, node.concl[out_pos]), (pair_sig(copy, sig),) + rest, bstack[:-1]),
+            ((level, node.concl[out_pos]), (self.sig("p", copy, sig),) + rest, bstack[:-1]),
         )
 
     # -- transition enumeration -------------------------------------------
@@ -468,14 +437,8 @@ class MsSystem:
                 out.append(Transition("update", (sync_nkey, t)))
         for kind, nkey, t in st.pending:
             out.append(Transition(kind, (nkey, t)))
-        out.sort(key=self._sort_key)
+        out.sort(key=Transition.sort_key)
         return out
-
-    def _sort_key(self, tr: Transition):
-        key = self._sort_keys.get(tr)
-        if key is None:
-            key = self._sort_keys[tr] = tr.sort_key()
-        return key
 
     # -- transition application -------------------------------------------
 
@@ -631,8 +594,8 @@ def _up_stacks(a: Formula, prefix: tuple = ()):
     if a.kind == "bot":
         yield prefix
     elif a.kind in ("tensor", "par"):
-        yield from _up_stacks(a.sub[0], prefix + ("l",))
-        yield from _up_stacks(a.sub[1], prefix + ("r",))
+        yield from _up_stacks(a.sub[0], prefix + (L,))
+        yield from _up_stacks(a.sub[1], prefix + (R,))
     elif a.kind in ("bang", "quest"):
         raise NotImplementedError("initial tokens under modalities")
 

@@ -636,10 +636,10 @@ def reduce_test(net: Net, redex: NetRedex, side: int) -> Net:
 def _cut_sides(net: Net, cut: Node, want_nid: int) -> tuple[int, int]:
     """(edge on node want_nid's side, the other cut premise)."""
     e1, e2 = cut.prem
-    concl_of = net.concl_of()
-    if concl_of[e1][0] == want_nid:
+    concl = net.nodes[want_nid].concl
+    if e1 in concl:
         return e1, e2
-    _require(concl_of[e2][0] == want_nid, "cut is not against the redex node")
+    _require(e2 in concl, "cut is not against the redex node")
     return e2, e1
 
 

@@ -1,15 +1,19 @@
+import itertools
 import os
 import random
 
 import pytest
 
 import tokennets.msiam
+from tokennets import nets
 from tokennets.memory import int_backend, prob_backend, quantum_backend
 from tokennets.msiam import (
     DELTA,
+    L,
     MachineInvariantError,
     MsSystem,
     NetIndex,
+    R,
     STAR,
     Transition,
     indicator,
@@ -54,16 +58,16 @@ def pcf_converge(src, backend, horizon=300):
 def test_indicator_units():
     assert indicator((), ONE) == "one"
     assert indicator((), BOT) == "bot"
-    assert indicator(("l",), tensor(BOT, ONE)) == "bot"
-    assert indicator(("r",), tensor(BOT, ONE)) == "one"
+    assert indicator((L,), tensor(BOT, ONE)) == "bot"
+    assert indicator((R,), tensor(BOT, ONE)) == "one"
 
 
 def test_indicator_modalities():
     a = bang(tensor(BOT, bang(ONE)))
     assert indicator((STAR, DELTA), a) == "bang"
-    assert indicator((STAR, "r", STAR, DELTA), a) == "bang"
-    assert indicator((STAR, "l"), a) == "bot"
-    assert indicator((STAR, "r", STAR), a) == "one"
+    assert indicator((STAR, R, STAR, DELTA), a) == "bang"
+    assert indicator((STAR, L), a) == "bot"
+    assert indicator((STAR, R, STAR), a) == "one"
 
 
 # -- simple runs -----------------------------------------------------------
@@ -320,27 +324,41 @@ def test_token_steps_per_micro_step_do_not_grow(horizon, monkeypatch):
     assert calls["token_step"] <= 4 * calls["micro"]
 
 
-def test_each_transition_is_keyed_once_per_machine(monkeypatch):
+def test_work_does_not_depend_on_process_history(monkeypatch):
+    # Transitions are ordered by the node ids in their positions, which come
+    # from a process-wide counter; the order, and so the micro-steps the
+    # leftmost policy takes, must not change with where the counter stands:
+    # at 0, as in a fresh process, or at 10**6 after another msiam run.
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
     from programs import wide_quantum_source
 
+    wide = wide_quantum_source(8, random.Random(1))
     (coin,) = [(src, bk) for name, bk, src in CORPUS if name == "coin.pcf"]
-    programs = [coin, (wide_quantum_source(8, random.Random(1)), "quantum")]
-    keyed = []
-    sort_key = Transition.sort_key
+    calls = [0]
+    apply, step_det = MsSystem.apply, MsSystem.step_det
 
-    def counted_sort_key(self):
-        keyed.append(self)
-        return sort_key(self)
+    def counted_apply(self, st, tr):
+        calls[0] += 1
+        return apply(self, st, tr)
 
-    monkeypatch.setattr(Transition, "sort_key", counted_sort_key)
-    for src, bk in programs:
+    def counted_step_det(self, st, tr):
+        calls[0] += 1
+        return step_det(self, st, tr)
+
+    def micro_steps(src, bk):
+        calls[0] = 0
         pn, _ = make(src, bk)
-        keyed.clear()
-        p, hit = run(pn, horizon=200)  # one MsSystem per run
+        p, hit = run(pn, horizon=200)
         assert not hit and p == pytest.approx(1.0)
-        assert keyed
-        assert len(set(keyed)) == len(keyed)
+        return calls[0]
+
+    monkeypatch.setattr(MsSystem, "apply", counted_apply)
+    monkeypatch.setattr(MsSystem, "step_det", counted_step_det)
+    monkeypatch.setattr(nets, "_ids", itertools.count())
+    fresh = micro_steps(wide, "quantum")
+    micro_steps(*coin)
+    monkeypatch.setattr(nets, "_ids", itertools.count(10**6))
+    assert micro_steps(wide, "quantum") == fresh
 
 
 # -- invariant checks ------------------------------------------------------

@@ -109,20 +109,95 @@ class Edge:
     typ: Formula
 
 
+class SurfaceIndex:
+    """What `find_redexes` needs of one level, kept up to date by the `Net`
+    methods that change the level, so that a rule costs what it touches.
+
+    `concluder` and `consumer` map each edge to the id of the node that
+    concludes it and of the node that consumes it.  `redex` has an entry for
+    every cut and sync node: its redex or None, valid unless the node is in
+    `dirty`.  A cut's redex depends only on the nodes that conclude its
+    premises (a sync's too), so a change there marks it dirty (`touch`).
+    A node's conclusions are fresh edges when it is added, and a rule that
+    removes the concluder of a premise then renames that premise, which
+    touches it; so `add` and `remove` touch no other node."""
+
+    __slots__ = ("concluder", "consumer", "redex", "dirty")
+
+    def __init__(self, nodes=()):
+        self.concluder: dict[int, int] = {}
+        self.consumer: dict[int, int] = {}
+        self.redex: dict[int, NetRedex | None] = {}
+        self.dirty: set[int] = set()
+        for n in nodes:
+            self.add(n)
+
+    def copy(self) -> "SurfaceIndex":
+        clone = SurfaceIndex()
+        clone.concluder = dict(self.concluder)
+        clone.consumer = dict(self.consumer)
+        clone.redex = dict(self.redex)
+        clone.dirty = set(self.dirty)
+        return clone
+
+    def touch(self, eid: int) -> None:
+        """The node concluding `eid` changed: reclassify its consumer."""
+        nid = self.consumer.get(eid)
+        if nid in self.redex:
+            self.dirty.add(nid)
+
+    def add(self, n: Node) -> None:
+        for e in n.prem:
+            self.consumer[e] = n.nid
+        for e in n.concl:
+            self.concluder[e] = n.nid
+        if n.kind in ("cut", "sync"):
+            self.redex[n.nid] = None
+            self.dirty.add(n.nid)
+
+    def remove(self, n: Node) -> None:
+        for e in n.prem:
+            self.consumer.pop(e, None)
+        for e in n.concl:
+            self.concluder.pop(e, None)
+        self.redex.pop(n.nid, None)
+        self.dirty.discard(n.nid)
+
+    def merge(self, other: "SurfaceIndex") -> None:
+        self.concluder.update(other.concluder)
+        self.consumer.update(other.consumer)
+        self.redex.update(other.redex)
+        self.dirty |= other.dirty
+
+
 class Net:
     """One level of a net; boxes own nested Net contents.
 
     `conclusions` is the ordered interface: edges with no consumer at this
     level.  Node and edge identifiers are globally unique (drawn from one
     shared counter), including across box nesting.
+
+    A level builds its `SurfaceIndex` on first use (`surface`), and from
+    then on its methods keep it up to date: once a level has been
+    enumerated or rewritten, its nodes' `concl`/`prem` and its `nodes`
+    change only through these methods.
     """
+
+    __slots__ = ("nodes", "edges", "conclusions", "_surface")
 
     def __init__(self, nodes=(), edges=(), conclusions=()):
         self.nodes: dict[int, Node] = {n.nid: n for n in nodes}
         self.edges: dict[int, Edge] = {e.eid: e for e in edges}
         self.conclusions: list[int] = list(conclusions)
+        self._surface: SurfaceIndex | None = None
 
     # -- indexing ----------------------------------------------------------
+
+    def surface(self) -> SurfaceIndex:
+        """This level's surface index, built on first use."""
+        if self._surface is None:
+            self._surface = SurfaceIndex(self.nodes.values())
+        return self._surface
 
     def concl_of(self) -> dict[int, tuple[int, int]]:
         """edge id -> (node id, port) of the node concluding it (this level)."""
@@ -155,30 +230,59 @@ class Net:
             concl.append(e.eid)
         node = Node(fresh_id(), kind, concl, list(prem), label, list(contents))
         self.nodes[node.nid] = node
+        if self._surface is not None:
+            self._surface.add(node)
         return node
 
     def replace_edge_ref(self, old: int, new: int) -> None:
-        """Point every reference to edge `old` at edge `new`, dropping `old`."""
-        for n in self.nodes.values():
-            n.concl = [new if e == old else e for e in n.concl]
-            n.prem = [new if e == old else e for e in n.prem]
-        self.conclusions = [new if e == old else e for e in self.conclusions]
+        """Point the references to edge `old`, whose concluder the rule has
+        removed, at edge `new`, dropping `old`.  Only the other endpoint of
+        `old` changes: its consumer or, if it has none, the level's
+        conclusions."""
+        ix = self.surface()
+        _require(old not in ix.concluder, f"edge {old} is still concluded")
+        dst = ix.consumer.pop(old, None)
+        if dst is None:
+            self.conclusions[self.conclusions.index(old)] = new
+        else:
+            _require(new not in ix.consumer, f"edge {new} would be consumed twice")
+            prem = self.nodes[dst].prem
+            prem[prem.index(old)] = new
+            ix.consumer[new] = dst
+        ix.touch(new)
         del self.edges[old]
 
     def remove_node(self, nid: int) -> None:
-        del self.nodes[nid]
+        node = self.nodes.pop(nid)
+        if self._surface is not None:
+            self._surface.remove(node)
+
+    def remove_door(self, box: Node, eid: int) -> None:
+        """Drop auxiliary conclusion `eid` of `box`, whose consumer is gone.
+        The box's closedness and ports change, so the cuts on its other
+        conclusions are reclassified."""
+        box.concl.remove(eid)
+        del self.edges[eid]
+        if self._surface is not None:
+            self._surface.concluder.pop(eid, None)
+            for e in box.concl:
+                self._surface.touch(e)
 
     def splice(self, content: "Net") -> None:
-        """Merge another net's nodes and edges into this level."""
+        """Merge another net's nodes and edges into this level.  An indexed
+        level takes over the content's index (built now if need be)."""
         # Views test the smaller side against the other: O(|content|) here.
         _require(self.nodes.keys().isdisjoint(content.nodes.keys())
                  and self.edges.keys().isdisjoint(content.edges.keys()),
                  "spliced net shares node or edge ids with this level")
         self.nodes.update(content.nodes)
         self.edges.update(content.edges)
+        if self._surface is not None:
+            self._surface.merge(content.surface())
 
     def refresh_copy(self) -> "Net":
-        """Structural copy with brand-new node and edge identifiers."""
+        """Structural copy with brand-new node and edge identifiers, and no
+        surface index at any level."""
         clone = copy.deepcopy(self)
         emap: dict[int, int] = {}
         nmap: dict[int, int] = {}
@@ -203,12 +307,14 @@ class Net:
                     remap(c)
             net.nodes = newnodes
             net.conclusions = [emap[e] for e in net.conclusions]
+            net._surface = None
 
         collect(clone)
         remap(clone)
         return clone
 
     def __deepcopy__(self, memo):
+        """A copy of every level, each with a copy of its surface index."""
         clone = Net.__new__(Net)
         clone.nodes = {
             nid: Node(
@@ -223,6 +329,7 @@ class Net:
         }
         clone.edges = {eid: Edge(e.eid, e.typ) for eid, e in self.edges.items()}
         clone.conclusions = list(self.conclusions)
+        clone._surface = None if self._surface is None else self._surface.copy()
         return clone
 
     # -- traversal and canonical signature ---------------------------------
@@ -261,7 +368,10 @@ class Net:
 
     def signature(self):
         """Canonical nested-tuple form; equal for isomorphic nets."""
-        edge_no, node_no = self.traversal()
+        return self.numbered_signature(*self.traversal())
+
+    def numbered_signature(self, edge_no: dict[int, int], node_no: dict[int, int]):
+        """`signature`, given this level's `traversal` numbering."""
         nodes = sorted(self.nodes.values(), key=lambda n: node_no[n.nid])
         rows = []
         for n in nodes:
@@ -559,26 +669,31 @@ def _box_is_closed(n: Node) -> bool:
 
 
 def find_redexes(net: Net) -> list[NetRedex]:
-    concl_of = net.concl_of()
-    redexes = []
-    for n in net.nodes.values():
-        if n.kind == "cut":
-            e1, e2 = n.prem
-            a_id, _ = concl_of[e1]
-            b_id, _ = concl_of[e2]
-            a, b = net.nodes[a_id], net.nodes[b_id]
-            if a_id == b_id and a.kind == "ax":
-                continue  # degenerate ax-loop: incorrect net, not a redex
-            r = _classify_cut(net, n, e1, a, e2, b) or _classify_cut(net, n, e2, b, e1, a)
-            if r:
-                redexes.append(r)
-        elif n.kind == "sync":
-            if all(net.nodes[concl_of[e][0]].kind == "one" for e in n.prem):
-                redexes.append(NetRedex("sync", (n.nid,)))
-    return sorted(redexes, key=NetRedex.sort_key)
+    """The surface redexes of `net`, in `NetRedex.sort_key` order.  Only the
+    cut and sync nodes that the rules since the last call marked dirty are
+    classified again."""
+    ix = net.surface()
+    nodes, concluder = net.nodes, ix.concluder
+    for nid in ix.dirty:
+        ix.redex[nid] = _classify(nodes, concluder, nodes[nid])
+    ix.dirty.clear()
+    return sorted((r for r in ix.redex.values() if r is not None), key=NetRedex.sort_key)
 
 
-def _classify_cut(net: Net, cut: Node, ea: int, a: Node, eb: int, b: Node) -> NetRedex | None:
+def _classify(nodes: dict[int, Node], concluder: dict[int, int], n: Node) -> NetRedex | None:
+    """The redex of cut or sync node `n`, if it is one."""
+    if n.kind == "sync":
+        if all(nodes[concluder[e]].kind == "one" for e in n.prem):
+            return NetRedex("sync", (n.nid,))
+        return None
+    e1, e2 = n.prem
+    a, b = nodes[concluder[e1]], nodes[concluder[e2]]
+    if a is b and a.kind == "ax":
+        return None  # degenerate ax-loop: incorrect net, not a redex
+    return _classify_cut(n, e1, a, e2, b) or _classify_cut(n, e2, b, e1, a)
+
+
+def _classify_cut(cut: Node, ea: int, a: Node, eb: int, b: Node) -> NetRedex | None:
     """Classify with `a` as the active (positive/principal) side."""
     if a.kind == "ax":
         return NetRedex("ax", (cut.nid, a.nid))
@@ -662,10 +777,8 @@ def _reduce_tensor_par(net: Net, cut_id: int, t_id: int, p_id: int) -> None:
     net.remove_node(cut_id)
     net.remove_node(t_id)
     net.remove_node(p_id)
-    n1 = Node(fresh_id(), "cut", [], [a1, b1])
-    n2 = Node(fresh_id(), "cut", [], [a2, b2])
-    net.nodes[n1.nid] = n1
-    net.nodes[n2.nid] = n2
+    net.add_node("cut", [], [a1, b1])
+    net.add_node("cut", [], [a2, b2])
 
 
 def _open_box(net: Net, cut_id: int, box_id: int, der_id: int) -> tuple[int, Net]:
@@ -685,8 +798,7 @@ def _open_box(net: Net, cut_id: int, box_id: int, der_id: int) -> tuple[int, Net
     net.edges.pop(e_der)
     net.splice(content)
     c0 = content.conclusions[0]
-    n = Node(fresh_id(), "cut", [], [c0, ed])
-    net.nodes[n.nid] = n
+    net.add_node("cut", [], [c0, ed])
     return c0, content
 
 
@@ -703,8 +815,7 @@ def _reduce_y_unfold(net: Net, cut_id: int, box_id: int, der_id: int) -> None:
     _, content = _open_box(net, cut_id, box_id, der_id)
     rec_port = content.conclusions[1]
     net.splice(clone)
-    n = Node(fresh_id(), "cut", [], [clone.conclusions[0], rec_port])
-    net.nodes[n.nid] = n
+    net.add_node("cut", [], [clone.conclusions[0], rec_port])
 
 
 def _reduce_w_box(net: Net, cut_id: int, box_id: int, weak_id: int) -> None:
@@ -730,8 +841,7 @@ def _reduce_c_box(net: Net, cut_id: int, box_id: int, contr_id: int) -> None:
     for q in (q1, q2):
         clone = src.refresh_copy()
         net.splice(clone)
-        n = Node(fresh_id(), "cut", [], [clone.conclusions[0], q])
-        net.nodes[n.nid] = n
+        net.add_node("cut", [], [clone.conclusions[0], q])
     net.remove_node(box_id)
     net.edges.pop(e_box)
 
@@ -746,8 +856,7 @@ def _reduce_absorb(net: Net, cut_id: int, box_id: int, target_id: int) -> None:
     net.remove_node(cut_id)
     net.remove_node(box_id)
     net.edges.pop(e_box)
-    target.concl.remove(e_aux)
-    net.edges.pop(e_aux)
+    net.remove_door(target, e_aux)
     if target.kind == "botbox":
         contents = target.contents
         ports = [aux_port] * 2
@@ -758,7 +867,7 @@ def _reduce_absorb(net: Net, cut_id: int, box_id: int, target_id: int) -> None:
         ports = [aux_port + (1 if target.kind == "ybox" else 0)]
     for content, port in zip(contents, ports):
         caux = content.conclusions[port]
-        holder = content.concl_of()[caux][0]
+        holder = content.surface().concluder[caux]
         if content.nodes[holder].kind == "weak":
             # A closed box against a bare weakening erases; splicing it in
             # would leave a floating component, so erase it right away.
@@ -768,8 +877,7 @@ def _reduce_absorb(net: Net, cut_id: int, box_id: int, target_id: int) -> None:
             continue
         clone = src.refresh_copy()
         content.splice(clone)
-        n = Node(fresh_id(), "cut", [], [clone.conclusions[0], caux])
-        content.nodes[n.nid] = n
+        content.add_node("cut", [], [clone.conclusions[0], caux])
         content.conclusions.remove(caux)
 
 
@@ -786,7 +894,7 @@ def _reduce_bot_branch(net: Net, cut_id: int, box_id: int, one_id: int, side: in
     net.edges.pop(e_one)
     # Remove the content's bot root along with its conclusion edge.
     root_edge = content.conclusions[0]
-    root_id = content.concl_of()[root_edge][0]
+    root_id = content.surface().concluder[root_edge]
     content.remove_node(root_id)
     content.edges.pop(root_edge)
     residual = content.conclusions[1:]

@@ -51,11 +51,12 @@ class ProgramNet:
         numbered by the top level's traversal, and addresses canonically
         with the inputs' addresses first, in that order."""
         if self._key is None:
-            edge_no, _ = self.net.traversal()
+            edge_no, node_no = self.net.traversal()
             order = sorted(self.ind, key=edge_no.__getitem__)
             sigma = canonical_addresses([self.ind[e] for e in order], self.memory)
             ind_c = tuple((edge_no[e], sigma[self.ind[e]]) for e in order)
-            self._key = (self.net.signature(), ind_c, self.memory.rename(sigma))
+            self._key = (self.net.numbered_signature(edge_no, node_no), ind_c,
+                         self.memory.rename(sigma))
         return self._key
 
     def __eq__(self, other) -> bool:
@@ -72,12 +73,14 @@ class ProgramNet:
 
 def enumerate_redexes(pn: ProgramNet) -> list[PnRedex]:
     """Links of the top-level one nodes without an address, and the net
-    redexes; a test or sync redex waits until its one nodes are linked."""
+    redexes; a test or sync redex waits until its one nodes are linked.
+    Links by node id, then net redexes in `find_redexes` order: the
+    `PnRedex.sort_key` order."""
     net = pn.net
     out = [
-        PnRedex("link", node=n.nid)
-        for n in net.nodes.values()
-        if n.kind == "one" and n.concl[0] not in pn.ind
+        PnRedex("link", node=nid)
+        for nid in sorted(n.nid for n in net.nodes.values()
+                          if n.kind == "one" and n.concl[0] not in pn.ind)
     ]
     for r in find_redexes(net):
         if r.kind == "test":
@@ -88,7 +91,7 @@ def enumerate_redexes(pn: ProgramNet) -> list[PnRedex]:
             ready = True
         if ready:
             out.append(PnRedex("net", net_redex=r))
-    return sorted(out, key=PnRedex.sort_key)
+    return out
 
 
 def own(pn: ProgramNet) -> ProgramNet:

@@ -14,8 +14,7 @@ body's ?-conclusion for the recursive name.
 from __future__ import annotations
 
 from .memory import Backend
-from .nets import (BOT, Formula, InvalidNetError, Net, Node, ONE, bang, fresh_id, neg, par,
-                   quest, tensor, validate)
+from .nets import BOT, Formula, InvalidNetError, Net, ONE, bang, neg, par, quest, tensor, validate
 from .pcfll import (
     App,
     Const,
@@ -53,8 +52,7 @@ def _qtype(d: Ty) -> Formula:
 
 
 def _cut(net: Net, e1: int, e2: int) -> None:
-    cut = Node(fresh_id(), "cut", [], [e1, e2])
-    net.nodes[cut.nid] = cut
+    net.add_node("cut", [], [e1, e2])
 
 
 def _merge_bang(a: dict, b: dict) -> dict:

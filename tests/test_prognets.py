@@ -379,14 +379,14 @@ def test_branch_reducts_are_hashed_once_and_never_copied_again(monkeypatch):
     start = fused.prepare(pn)
     counts = {"signature": 0, "test": 0, "own": 0}
     depth = [0]
-    signature, apply, own = Net.signature, PnSystem.apply, PnSystem.own
+    signature, apply, own = Net.numbered_signature, PnSystem.apply, PnSystem.own
 
-    def top_signature(self):
+    def top_signature(self, edge_no, node_no):
         # Box contents are signed inside their box's signature: not counted.
         counts["signature"] += depth[0] == 0
         depth[0] += 1
         try:
-            return signature(self)
+            return signature(self, edge_no, node_no)
         finally:
             depth[0] -= 1
 
@@ -396,7 +396,7 @@ def test_branch_reducts_are_hashed_once_and_never_copied_again(monkeypatch):
             return f(*args)
         return call
 
-    monkeypatch.setattr(Net, "signature", top_signature)
+    monkeypatch.setattr(Net, "numbered_signature", top_signature)
     # The fused system applies the underlying system only at test redexes.
     monkeypatch.setattr(PnSystem, "apply", counted("test", apply))
     monkeypatch.setattr(PnSystem, "own", counted("own", own))

@@ -1,0 +1,138 @@
+"""The surface index that `Net`'s methods keep up to date must always equal
+one built from scratch: the same edge endpoints and the same redexes."""
+
+import copy
+import os
+import random
+import re
+from collections import Counter
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from tokennets import prognets
+from tokennets.cli import build_backend, make_engine
+from tokennets.nets import Net, find_redexes, reduce, reduce_test
+from tokennets.pars import Distribution, converge, leftmost_policy
+from tokennets.pcfll import parse, typecheck
+from tokennets.prognets import PnRedex, enumerate_redexes
+from tokennets.translate import translate
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+CORPUS = sorted(CORPUS_DIR.glob("*.pcf"))
+
+
+def rebuilt_redexes(level: Net) -> list:
+    """`find_redexes` of a fresh, unindexed view of the level: every cut and
+    sync node classified from scratch."""
+    return find_redexes(Net(level.nodes.values(), level.edges.values(), level.conclusions))
+
+
+def check_fresh(net: Net) -> None:
+    """Every level of `net` that has an index agrees with a rebuild."""
+    assert net._surface is not None
+    levels = [net]
+    while levels:
+        level = levels.pop()
+        ix = level._surface
+        if ix is not None:
+            assert ix.concluder == {e: nid for e, (nid, _) in level.concl_of().items()}
+            assert ix.consumer == {e: nid for e, (nid, _) in level.prem_of().items()}
+            assert set(ix.redex) == {nid for nid, n in level.nodes.items()
+                                     if n.kind in ("cut", "sync")}
+            assert ix.dirty <= set(ix.redex)
+            assert find_redexes(level) == rebuilt_redexes(level)
+        levels.extend(c for n in level.nodes.values() for c in n.contents)
+
+
+def program(src: str, backend_name: str):
+    backend = build_backend(backend_name, None)
+    term = parse(src, backend.labels)
+    return term, backend, translate(typecheck(term), backend)
+
+
+def programs():
+    """(name, source, backend, horizon): the corpus, a program that erases
+    a box, and the benchmark's wide and deep shapes at small sizes."""
+    for path in CORPUS:
+        src = path.read_text()
+        backend = re.search(r"^-- backend: *(\w+)", src, re.M).group(1)
+        yield path.name, src, backend, 3 if path.name == "omega.pcf" else 200
+    yield "erase", "(\\f. new) (\\x. x)", "int", 200
+    from programs import deep_source, wide_quantum_source
+
+    yield "wide", wide_quantum_source(4, random.Random(1)), "quantum", 200
+    yield "deep", deep_source(30), "int", 200
+
+
+def test_maintained_index_equals_a_rebuild_after_every_rule(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    fired = Counter()
+
+    def checked(rule):
+        def run(net, redex, *side):
+            out = rule(net, redex, *side)
+            fired[redex.kind] += 1
+            check_fresh(out)
+            return out
+        return run
+
+    def checked_copy(net):
+        # Branch copies and the closure's own copy start indexed, and each
+        # index is the copy's own.
+        clone = copy.deepcopy(net)
+        assert clone._surface is not None and clone._surface is not net._surface
+        check_fresh(clone)
+        return clone
+
+    def checked_enumeration(pn):
+        redexes = enumerate_redexes(pn)
+        assert redexes == sorted(redexes, key=PnRedex.sort_key)
+        fired["mixed"] += len({r.kind for r in redexes}) == 2
+        return redexes
+
+    monkeypatch.setattr(prognets, "reduce", checked(reduce))
+    monkeypatch.setattr(prognets, "reduce_test", checked(reduce_test))
+    monkeypatch.setattr(prognets, "copy", SimpleNamespace(deepcopy=checked_copy))
+    monkeypatch.setattr(prognets, "enumerate_redexes", checked_enumeration)
+    for name, src, backend_name, horizon in programs():
+        term, backend, pn = program(src, backend_name)
+        fused, start, _ = make_engine("net", term, backend, pn)
+        p, _ = converge(Distribution.dirac(start), fused, leftmost_policy, horizon)
+        assert p == pytest.approx(0.0 if name == "omega.pcf" else 1.0), name
+    # Every rule ran, branch copies (test) included, and some enumerations
+    # put links before net redexes.
+    assert set(fired) == {"ax", "tensor_par", "d_box", "w_box", "c_box", "y_unfold",
+                          "absorb", "sync", "test", "mixed"}
+
+
+def test_rewriting_a_copy_leaves_the_original_alone():
+    src = (CORPUS_DIR / "letrec_count.pcf").read_text()
+    _, _, pn = program(src, "int")
+    before = find_redexes(pn.net)
+    clone = copy.deepcopy(pn.net)
+    fired = 0
+    while redexes := [r for r in find_redexes(clone) if r.kind != "test"]:
+        reduce(clone, redexes[0])
+        fired += 1
+    (test,) = find_redexes(clone)
+    reduce_test(clone, test, 1)
+    assert fired
+    assert find_redexes(pn.net) == before
+    check_fresh(pn.net)
+
+
+def test_canonical_key_traverses_the_top_level_once(monkeypatch):
+    _, _, pn = program((CORPUS_DIR / "letrec_count.pcf").read_text(), "int")
+    top = Counter()
+    traversal = Net.traversal
+
+    def counted(self):
+        top[self is pn.net] += 1
+        return traversal(self)
+
+    monkeypatch.setattr(Net, "traversal", counted)
+    key = pn.canonical_key()
+    assert top[True] == 1 and top[False] > 0
+    assert key[0] == pn.net.signature()

@@ -18,7 +18,6 @@ into that box's content(s), which is what lets nested boxes unblock.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
@@ -29,10 +28,23 @@ from .memory import OperationLabel
 # Formulas
 
 
-@dataclass(frozen=True)
 class Formula:
-    kind: str  # one | bot | tensor | par | bang | quest
-    sub: tuple["Formula", ...] = ()
+    """An immutable formula.  Its hash is computed once, when it is built,
+    from the cached hashes of its subformulas."""
+
+    __slots__ = ("kind", "sub", "_hash")
+
+    def __init__(self, kind: str, sub: tuple["Formula", ...] = ()):
+        self.kind = kind  # one | bot | tensor | par | bang | quest
+        self.sub = sub
+        self._hash = hash((kind, *[s._hash for s in sub]))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (isinstance(other, Formula) and self._hash == other._hash
+                                 and self.kind == other.kind and self.sub == other.sub)
 
     def __repr__(self) -> str:
         if self.kind == "one":
@@ -170,26 +182,54 @@ class SurfaceIndex:
         self.dirty |= other.dirty
 
 
+class Signature:
+    """The canonical form of a box content, hashed once.  A content's
+    signature holds those of its own contents as `Signature`s, so hashing
+    it does not walk the levels below."""
+
+    __slots__ = ("value", "_hash")
+
+    def __init__(self, value):
+        self.value = value
+        self._hash = hash(value)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (isinstance(other, Signature) and self._hash == other._hash
+                                 and self.value == other.value)
+
+
 class Net:
     """One level of a net; boxes own nested Net contents.
 
     `conclusions` is the ordered interface: edges with no consumer at this
-    level.  Node and edge identifiers are globally unique (drawn from one
-    shared counter), including across box nesting.
+    level.  Node and edge identifiers are unique within a level; one
+    content may sit in several boxes, so they are not unique across
+    levels.
+
+    A box's content is an immutable value that copies of the box share:
+    no rule changes a `Net` in place once it is a box's content.  A rule
+    that opens a box splices a `renamed` copy of the content, and one that
+    changes a content first gives the box private copies (`own_contents`).
+    So copying a level (`copy.deepcopy`) copies that level only, and a
+    content keeps its signature once computed (`content_signature`).
 
     A level builds its `SurfaceIndex` on first use (`surface`), and from
     then on its methods keep it up to date: once a level has been
-    enumerated or rewritten, its nodes' `concl`/`prem` and its `nodes`
-    change only through these methods.
+    enumerated or rewritten, its nodes' `concl`/`prem`/`contents` and its
+    `nodes` change only through these methods.
     """
 
-    __slots__ = ("nodes", "edges", "conclusions", "_surface")
+    __slots__ = ("nodes", "edges", "conclusions", "_surface", "_sig")
 
     def __init__(self, nodes=(), edges=(), conclusions=()):
         self.nodes: dict[int, Node] = {n.nid: n for n in nodes}
         self.edges: dict[int, Edge] = {e.eid: e for e in edges}
         self.conclusions: list[int] = list(conclusions)
         self._surface: SurfaceIndex | None = None
+        self._sig: Signature | None = None
 
     # -- indexing ----------------------------------------------------------
 
@@ -280,56 +320,41 @@ class Net:
         if self._surface is not None:
             self._surface.merge(content.surface())
 
-    def refresh_copy(self) -> "Net":
-        """Structural copy with brand-new node and edge identifiers, and no
-        surface index at any level."""
-        clone = copy.deepcopy(self)
-        emap: dict[int, int] = {}
-        nmap: dict[int, int] = {}
-
-        def collect(net: Net):
-            for e in net.edges:
-                emap[e] = fresh_id()
-            for n in net.nodes.values():
-                nmap[n.nid] = fresh_id()
-                for c in n.contents:
-                    collect(c)
-
-        def remap(net: Net):
-            net.edges = {emap[e.eid]: Edge(emap[e.eid], e.typ) for e in net.edges.values()}
-            newnodes = {}
-            for n in net.nodes.values():
-                n.nid = nmap[n.nid]
-                n.concl = [emap[e] for e in n.concl]
-                n.prem = [emap[e] for e in n.prem]
-                newnodes[n.nid] = n
-                for c in n.contents:
-                    remap(c)
-            net.nodes = newnodes
-            net.conclusions = [emap[e] for e in net.conclusions]
-            net._surface = None
-
-        collect(clone)
-        remap(clone)
+    def renamed(self) -> "Net":
+        """A copy of this level with fresh node and edge identifiers and no
+        surface index.  It shares the box contents, so it costs the size of
+        this level only."""
+        emap = {e: fresh_id() for e in self.edges}
+        clone = Net.__new__(Net)
+        clone.edges = {emap[e]: Edge(emap[e], edge.typ) for e, edge in self.edges.items()}
+        clone.nodes = {}
+        for n in self.nodes.values():
+            nid = fresh_id()
+            clone.nodes[nid] = Node(nid, n.kind, [emap[e] for e in n.concl],
+                                    [emap[e] for e in n.prem], n.label, list(n.contents))
+        clone.conclusions = [emap[e] for e in self.conclusions]
+        clone._surface = None
+        clone._sig = None
         return clone
 
+    def own_contents(self, box: Node) -> list["Net"]:
+        """Give `box`, a node of this level, private `renamed` copies of its
+        contents and return them, for the calling rule to change."""
+        box.contents = [c.renamed() for c in box.contents]
+        return box.contents
+
     def __deepcopy__(self, memo):
-        """A copy of every level, each with a copy of its surface index."""
+        """A copy of this level, with a copy of its surface index.  Box
+        contents never change, so the copy shares them."""
         clone = Net.__new__(Net)
         clone.nodes = {
-            nid: Node(
-                n.nid,
-                n.kind,
-                list(n.concl),
-                list(n.prem),
-                n.label,
-                [copy.deepcopy(c, memo) for c in n.contents],
-            )
+            nid: Node(nid, n.kind, list(n.concl), list(n.prem), n.label, list(n.contents))
             for nid, n in self.nodes.items()
         }
-        clone.edges = {eid: Edge(e.eid, e.typ) for eid, e in self.edges.items()}
+        clone.edges = dict(self.edges)
         clone.conclusions = list(self.conclusions)
         clone._surface = None if self._surface is None else self._surface.copy()
+        clone._sig = None
         return clone
 
     # -- traversal and canonical signature ---------------------------------
@@ -339,11 +364,16 @@ class Net:
 
         Starts from the conclusion edges in interface order and walks the
         undirected graph, visiting each node's conclusion edges before its
-        premises.  Returns (edge numbering, node numbering); raises
-        `InvalidNetError` unless everything at this level was reached.
+        premises.  Returns (edge numbering, node numbering), each in
+        numbering order; raises `InvalidNetError` unless everything at
+        this level was reached.  Reads the edges' endpoints from the
+        surface index if the level has one.
         """
-        concl_of = self.concl_of()
-        prem_of = self.prem_of()
+        if self._surface is not None:
+            concluder, consumer = self._surface.concluder, self._surface.consumer
+        else:
+            concluder = {e: n.nid for n in self.nodes.values() for e in n.concl}
+            consumer = {e: n.nid for n in self.nodes.values() for e in n.prem}
         edge_no: dict[int, int] = {}
         node_no: dict[int, int] = {}
         queue: deque[int] = deque(self.conclusions)
@@ -352,11 +382,8 @@ class Net:
             if eid in edge_no:
                 continue
             edge_no[eid] = len(edge_no)
-            for endpoint in (concl_of.get(eid), prem_of.get(eid)):
-                if endpoint is None:
-                    continue
-                nid = endpoint[0]
-                if nid in node_no:
+            for nid in (concluder.get(eid), consumer.get(eid)):
+                if nid is None or nid in node_no:
                     continue
                 node_no[nid] = len(node_no)
                 node = self.nodes[nid]
@@ -367,27 +394,43 @@ class Net:
         return edge_no, node_no
 
     def signature(self):
-        """Canonical nested-tuple form; equal for isomorphic nets."""
+        """Canonical nested-tuple form; equal for isomorphic nets.  Box
+        contents appear as their `content_signature`."""
         return self.numbered_signature(*self.traversal())
 
     def numbered_signature(self, edge_no: dict[int, int], node_no: dict[int, int]):
         """`signature`, given this level's `traversal` numbering."""
-        nodes = sorted(self.nodes.values(), key=lambda n: node_no[n.nid])
+        nodes = self.nodes
         rows = []
-        for n in nodes:
-            rows.append(
-                (
-                    n.kind,
-                    n.label,
-                    tuple(edge_no[e] for e in n.concl),
-                    tuple(edge_no[e] for e in n.prem),
-                    tuple(c.signature() for c in n.contents),
-                )
-            )
-        types = tuple(
-            self.edges[e].typ for e in sorted(self.edges, key=lambda e: edge_no[e])
-        )
-        return (tuple(rows), types, tuple(edge_no[e] for e in self.conclusions))
+        for nid in node_no:
+            n = nodes[nid]
+            rows.append((
+                n.kind,
+                n.label,
+                tuple([edge_no[e] for e in n.concl]),
+                tuple([edge_no[e] for e in n.prem]),
+                tuple([c.content_signature() for c in n.contents]) if n.contents else (),
+            ))
+        types = tuple([self.edges[e].typ for e in edge_no])
+        return (tuple(rows), types, tuple([edge_no[e] for e in self.conclusions]))
+
+    def content_signature(self) -> Signature:
+        """This level's signature as a box content, computed on first use
+        and kept, since a content never changes.  Unsigned contents below
+        it are signed first, bottom-up with an explicit stack, so nesting
+        depth is not bounded by Python's recursion limit."""
+        stack, opened = [self], set()
+        while stack:
+            net = stack[-1]
+            if net._sig is not None:
+                stack.pop()
+            elif id(net) in opened:  # back on top: everything below is signed
+                stack.pop()
+                net._sig = Signature(net.signature())
+            else:
+                opened.add(id(net))
+                stack.extend(c for n in net.nodes.values() for c in n.contents if c._sig is None)
+        return self._sig
 
     # -- debug dump --------------------------------------------------------
 
@@ -783,13 +826,13 @@ def _reduce_tensor_par(net: Net, cut_id: int, t_id: int, p_id: int) -> None:
 
 def _open_box(net: Net, cut_id: int, box_id: int, der_id: int) -> tuple[int, Net]:
     """Shared prologue of dereliction/unfolding: delete the cut, the box
-    border and the dereliction node, splice the content, and cut the
-    content's principal conclusion against the dereliction premise.
-    Returns (content principal conclusion edge, content)."""
+    border and the dereliction node, splice a renamed copy of the content,
+    and cut its principal conclusion against the dereliction premise.
+    Returns (content principal conclusion edge, spliced copy)."""
     cut, box, der = net.nodes[cut_id], net.nodes[box_id], net.nodes[der_id]
     e_box, e_der = _cut_sides(net, cut, box_id)
     _require(der.concl[0] == e_der, "cut is not against the dereliction")
-    (content,) = box.contents
+    content = box.contents[0].renamed()
     ed = der.prem[0]
     net.remove_node(cut_id)
     net.remove_node(box_id)
@@ -807,11 +850,10 @@ def _reduce_d_box(net: Net, cut_id: int, box_id: int, der_id: int) -> None:
 
 
 def _reduce_y_unfold(net: Net, cut_id: int, box_id: int, der_id: int) -> None:
-    # A fresh copy of the whole fixpoint box is cut against the recursion
-    # port of the unfolded content.
+    # A fresh copy of the fixpoint box, sharing its content, is cut against
+    # the recursion port of the unfolded content.
     box = net.nodes[box_id]
-    src = Net([box], [net.edges[box.concl[0]]], [box.concl[0]])
-    clone = src.refresh_copy()
+    clone = Net([box], [net.edges[box.concl[0]]], [box.concl[0]]).renamed()
     _, content = _open_box(net, cut_id, box_id, der_id)
     rec_port = content.conclusions[1]
     net.splice(clone)
@@ -839,7 +881,7 @@ def _reduce_c_box(net: Net, cut_id: int, box_id: int, contr_id: int) -> None:
     net.remove_node(contr_id)
     net.edges.pop(e_contr)
     for q in (q1, q2):
-        clone = src.refresh_copy()
+        clone = src.renamed()  # O(1): the copies share the box's content
         net.splice(clone)
         net.add_node("cut", [], [clone.conclusions[0], q])
     net.remove_node(box_id)
@@ -857,11 +899,12 @@ def _reduce_absorb(net: Net, cut_id: int, box_id: int, target_id: int) -> None:
     net.remove_node(box_id)
     net.edges.pop(e_box)
     net.remove_door(target, e_aux)
+    # The target's contents may be shared with other copies of it: the
+    # rule changes private copies.
+    contents = net.own_contents(target)
     if target.kind == "botbox":
-        contents = target.contents
         ports = [aux_port] * 2
     else:
-        contents = [target.contents[0]]
         # Exponential content conclusions are [principal, aux...]; fixpoint
         # ones are [principal, recursion port, aux...].
         ports = [aux_port + (1 if target.kind == "ybox" else 0)]
@@ -875,7 +918,7 @@ def _reduce_absorb(net: Net, cut_id: int, box_id: int, target_id: int) -> None:
             content.edges.pop(caux)
             content.conclusions.remove(caux)
             continue
-        clone = src.refresh_copy()
+        clone = src.renamed()
         content.splice(clone)
         content.add_node("cut", [], [clone.conclusions[0], caux])
         content.conclusions.remove(caux)
@@ -885,7 +928,7 @@ def _reduce_bot_branch(net: Net, cut_id: int, box_id: int, one_id: int, side: in
     cut, box, one = net.nodes[cut_id], net.nodes[box_id], net.nodes[one_id]
     e_bot, e_one = _cut_sides(net, cut, box_id)
     _require(one.concl[0] == e_one, "cut is not against the one")
-    content = box.contents[side]
+    content = box.contents[side].renamed()
     aux_edges = box.concl[1:]
     net.remove_node(cut_id)
     net.remove_node(box_id)

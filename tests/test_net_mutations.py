@@ -1,15 +1,16 @@
 """Once a level of a net has a surface index, only `Net`'s own methods keep it
 up to date, so nothing else in the package may change which node concludes
 or consumes an edge: no store into `.nodes[...]`, and no assignment to or
-in-place change of a node's `.concl`/`.prem`.  `translate.py` builds nets
-that are not indexed yet, so it may set the premises of the nodes it has
-just made."""
+in-place change of a node's `.concl`/`.prem`.  Box contents are shared
+between copies of a net, so only `Net`'s methods may replace a box's
+`.contents` either.  `translate.py` builds nets that are not indexed yet,
+so it may set the fields of the nodes it has just made."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tokennets"
-FIELDS = {"nodes", "concl", "prem"}
+FIELDS = {"nodes", "concl", "prem", "contents"}
 IN_PLACE = {"append", "extend", "insert", "remove", "pop", "clear", "update", "setdefault",
             "popitem", "sort", "reverse", "__setitem__", "__delitem__"}
 
@@ -19,8 +20,9 @@ def is_field(node: ast.AST) -> bool:
 
 
 def changes(tree: ast.AST):
-    """(line, kind, owning class) of each change to a `nodes`, `concl` or
-    `prem` field; kind is "assign" for `x.concl = ...`/`x.prem = ...`."""
+    """(line, kind, owning class) of each change to a `nodes`, `concl`,
+    `prem` or `contents` field; kind is "assign" for `x.concl = ...` and the
+    like."""
     found = []
 
     def visit(node: ast.AST, owner: str | None) -> None:
@@ -66,8 +68,12 @@ def rule(net, node, e):
     node.prem[0] = e
     node.prem = [e]
     node.concl, x = [e], 1
+    node.contents[0] = net
+    node.contents = [net]
+    node.contents.append(net)
     net.edges[e] = None
     net.conclusions.remove(e)
 """
     kinds = [kind for _, kind, _ in changes(ast.parse(source))]
-    assert kinds == ["store", "store", "call", "call", "store", "assign", "assign"]
+    assert kinds == ["store", "store", "call", "call", "store", "assign", "assign",
+                     "store", "assign", "call"]

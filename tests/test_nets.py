@@ -247,6 +247,10 @@ def test_c_box_reduction():
     assert r.kind == "c_box"
     out = reduce(net, r)
     validate(out)
+    # The two copies of the box share its content: duplicating it renames
+    # the box node and its principal edge only.
+    boxes = [n for n in out.nodes.values() if n.kind == "bangbox"]
+    assert len(boxes) == 2 and all(b.contents[0] is content for b in boxes)
     redexes = find_redexes(out)
     assert [x.kind for x in redexes] == ["w_box", "w_box"]
     out = reduce(out, redexes[0])
@@ -279,8 +283,14 @@ def test_y_unfold_reduction():
     assert check_correct(net) is None
     (r,) = find_redexes(net)
     assert r.kind == "y_unfold"
+    (content,) = next(n for n in net.nodes.values() if n.kind == "ybox").contents
     out = reduce(net, r)
     validate(out)
+    # The unfolded content is a renamed copy; the fresh fixpoint box shares
+    # the original content.
+    (box,) = [n for n in out.nodes.values() if n.kind == "ybox"]
+    assert box.contents[0] is content
+    assert not content.nodes.keys() & out.nodes.keys()
     kinds = sorted(x.kind for x in find_redexes(out))
     assert kinds == ["ax", "w_box"]
     while find_redexes(out):
@@ -393,7 +403,9 @@ def test_signature_isomorphism_invariance():
     net1 = ax_cut_one_net()
     net2 = ax_cut_one_net()
     assert net1.signature() == net2.signature()
-    assert net1.signature() == net1.refresh_copy().signature()
+    assert net1.signature() == net1.renamed().signature()
+    box = bang_box_net()
+    assert box.signature() == box.renamed().signature()
     assert net1.signature() != bang_box_net().signature()
 
 
@@ -495,8 +507,14 @@ def nest_in_boxes(content, depth):
 
 
 def test_boxes_nested_1500_deep_are_checked_without_recursion():
-    net, _ = nest_in_boxes(single_one_net(), 1500)
+    net, boxes = nest_in_boxes(single_one_net(), 1500)
     assert check_correct(net) is None
+    # Copying shares the contents, and signing fills the contents' cached
+    # signatures bottom-up: neither recurses into the nest.
+    clone = copy.deepcopy(net)
+    assert clone.nodes[boxes[0]].contents[0] is net.nodes[boxes[0]].contents[0]
+    assert clone.signature() == net.signature()
+    assert net.renamed().signature() == net.signature()
     inner = single_one_net()  # beside an ax whose conclusions are cut together
     ax = inner.add_node("ax", [BOT, ONE])
     cut = Node(fresh_id(), "cut", [], list(ax.concl))

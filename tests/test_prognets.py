@@ -66,7 +66,7 @@ def test_canonical_equality_across_addresses_and_isomorphism():
     net = single_one_net()
     e = net.conclusions[0]
     pn_a = ProgramNet(net, {e: 5}, IntRegisterMemory({5: 3}))
-    net2 = net.refresh_copy()
+    net2 = net.renamed()
     pn_b = ProgramNet(net2, {net2.conclusions[0]: 0}, IntRegisterMemory({0: 3}))
     assert pn_a == pn_b
     assert hash(pn_a) == hash(pn_b)
@@ -284,30 +284,17 @@ def test_machine_closure_owns_its_copy(path, policy):
 
 
 def count_whole_net_copies(monkeypatch, counts):
-    """Count in `counts["copy"]` each whole-net `Net.__deepcopy__`: only a
-    copy made outside refresh_copy and outside another copy counts, as
-    refresh_copy belongs to the y_unfold rule, and nested calls copy box
-    contents as part of one net."""
-    depth = [0]
-    deepcopy, refresh_copy = Net.__deepcopy__, Net.refresh_copy
+    """Count in `counts["copy"]` each whole-net copy: each
+    `Net.__deepcopy__`, which copies the top level and shares the box
+    contents.  The level copies a rule makes go through `Net.renamed`
+    instead, so they are not counted."""
+    deepcopy = Net.__deepcopy__
 
-    def outer_deepcopy(self, memo):
-        counts["copy"] += depth[0] == 0
-        depth[0] += 1
-        try:
-            return deepcopy(self, memo)
-        finally:
-            depth[0] -= 1
+    def counted(self, memo):
+        counts["copy"] += 1
+        return deepcopy(self, memo)
 
-    def inner_refresh_copy(self):
-        depth[0] += 1
-        try:
-            return refresh_copy(self)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(Net, "__deepcopy__", outer_deepcopy)
-    monkeypatch.setattr(Net, "refresh_copy", inner_refresh_copy)
+    monkeypatch.setattr(Net, "__deepcopy__", counted)
 
 
 def test_one_closure_copies_once_and_hashes_nothing(monkeypatch):

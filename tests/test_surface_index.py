@@ -14,7 +14,7 @@ import pytest
 from tokennets import prognets
 from tokennets.cli import build_backend, make_engine
 from tokennets.nets import Net, find_redexes, reduce, reduce_test
-from tokennets.pars import Distribution, converge, leftmost_policy
+from tokennets.pars import TOL, Distribution, converge, leftmost_policy, lifted_steps
 from tokennets.pcfll import parse, typecheck
 from tokennets.prognets import PnRedex, enumerate_redexes
 from tokennets.translate import translate
@@ -107,20 +107,79 @@ def test_maintained_index_equals_a_rebuild_after_every_rule(monkeypatch):
                           "absorb", "sync", "test", "mixed"}
 
 
+def contents_below(net: Net) -> list[Net]:
+    """Every box content reachable from `net`, each object once."""
+    seen, work = {}, [c for n in net.nodes.values() for c in n.contents]
+    while work:
+        c = work.pop()
+        if id(c) not in seen:
+            seen[id(c)] = c
+            work.extend(cc for n in c.nodes.values() for cc in n.contents)
+    return list(seen.values())
+
+
+def fresh_signature(net: Net):
+    """`net.signature()` with every content signed afresh, not read from
+    the signatures the contents keep."""
+    for c in contents_below(net):
+        c._sig = None
+    return net.signature()
+
+
 def test_rewriting_a_copy_leaves_the_original_alone():
-    src = (CORPUS_DIR / "letrec_count.pcf").read_text()
-    _, _, pn = program(src, "int")
-    before = find_redexes(pn.net)
-    clone = copy.deepcopy(pn.net)
-    fired = 0
-    while redexes := [r for r in find_redexes(clone) if r.kind != "test"]:
-        reduce(clone, redexes[0])
-        fired += 1
-    (test,) = find_redexes(clone)
-    reduce_test(clone, test, 1)
-    assert fired
-    assert find_redexes(pn.net) == before
-    check_fresh(pn.net)
+    # letrec_count fires y_unfold, absorb and test, dup fires c_box.
+    fired = Counter()
+    for name in ("letrec_count.pcf", "dup.pcf"):
+        _, _, pn = program((CORPUS_DIR / name).read_text(), "int")
+        before = find_redexes(pn.net)
+        signature = fresh_signature(pn.net)
+        clone = copy.deepcopy(pn.net)
+        while redexes := find_redexes(clone):
+            if redexes[0].kind == "test":
+                reduce_test(clone, redexes[0], 1)
+            else:
+                reduce(clone, redexes[0])
+            fired[redexes[0].kind] += 1
+        assert find_redexes(pn.net) == before
+        assert fresh_signature(pn.net) == signature
+        check_fresh(pn.net)
+    assert {"absorb", "c_box", "y_unfold", "test"} <= set(fired)
+
+
+def test_no_rule_changes_a_box_content(monkeypatch):
+    """Box contents are shared values: every content reachable from an
+    element the engine exposes is, at the end of the run, the same object
+    with the same signature, conclusions and node endpoints, and a copy of
+    the element's net shares every content."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    elements, snapshots = [], {}
+
+    def state(c: Net):
+        return (fresh_signature(c), list(c.conclusions),
+                {nid: (list(n.concl), list(n.prem)) for nid, n in c.nodes.items()})
+
+    def expose(pn):
+        contents = contents_below(pn.net)
+        for c in contents:
+            if id(c) not in snapshots:
+                snapshots[id(c)] = (c, state(c))
+        elements.append((pn, [id(c) for c in contents]))
+        clone = copy.deepcopy(pn.net)
+        for nid, n in pn.net.nodes.items():
+            assert all(a is b for a, b in zip(n.contents, clone.nodes[nid].contents, strict=True))
+
+    for name, src, backend_name, horizon in programs():
+        term, backend, pn = program(src, backend_name)
+        fused, start, _ = make_engine("net", term, backend, pn)
+        for mu, _, _ in lifted_steps(Distribution.dirac(start), fused, leftmost_policy,
+                                     horizon, TOL):
+            for el in mu.support():
+                expose(el)
+    assert len(snapshots) > len(list(programs()))
+    for pn, ids in elements:
+        assert [id(c) for c in contents_below(pn.net)] == ids
+    for c, snap in snapshots.values():
+        assert state(c) == snap
 
 
 def test_canonical_key_traverses_the_top_level_once(monkeypatch):

@@ -264,9 +264,14 @@ class QuantumMemory:
     first) corresponds to bound[j].  Unbound addresses are implicitly |0> and
     are bound on first use.  Measurement is destructive: the outcome qubit is
     projected, the state renormalized, and the address removed from `bound`.
+
+    The constructor checks what a caller passes in; a state the backend
+    builds from a valid one (`_with`) skips those checks.  A state never
+    changes, so its rounded form, which equality and hashing read, is kept
+    once computed.
     """
 
-    __slots__ = ("bound", "amps", "gates")
+    __slots__ = ("bound", "amps", "gates", "_round")
 
     def __init__(self, bound=(), amps=None, gates=None):
         self.bound = tuple(bound)
@@ -281,12 +286,18 @@ class QuantumMemory:
         if abs(np.sum(np.abs(self.amps) ** 2) - 1.0) > TOL:
             raise ValueError("state vector is not normalized")
         self.gates = dict(BUILTIN_GATES) if gates is None else gates
+        self._round = None
 
     def support(self) -> set[Address]:
         return set(self.bound)
 
-    def _with(self, bound, amps) -> "QuantumMemory":
-        return QuantumMemory(bound, amps, self.gates)
+    def _with(self, bound: tuple, amps) -> "QuantumMemory":
+        """A state made by a unitary, a projection then renormalization, or
+        a renaming of this one: sorted `bound`, matching normalized `amps`."""
+        m = QuantumMemory.__new__(QuantumMemory)
+        m.bound, m.amps = bound, np.asarray(amps, dtype=complex)
+        m.gates, m._round = self.gates, None
+        return m
 
     def _bind(self, addrs: tuple[Address, ...]) -> "QuantumMemory":
         """Bind any unbound addresses as |0> (keeping `bound` sorted)."""
@@ -343,8 +354,10 @@ class QuantumMemory:
         return self._with(tuple(sorted(renamed)), tensor.reshape(-1))
 
     def _rounded(self):
-        # Adding 0.0 maps any -0.0 component to +0.0.
-        return self.bound, (np.round(self.amps, 6) + 0.0).tobytes()
+        if self._round is None:
+            # Adding 0.0 maps any -0.0 component to +0.0.
+            self._round = self.bound, (np.round(self.amps, 6) + 0.0).tobytes()
+        return self._round
 
     def __eq__(self, other) -> bool:
         # Equal when the amplitudes rounded to 6 decimals are, as the hash sees

@@ -17,20 +17,32 @@ A state is final when every token is stable or has exited at a net
 conclusion; the whole machine is a probabilistic rewrite system whose
 terminal distribution matches net reduction.
 
-A micro-step moves one token, so a state carries three indexes that let
+A micro-step moves one token, so a state carries indexes that let
 enumeration and application do work in proportion to the moving tokens
 rather than to all tokens: the live tokens (neither stable nor exited at
 a net conclusion) by origin; the open copies, the box stacks of the stable
 markers parked at each principal door (or choice box side); and the
 pending link/spawn sites, one per one/?d node of each open copy that has
-not yet fired.  All three rest on one invariant: a stable token never moves
+not yet fired.  These rest on one invariant: a stable token never moves
 again (nor does an exited one).  So a token leaves the live index for good
 when it becomes stable or exits, the open copies only grow, a site becomes
 pending exactly when its gate's copy opens and stops being pending when it
 fires, and a state is final exactly when no token is live.
 
+Only the token that moved can have a new action, so each live token's
+action (`MsSystem.token_step`) is computed once, when the token arrives,
+and kept by origin.  A token whose way on depends on a copy that is not
+open yet (at a box's principal or auxiliary door, a choice box's
+auxiliary door, or a fixpoint box's recursion port) gets a wait marker
+that names the gate(s) it needs, and is filed under them; when a copy
+opens at a gate, only the tokens waiting on that gate are classified
+again.  Every other action stays as it is: the open copies only grow, so
+a move stays a move, and no other action reads them.  `next_det` then
+picks the least pending site, else the least moving token, else the least
+ready update, without classifying any token.
+
 A fused closure owns the state it steps, as the net engine's closure owns
-its net: `MsSystem.own` copies the token set and the three indexes into
+its net: `MsSystem.own` copies the token set and the indexes into
 mutable containers once per closure, and `step_det` then updates them in
 place, in time proportional to the tokens that move.  `apply` does the
 same on a fresh copy for each outcome, so its argument is left unchanged.
@@ -47,7 +59,7 @@ signature ids of a machine are numbered in the order its run meets them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .memory import canonical_addresses, fresh
 from .nets import Formula, Net
@@ -62,22 +74,22 @@ STAR = 0
 
 def indicator(s: tuple, a: Formula) -> str | None:
     """Kind of the unit/modality occurrence the stack points at, or None."""
-    if not s:
-        return a.kind if a.kind in ("one", "bot") else None
-    h = s[0]
-    if h == DELTA:
-        return None
-    if h == L or h == R:
-        if a.kind not in ("tensor", "par"):
+    last = len(s) - 1
+    for i, h in enumerate(s):
+        if h == DELTA:
             return None
-        return indicator(s[1:], a.sub[0 if h == L else 1])
-    # h is an interned signature id
-    if a.kind not in ("bang", "quest"):
-        return None
-    rest = s[1:]
-    if rest == (DELTA,):
-        return a.kind
-    return indicator(rest, a.sub[0])
+        if h == L or h == R:
+            if a.kind not in ("tensor", "par"):
+                return None
+            a = a.sub[0 if h == L else 1]
+            continue
+        # h is an interned signature id
+        if a.kind not in ("bang", "quest"):
+            return None
+        if i + 1 == last and s[last] == DELTA:
+            return a.kind
+        a = a.sub[0]
+    return a.kind if a.kind in ("one", "bot") else None
 
 
 # A position is (edge_key, fstack, bstack); a token is (position, origin).
@@ -170,23 +182,29 @@ class MachineState:
 
     It also carries the indexes `MsSystem` keeps (see the module docstring):
     `live` (origin -> position of each token neither stable nor exited),
-    `open_copies` ((box nkey, content index) -> set of opened box stacks)
-    and `pending` (set of (kind, nkey, box stack) link/spawn sites).  Only
-    the closure that owns a state (see `MsSystem.own`) changes these
-    containers, and only until it exposes the state; from then on nothing
-    changes them, which is what makes the cached hash and key safe.
+    `acts` (origin -> `MsSystem.token_step` of each live token, taken when
+    it arrived), `waiting` (gate -> set of origins whose action is a wait
+    marker naming that gate), `open_copies` (gate, that is (box nkey,
+    content index), -> set of opened box stacks) and `pending` (set of
+    (kind, nkey, box stack) link/spawn sites).  Only the closure that owns
+    a state (see `MsSystem.own`) changes these containers, and only until
+    it exposes the state; from then on nothing changes them, which is what
+    makes the cached hash and key safe.
 
     Positions are int tuples (see the module docstring), so the canonical
     key sorts `tokens` and `ind` in native tuple order."""
 
-    __slots__ = ("tokens", "ind", "memory", "live", "open_copies", "pending", "_key", "_hash")
+    __slots__ = ("tokens", "ind", "memory", "live", "acts", "waiting", "open_copies",
+                 "pending", "_key", "_hash")
 
-    def __init__(self, tokens: set, ind: dict, memory, live: dict,
-                 open_copies: dict, pending: set):
+    def __init__(self, tokens: set, ind: dict, memory, live: dict, acts: dict,
+                 waiting: dict, open_copies: dict, pending: set):
         self.tokens = tokens
         self.ind = ind
         self.memory = memory
         self.live = live
+        self.acts = acts
+        self.waiting = waiting
         self.open_copies = open_copies
         self.pending = pending
         self._key = None
@@ -220,8 +238,7 @@ class MachineState:
 _KIND_ORDER = {"link": 0, "spawn": 1, "move": 2, "update": 3, "test": 4}
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     kind: str  # move | update | test | link | spawn
     data: tuple
 
@@ -275,11 +292,14 @@ class MsSystem:
         boxes)."""
         return st.open_copies.get((box_nkey, ci), frozenset())
 
-    def token_step(self, st: MachineState, pos):
+    def token_step(self, st: MachineState, pos, d: str | None = None):
         """Classify the unique pending action of a non-stable token:
-        ("move", newpos) | ("sync", sync nkey, t) | ("test",) | None."""
+        ("move", newpos) | ("sync", sync nkey, t) | ("test",) | ("wait",
+        gates) | None.  A wait marker names the gates of the copies that
+        could let the token on; None means it never moves again.  `d` is
+        the token's `direction`, when the caller has it already."""
         ekey, fstack, bstack = pos
-        d = self.direction(pos)
+        d = d or self.direction(pos)
         if d == "stable":
             return None
         idx = self.index
@@ -356,14 +376,14 @@ class MsSystem:
                 return ("move", (inner, (DELTA,), bstack + (sig,)))
             if bstack + (sig,) in self.copies(st, box_nkey):
                 return ("move", (inner, rest, bstack + (sig,)))
-            return None
+            return ("wait", ((box_nkey, 0),))
         # auxiliary door: the signature pairs the box copy with the inner one
         struct = self.sig_struct[sig]
         if struct[0] != "p":
             return None
         box_copy, inner_sig = struct[1], struct[2]
         if bstack + (box_copy,) not in self.copies(st, box_nkey):
-            return None
+            return ("wait", ((box_nkey, 0),))
         inner = self.index.inner_edge(box_nkey, 0, port)
         return ("move", (inner, (inner_sig,) + rest, bstack + (box_copy,)))
 
@@ -373,7 +393,7 @@ class MsSystem:
             if bstack in self.copies(st, box_nkey, ci):
                 inner = self.index.inner_edge(box_nkey, ci, j)
                 return ("move", (inner, fstack, bstack))
-        return None
+        return ("wait", ((box_nkey, 0), (box_nkey, 1)))
 
     def _exit_door(self, st, pos, role):
         ekey, fstack, bstack = pos
@@ -405,7 +425,7 @@ class MsSystem:
                 return ("move", (inner, (DELTA,), bstack[:-1] + (new_copy,)))
             if bstack[:-1] + (new_copy,) in self.copies(st, box_nkey):
                 return ("move", (inner, rest, bstack[:-1] + (new_copy,)))
-            return None
+            return ("wait", ((box_nkey, 0),))
         # exponential auxiliary door: wrap the inner signature with the copy
         out_pos = cpos - (1 if kind == "ybox" else 0)
         sig, rest = fstack[0], fstack[1:]
@@ -418,37 +438,48 @@ class MsSystem:
     # -- transition enumeration -------------------------------------------
 
     def enumerate_redexes(self, st: MachineState) -> list[Transition]:
-        out: list[Transition] = []
-        sync_tokens: dict = {}
-        for orig, pos in st.live.items():
-            act = self.token_step(st, pos)
-            if act is None:
-                continue
-            if act[0] == "move":
-                out.append(Transition("move", (orig,)))
-            elif act[0] == "test":
-                out.append(Transition("test", (orig,)))
-            elif act[0] == "sync":
-                sync_tokens.setdefault((act[1], act[2]), set()).add(pos[0])
-        for (sync_nkey, t), prem_edges in sync_tokens.items():
-            node = self.index.node[sync_nkey]
-            level = sync_nkey[0]
-            if all((level, e) in prem_edges for e in node.prem):
-                out.append(Transition("update", (sync_nkey, t)))
-        for kind, nkey, t in st.pending:
-            out.append(Transition(kind, (nkey, t)))
+        out = [Transition(kind, (nkey, t)) for kind, nkey, t in st.pending]
+        out += [Transition(act[0], (orig,)) for orig, act in st.acts.items()
+                if act is not None and act[0] in ("move", "test")]
+        out += [Transition("update", u) for u in self._ready_updates(st)]
         out.sort(key=Transition.sort_key)
         return out
+
+    def next_det(self, st: MachineState) -> Transition | None:
+        """The first non-test transition of `enumerate_redexes(st)`: the
+        least pending site (links before spawns), else the least moving
+        token, else the least ready update."""
+        if st.pending:
+            kind, nkey, t = min(st.pending)
+            return Transition(kind, (nkey, t))
+        mover = min((orig for orig, act in st.acts.items()
+                     if act is not None and act[0] == "move"), default=None)
+        if mover is not None:
+            return Transition("move", (mover,))
+        update = min(self._ready_updates(st), default=None)
+        return None if update is None else Transition("update", update)
+
+    def _ready_updates(self, st: MachineState) -> list[tuple]:
+        """(sync nkey, box stack) of each sync node copy that has a token
+        on every premise."""
+        at: dict = {}
+        for orig, act in st.acts.items():
+            if act is not None and act[0] == "sync":
+                at.setdefault(act[1:], set()).add(st.live[orig][0])
+        return [(nkey, t) for (nkey, t), edges in at.items()
+                if all((nkey[0], e) in edges for e in self.index.node[nkey].prem)]
 
     # -- transition application -------------------------------------------
 
     def _successor(self, st: MachineState, moves) -> MachineState:
         """Move each (origin, old position or None, new position) of
-        `moves` in `st`, in place, and bring the live, open-copy and
-        pending-site indexes up to date: a token that turns stable or exits
+        `moves` in `st`, in place, and bring the indexes up to date: a token
+        that stays live gets its action, one that turns stable or exits
         leaves the live index, and one parked at a door opens its copy,
-        which makes the sites under that gate pending."""
-        tokens, live, open_copies, pending = st.tokens, st.live, st.open_copies, st.pending
+        which makes the sites under that gate pending and classifies the
+        tokens waiting on the gate again."""
+        tokens, live, acts, waiting, open_copies, pending = (
+            st.tokens, st.live, st.acts, st.waiting, st.open_copies, st.pending)
         for orig, old, new in moves:
             if old is not None:
                 try:
@@ -459,9 +490,12 @@ class MsSystem:
             d = self.direction(new)
             exited = d == "down" and self.index.is_root_conclusion(new[0]) and not new[2]
             if d != "stable" and not exited:
+                # A token that moves has no wait marker to withdraw.
                 live[orig] = new
+                self._file(st, orig, self.token_step(st, new, d))
                 continue
             live.pop(orig, None)
+            acts.pop(orig, None)
             door = self.index.doors.get(new[0])
             if door is None or new[1] != door[2]:
                 continue
@@ -471,7 +505,22 @@ class MsSystem:
                 have.add(t)
                 sites = self.index.gate_sites.get(gate, ())
                 pending.update((kind, nkey, t) for kind, nkey in sites)
+                for waiter in waiting.pop(gate, ()):
+                    for other in acts[waiter][1]:
+                        if other != gate:
+                            waiting[other].discard(waiter)
+                            if not waiting[other]:
+                                del waiting[other]
+                    self._file(st, waiter, self.token_step(st, live[waiter]))
         return st
+
+    def _file(self, st: MachineState, orig, act) -> None:
+        """Record `act` as the action of live token `orig`, under each gate
+        it waits on if it is a wait marker."""
+        st.acts[orig] = act
+        if act is not None and act[0] == "wait":
+            for gate in act[1]:
+                st.waiting.setdefault(gate, set()).add(orig)
 
     def apply(self, st: MachineState, tr: Transition) -> list[tuple[MachineState, float]]:
         """Fire a transition: the successor states with their
@@ -497,13 +546,16 @@ class MsSystem:
         return out
 
     def own(self, st: MachineState) -> MachineState:
-        """An equal state with private token, live, open-copy and pending
-        containers, which `step_det` may then change in place."""
+        """An equal state with private token, live, action, waiting,
+        open-copy and pending containers, which `step_det` may then change
+        in place."""
         return MachineState(
             set(st.tokens),
             st.ind,
             st.memory,
             dict(st.live),
+            dict(st.acts),
+            {gate: set(waiters) for gate, waiters in st.waiting.items()},
             {gate: set(copies) for gate, copies in st.open_copies.items()},
             set(st.pending),
         )
@@ -512,6 +564,12 @@ class MsSystem:
         """The state after a non-branching transition, made by changing
         `st` in place: `st` must come from `own` (or an earlier `step_det`)
         and is not to be used afterwards."""
+        if tr.kind == "move":
+            (orig,) = tr.data
+            act = st.acts.get(orig)
+            if act is None or act[0] != "move":
+                raise MachineInvariantError(f"token {orig} cannot move: {act}")
+            return self._successor(st, [(orig, st.live[orig], act[1])])
         if tr.kind in ("link", "spawn"):
             nkey, t = tr.data
             site = (tr.kind, nkey, t)
@@ -534,13 +592,6 @@ class MsSystem:
                 st.ind = {**st.ind, p: i}
             st.pending.remove(site)
             return self._successor(st, [(p, None, p)])
-        if tr.kind == "move":
-            (orig,) = tr.data
-            pos = st.live[orig]
-            act = self.token_step(st, pos)
-            if act is None or act[0] != "move":
-                raise MachineInvariantError(f"token {orig} cannot move: {act}")
-            return self._successor(st, [(orig, pos, act[1])])
         if tr.kind == "update":
             sync_nkey, t = tr.data
             node = self.index.node[sync_nkey]
@@ -585,7 +636,7 @@ class MsSystem:
         # The whole net is one open copy, with the empty box stack.
         root_sites = self.index.gate_sites.get((None, 0), ())
         pending = {(kind, nkey, ()) for kind, nkey in root_sites}
-        empty = MachineState(set(), ind, self.initial_memory, {}, {}, pending)
+        empty = MachineState(set(), ind, self.initial_memory, {}, {}, {}, {}, pending)
         return self._successor(empty, moves)
 
 

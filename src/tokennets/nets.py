@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .memory import OperationLabel
 
@@ -122,23 +123,26 @@ class Edge:
 
 
 class SurfaceIndex:
-    """What `find_redexes` needs of one level, kept up to date by the `Net`
-    methods that change the level, so that a rule costs what it touches.
+    """What `find_redexes` and `prognets.next_det` need of one level, kept
+    up to date by the `Net` methods that change the level, so that a rule
+    costs what it touches.
 
     `concluder` and `consumer` map each edge to the id of the node that
-    concludes it and of the node that consumes it.  `redex` has an entry for
-    every cut and sync node: its redex or None, valid unless the node is in
-    `dirty`.  A cut's redex depends only on the nodes that conclude its
-    premises (a sync's too), so a change there marks it dirty (`touch`).
-    A node's conclusions are fresh edges when it is added, and a rule that
-    removes the concluder of a premise then renames that premise, which
-    touches it; so `add` and `remove` touch no other node."""
+    concludes it and of the node that consumes it, and `ones` holds the ids
+    of the level's `one` nodes.  `redex` has an entry for every cut and sync
+    node: its redex or None, valid unless the node is in `dirty`.  A cut's
+    redex depends only on the nodes that conclude its premises (a sync's
+    too), so a change there marks it dirty (`touch`).  A node's conclusions
+    are fresh edges when it is added, and a rule that removes the concluder
+    of a premise then renames that premise, which touches it; so `add` and
+    `remove` touch no other node."""
 
-    __slots__ = ("concluder", "consumer", "redex", "dirty")
+    __slots__ = ("concluder", "consumer", "ones", "redex", "dirty")
 
     def __init__(self, nodes=()):
         self.concluder: dict[int, int] = {}
         self.consumer: dict[int, int] = {}
+        self.ones: set[int] = set()
         self.redex: dict[int, NetRedex | None] = {}
         self.dirty: set[int] = set()
         for n in nodes:
@@ -148,6 +152,7 @@ class SurfaceIndex:
         clone = SurfaceIndex()
         clone.concluder = dict(self.concluder)
         clone.consumer = dict(self.consumer)
+        clone.ones = set(self.ones)
         clone.redex = dict(self.redex)
         clone.dirty = set(self.dirty)
         return clone
@@ -163,6 +168,8 @@ class SurfaceIndex:
             self.consumer[e] = n.nid
         for e in n.concl:
             self.concluder[e] = n.nid
+        if n.kind == "one":
+            self.ones.add(n.nid)
         if n.kind in ("cut", "sync"):
             self.redex[n.nid] = None
             self.dirty.add(n.nid)
@@ -172,12 +179,14 @@ class SurfaceIndex:
             self.consumer.pop(e, None)
         for e in n.concl:
             self.concluder.pop(e, None)
+        self.ones.discard(n.nid)
         self.redex.pop(n.nid, None)
         self.dirty.discard(n.nid)
 
     def merge(self, other: "SurfaceIndex") -> None:
         self.concluder.update(other.concluder)
         self.consumer.update(other.consumer)
+        self.ones |= other.ones
         self.redex.update(other.redex)
         self.dirty |= other.dirty
 
@@ -473,9 +482,24 @@ def _require(ok, message: str) -> None:
 
 
 def validate(net: Net) -> None:
-    """Check the structural and typing invariants, recursively.
+    """Check the structural and typing invariants of every level.
 
-    Raises `InvalidNetError` naming the first broken invariant."""
+    Raises `InvalidNetError` naming the first broken invariant.  The levels
+    are checked depth first, each box content where its box is met, from
+    an explicit stack of level checks, so deep nests of boxes do not reach
+    Python's recursion limit."""
+    stack = [_validate_level(net)]
+    while stack:
+        content = next(stack[-1], None)
+        if content is None:
+            stack.pop()
+        else:
+            stack.append(_validate_level(content))
+
+
+def _validate_level(net: Net) -> Iterator[Net]:
+    """Check one level, yielding each box content to be checked at the
+    point where its box's checks end."""
     concluded = net.concl_of()
     consumed = net.prem_of()
     conclusions = set(net.conclusions)
@@ -520,7 +544,7 @@ def validate(net: Net) -> None:
             _require(t and t[0] == bang(ct[0]), "bad exponential box principal")
             _require(t[1:] == ct[1:] and all(x.kind == "quest" for x in t[1:]),
                      "bad box auxiliaries")
-            validate(content)
+            yield content
         elif n.kind == "ybox":
             (content,) = n.contents
             ct = [content.typ(e) for e in content.conclusions]
@@ -528,7 +552,7 @@ def validate(net: Net) -> None:
             _require(ct[1] == quest(neg(ct[0])), "bad fixpoint recursion port")
             _require(t[1:] == ct[2:] and all(x.kind == "quest" for x in t[1:]),
                      "bad box auxiliaries")
-            validate(content)
+            yield content
         elif n.kind == "botbox":
             left, right = n.contents
             _require(t and t[0] == BOT and len(t) >= 2, "choice box needs a residual interface")
@@ -538,7 +562,7 @@ def validate(net: Net) -> None:
                 root = c.concl_of()[c.conclusions[0]]
                 _require(c.nodes[root[0]].kind == "bot",
                          "choice box content must be rooted by bot")
-                validate(c)
+                yield c
         else:
             raise InvalidNetError(f"unknown node kind {n.kind}")
 
@@ -711,16 +735,22 @@ def _box_is_closed(n: Node) -> bool:
     return len(n.concl) == 1
 
 
-def find_redexes(net: Net) -> list[NetRedex]:
-    """The surface redexes of `net`, in `NetRedex.sort_key` order.  Only the
-    cut and sync nodes that the rules since the last call marked dirty are
-    classified again."""
+def refreshed_surface(net: Net) -> SurfaceIndex:
+    """The surface index of `net` with every cached redex up to date.  Only
+    the cut and sync nodes that the rules since the last call marked dirty
+    are classified again."""
     ix = net.surface()
     nodes, concluder = net.nodes, ix.concluder
     for nid in ix.dirty:
         ix.redex[nid] = _classify(nodes, concluder, nodes[nid])
     ix.dirty.clear()
-    return sorted((r for r in ix.redex.values() if r is not None), key=NetRedex.sort_key)
+    return ix
+
+
+def find_redexes(net: Net) -> list[NetRedex]:
+    """The surface redexes of `net`, in `NetRedex.sort_key` order."""
+    redexes = refreshed_surface(net).redex.values()
+    return sorted((r for r in redexes if r is not None), key=NetRedex.sort_key)
 
 
 def _classify(nodes: dict[int, Node], concluder: dict[int, int], n: Node) -> NetRedex | None:

@@ -15,13 +15,16 @@ system's `apply` returns a plain list of (reduct, probability) pairs, and
 an element is terminal exactly when it has no redex.
 
 `FusedSystem` runs the non-branching (Dirac) redexes of a system as one
-closure and exposes only the elements where a choice is left.  Inside the
-closure it fires them through `step_det`, which returns the bare reduct:
-no `Distribution` is built and no intermediate element is hashed.  The
-closure owns its element: a branch reduct from `apply` is private to it
-already, and any other element it starts from is copied once through
-`own`; `step_det` may then rewrite it in place.  An element the closure
-has exposed (returned, or put in a distribution) is never changed
+closure and exposes only the elements where a choice is left.  Each
+micro-step of the closure asks the system for one redex, `next_det`'s (the
+first non-branching redex in `enumerate_redexes` order), and fires it
+through `step_det`, which returns the bare reduct: no redex list is built,
+no `Distribution` either, and no intermediate element is hashed.  Only an
+element the closure exposes has its redexes enumerated in full, for the
+policy.  The closure owns its element: a branch reduct from `apply` is
+private to it already, and any other element it starts from is copied once
+through `own`; `step_det` may then rewrite it in place.  An element the
+closure has exposed (returned, or put in a distribution) is never changed
 afterwards, so every element a caller holds stays immutable.
 """
 
@@ -39,16 +42,23 @@ Redex = Any
 
 
 class RewriteSystem(Protocol):
-    def enumerate_redexes(self, a: Element) -> list[Redex]: ...
+    def enumerate_redexes(self, a: Element) -> list[Redex]:
+        """Every redex of `a`, in the system's order; none when `a` is
+        terminal.  The driver calls it once per element it holds."""
 
     def apply(self, a: Element, r: Redex) -> list[tuple[Element, float]]:
         """Fire any redex: its reducts with their probabilities, unmerged.
         `a` is left unchanged, and each reduct is private to the caller,
         who may hand it to `step_det`."""
 
-    # The rest is what `FusedSystem` needs to close over the system.
+    # The rest is what `FusedSystem` needs to close over the system: each
+    # closure micro-step fires `next_det`'s redex through `step_det`.
 
     def is_branching(self, a: Element, r: Redex) -> bool: ...
+
+    def next_det(self, a: Element) -> Redex | None:
+        """The first non-branching redex of `enumerate_redexes(a)`, or None,
+        found without building the list."""
 
     def own(self, a: Element) -> Element:
         """An element equal to `a` that no one else holds, for `step_det`
@@ -262,13 +272,14 @@ class FusedSystem:
 
     The underlying system tags each redex as branching or not via
     `sys.is_branching(a, r)`; non-branching redexes must be Dirac, and the
-    closure fires them with `sys.step_det` on an element it owns (see the
-    module docstring).  Elements of the fused system are kept closure-normal:
-    all non-branching redexes are exhausted (up to a step budget) before the
-    element is exposed.  A fused step then fires one branching redex and
-    re-closes every branch, so one step of this system corresponds to one
-    observable choice point.  On diamond systems this leaves terminal parts
-    unchanged while collapsing long deterministic runs.
+    closure fires the one `sys.next_det` names with `sys.step_det` on an
+    element it owns (see the module docstring).  Elements of the fused
+    system are kept closure-normal: all non-branching redexes are exhausted
+    (up to a step budget) before the element is exposed.  A fused step then
+    fires one branching redex and re-closes every branch, so one step of
+    this system corresponds to one observable choice point.  On diamond
+    systems this leaves terminal parts unchanged while collapsing long
+    deterministic runs.
 
     When the budget interrupts a closure mid-run (a diverging deterministic
     spine), the element is exposed with a single `CONTINUE` redex that simply
@@ -285,7 +296,7 @@ class FusedSystem:
         before the first step rewrites it; a branch reduct is owned."""
         sys = self.sys
         for _ in range(self.budget):
-            r = next((r for r in sys.enumerate_redexes(a) if not sys.is_branching(a, r)), None)
+            r = sys.next_det(a)
             if r is None:
                 return a
             if not owned:

@@ -857,6 +857,10 @@ class PcfSystem:
         found = find_redex(cl.term)
         return [found] if found is not None else []
 
+    def next_det(self, cl: Closure):
+        found = find_redex(cl.term)
+        return found if found is not None and found.kind != "test" else None
+
     def apply(self, cl: Closure, r) -> list[tuple[Closure, float]]:
         return closure_step(cl, r)
 

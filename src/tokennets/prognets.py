@@ -17,7 +17,8 @@ import copy
 from dataclasses import dataclass
 
 from .memory import canonical_addresses, fresh
-from .nets import InvalidNetError, Net, NetRedex, find_redexes, reduce, reduce_test
+from .nets import (InvalidNetError, Net, NetRedex, find_redexes, reduce, reduce_test,
+                   refreshed_surface)
 
 
 @dataclass(frozen=True)
@@ -71,17 +72,19 @@ class ProgramNet:
         return f"ProgramNet(nodes={len(self.net.nodes)}, ind={self.ind}, memory={self.memory!r})"
 
 
+def _unlinked(pn: ProgramNet):
+    """The ids of the top-level one nodes without an address."""
+    nodes = pn.net.nodes
+    return (nid for nid in pn.net.surface().ones if nodes[nid].concl[0] not in pn.ind)
+
+
 def enumerate_redexes(pn: ProgramNet) -> list[PnRedex]:
     """Links of the top-level one nodes without an address, and the net
     redexes; a test or sync redex waits until its one nodes are linked.
     Links by node id, then net redexes in `find_redexes` order: the
     `PnRedex.sort_key` order."""
     net = pn.net
-    out = [
-        PnRedex("link", node=nid)
-        for nid in sorted(n.nid for n in net.nodes.values()
-                          if n.kind == "one" and n.concl[0] not in pn.ind)
-    ]
+    out = [PnRedex("link", node=nid) for nid in sorted(_unlinked(pn))]
     for r in find_redexes(net):
         if r.kind == "test":
             ready = net.nodes[r.nodes[2]].concl[0] in pn.ind
@@ -92,6 +95,19 @@ def enumerate_redexes(pn: ProgramNet) -> list[PnRedex]:
         if ready:
             out.append(PnRedex("net", net_redex=r))
     return out
+
+
+def next_det(pn: ProgramNet) -> PnRedex | None:
+    """The first non-test redex of `enumerate_redexes(pn)`, without the
+    list: the least link, else the least net redex other than a test.  With
+    every top-level one node linked, every sync redex is ready."""
+    link = min(_unlinked(pn), default=None)
+    if link is not None:
+        return PnRedex("link", node=link)
+    redexes = refreshed_surface(pn.net).redex.values()
+    r = min((r for r in redexes if r is not None and r.kind != "test"),
+            key=NetRedex.sort_key, default=None)
+    return None if r is None else PnRedex("net", net_redex=r)
 
 
 def own(pn: ProgramNet) -> ProgramNet:
@@ -145,6 +161,9 @@ class PnSystem:
 
     def enumerate_redexes(self, pn: ProgramNet) -> list[PnRedex]:
         return enumerate_redexes(pn)
+
+    def next_det(self, pn: ProgramNet) -> PnRedex | None:
+        return next_det(pn)
 
     def apply(self, pn: ProgramNet, r: PnRedex) -> list[tuple[ProgramNet, float]]:
         return step(pn, r)

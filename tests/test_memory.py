@@ -267,3 +267,29 @@ def test_quantum_equal_states_hash_alike():
     m2 = QuantumMemory((0,), [a2, math.sqrt(1 - a2 * a2)])
     assert m1.approx_eq(m2)
     assert m1 != m2 or hash(m1) == hash(m2)
+
+
+def test_quantum_states_equal_when_rounded_hash_alike():
+    # Raw amplitudes 1e-9 apart, equal once rounded to 6 decimals; each
+    # comparison and hash is asked twice, so a kept rounding is read too.
+    a1, a2 = 0.6, 0.6 + 1e-9
+    m1 = QuantumMemory((0,), [a1, math.sqrt(1 - a1 * a1)])
+    m2 = QuantumMemory((0,), [a2, math.sqrt(1 - a2 * a2)])
+    assert not np.array_equal(m1.amps, m2.amps)
+    for _ in range(2):
+        assert m1 == m2 and hash(m1) == hash(m2)
+    # The same holds for states the backend builds itself.
+    n1, n2 = m1.update((1,), H1).rename({0: 2}), m2.update((1,), H1).rename({0: 2})
+    assert not np.array_equal(n1.amps, n2.amps)
+    for _ in range(2):
+        assert n1 == n2 and hash(n1) == hash(n2)
+    assert n1 != m1
+
+
+def test_quantum_constructor_still_checks_its_arguments():
+    with pytest.raises(ValueError):
+        QuantumMemory((1, 0), [1, 0, 0, 0])
+    with pytest.raises(ValueError):
+        QuantumMemory((0,), [1, 1])
+    with pytest.raises(ValueError):
+        QuantumMemory((0,), [1, 0, 0, 0])

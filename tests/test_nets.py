@@ -508,6 +508,7 @@ def nest_in_boxes(content, depth):
 
 def test_boxes_nested_1500_deep_are_checked_without_recursion():
     net, boxes = nest_in_boxes(single_one_net(), 1500)
+    validate(net)
     assert check_correct(net) is None
     # Copying shares the contents, and signing fills the contents' cached
     # signatures bottom-up: neither recurses into the nest.
@@ -523,6 +524,28 @@ def test_boxes_nested_1500_deep_are_checked_without_recursion():
     path = "".join(f"inside box {nid}: " for nid in boxes)
     assert check_correct(net) == (
         f"{path}cyclic switching path at depth 0 among nodes {sorted((ax.nid, cut.nid))}")
+    # A broken invariant at the bottom of the nest is found and named.
+    bad = single_one_net()
+    stray = bad.add_node("one", [ONE])  # neither consumed nor a conclusion
+    net, _ = nest_in_boxes(bad, 1500)
+    with pytest.raises(InvalidNetError, match=f"dangling edge {stray.concl[0]} "):
+        validate(net)
+
+
+def test_validate_reports_the_first_error_depth_first():
+    # A level's own edges are checked before its nodes, and a box content
+    # where its box is met, before the nodes after the box.
+    net, strays = Net(), []
+    for _ in range(2):
+        content = single_one_net()
+        strays.append(content.add_node("one", [ONE]).concl[0])
+        box = net.add_node("bangbox", [bang(ONE)], contents=[content])
+        net.conclusions.append(box.concl[0])
+    with pytest.raises(InvalidNetError, match=f"dangling edge {strays[0]} "):
+        validate(net)
+    top = net.add_node("one", [ONE]).concl[0]
+    with pytest.raises(InvalidNetError, match=f"dangling edge {top} "):
+        validate(net)
 
 
 @st.composite

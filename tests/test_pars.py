@@ -74,6 +74,9 @@ class Chain:
             return [(a - 1, 1.0)]
         return [("halt", 0.5), (5, 0.5)]
 
+    def next_det(self, a):
+        return None if a in ("halt", 0) else "dec"
+
     def own(self, a):
         return a
 

@@ -240,11 +240,13 @@ def test_net_closure_owns_its_copy(path, policy):
 def ms_snapshot(st):
     """A machine state equal to `st` that shares no container with it."""
     return MachineState(set(st.tokens), dict(st.ind), copy.deepcopy(st.memory), dict(st.live),
+                        dict(st.acts), {gate: set(w) for gate, w in st.waiting.items()},
                         {gate: set(c) for gate, c in st.open_copies.items()}, set(st.pending))
 
 
 def ms_parts(st):
-    return (st.tokens, st.ind, st.memory, st.live, st.open_copies, st.pending)
+    return (st.tokens, st.ind, st.memory, st.live, st.acts, st.waiting, st.open_copies,
+            st.pending)
 
 
 class UnchangedApply(MsSystem):

@@ -39,6 +39,7 @@ def check_fresh(net: Net) -> None:
         if ix is not None:
             assert ix.concluder == {e: nid for e, (nid, _) in level.concl_of().items()}
             assert ix.consumer == {e: nid for e, (nid, _) in level.prem_of().items()}
+            assert ix.ones == {nid for nid, n in level.nodes.items() if n.kind == "one"}
             assert set(ix.redex) == {nid for nid, n in level.nodes.items()
                                      if n.kind in ("cut", "sync")}
             assert ix.dirty <= set(ix.redex)

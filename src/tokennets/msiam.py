@@ -63,7 +63,6 @@ from typing import NamedTuple
 
 from .memory import canonical_addresses, fresh
 from .nets import Formula, Net
-from .pars import Distribution, FusedSystem, Policy, converge, leftmost_policy
 from .prognets import ProgramNet
 
 # Stack tags are negative ints, below every signature id; `STAR` is the
@@ -612,13 +611,6 @@ class MsSystem:
     def is_final(self, st: MachineState) -> bool:
         return not st.live
 
-    def classify(self, st: MachineState) -> str:
-        if self.is_final(st):
-            return "final"
-        if not self.enumerate_redexes(st):
-            return "deadlock"
-        return "running"
-
     def is_branching(self, st: MachineState, tr: Transition) -> bool:
         return tr.kind == "test"
 
@@ -649,17 +641,3 @@ def _up_stacks(a: Formula, prefix: tuple = ()):
         yield from _up_stacks(a.sub[1], prefix + (R,))
     elif a.kind in ("bang", "quest"):
         raise NotImplementedError("initial tokens under modalities")
-
-
-def run(
-    pn: ProgramNet,
-    horizon: int,
-    tol: float = 1e-9,
-    policy: Policy = leftmost_policy,
-    budget: int = 500,
-):
-    """Convergence probability of the machine for `pn`, with macro-steps."""
-    sys = MsSystem(pn)
-    fused = FusedSystem(sys, budget=budget)
-    start = fused.prepare(sys.initial_state())
-    return converge(Distribution.dirac(start), fused, policy, horizon=horizon, tol=tol)

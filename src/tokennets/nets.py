@@ -123,13 +123,15 @@ class Edge:
 
 
 class SurfaceIndex:
-    """What `find_redexes` and `prognets.next_det` need of one level, kept
-    up to date by the `Net` methods that change the level, so that a rule
-    costs what it touches.
+    """The edge endpoints of one level, and what `find_redexes` and
+    `prognets.next_det` need of it.  Each `Net` level keeps one, up to date
+    through the `Net` methods that change the level, so that a rule costs
+    what it touches; the checkers build a fresh one from the nodes.
 
     `concluder` and `consumer` map each edge to the id of the node that
-    concludes it and of the node that consumes it, and `ones` holds the ids
-    of the level's `one` nodes.  `redex` has an entry for every cut and sync
+    concludes it and of the node that consumes it; an edge concluded or
+    consumed twice raises `InvalidNetError`.  `ones` holds the ids of the
+    level's `one` nodes.  `redex` has an entry for every cut and sync
     node: its redex or None, valid unless the node is in `dirty`.  A cut's
     redex depends only on the nodes that conclude its premises (a sync's
     too), so a change there marks it dirty (`touch`).  A node's conclusions
@@ -165,8 +167,12 @@ class SurfaceIndex:
 
     def add(self, n: Node) -> None:
         for e in n.prem:
+            if e in self.consumer:
+                raise InvalidNetError(f"edge {e} consumed twice")
             self.consumer[e] = n.nid
         for e in n.concl:
+            if e in self.concluder:
+                raise InvalidNetError(f"edge {e} concluded twice")
             self.concluder[e] = n.nid
         if n.kind == "one":
             self.ones.add(n.nid)
@@ -225,47 +231,19 @@ class Net:
     So copying a level (`copy.deepcopy`) copies that level only, and a
     content keeps its signature once computed (`content_signature`).
 
-    A level builds its `SurfaceIndex` on first use (`surface`), and from
-    then on its methods keep it up to date: once a level has been
-    enumerated or rewritten, its nodes' `concl`/`prem`/`contents` and its
-    `nodes` change only through these methods.
+    Every level has its `SurfaceIndex` (`surface`) from birth, and its
+    methods keep it up to date: its nodes' `concl`/`prem`/`contents` and
+    its `nodes` change only through these methods.
     """
 
-    __slots__ = ("nodes", "edges", "conclusions", "_surface", "_sig")
+    __slots__ = ("nodes", "edges", "conclusions", "surface", "_sig")
 
     def __init__(self, nodes=(), edges=(), conclusions=()):
         self.nodes: dict[int, Node] = {n.nid: n for n in nodes}
         self.edges: dict[int, Edge] = {e.eid: e for e in edges}
         self.conclusions: list[int] = list(conclusions)
-        self._surface: SurfaceIndex | None = None
+        self.surface = SurfaceIndex(self.nodes.values())
         self._sig: Signature | None = None
-
-    # -- indexing ----------------------------------------------------------
-
-    def surface(self) -> SurfaceIndex:
-        """This level's surface index, built on first use."""
-        if self._surface is None:
-            self._surface = SurfaceIndex(self.nodes.values())
-        return self._surface
-
-    def concl_of(self) -> dict[int, tuple[int, int]]:
-        """edge id -> (node id, port) of the node concluding it (this level)."""
-        out = {}
-        for n in self.nodes.values():
-            for port, e in enumerate(n.concl):
-                if e in out:
-                    raise InvalidNetError(f"edge {e} concluded twice")
-                out[e] = (n.nid, port)
-        return out
-
-    def prem_of(self) -> dict[int, tuple[int, int]]:
-        out = {}
-        for n in self.nodes.values():
-            for port, e in enumerate(n.prem):
-                if e in out:
-                    raise InvalidNetError(f"edge {e} consumed twice")
-                out[e] = (n.nid, port)
-        return out
 
     def typ(self, eid: int) -> Formula:
         return self.edges[eid].typ
@@ -278,9 +256,8 @@ class Net:
             self.edges[e.eid] = e
             concl.append(e.eid)
         node = Node(fresh_id(), kind, concl, list(prem), label, list(contents))
+        self.surface.add(node)
         self.nodes[node.nid] = node
-        if self._surface is not None:
-            self._surface.add(node)
         return node
 
     def replace_edge_ref(self, old: int, new: int) -> None:
@@ -288,7 +265,7 @@ class Net:
         removed, at edge `new`, dropping `old`.  Only the other endpoint of
         `old` changes: its consumer or, if it has none, the level's
         conclusions."""
-        ix = self.surface()
+        ix = self.surface
         _require(old not in ix.concluder, f"edge {old} is still concluded")
         dst = ix.consumer.pop(old, None)
         if dst is None:
@@ -302,9 +279,7 @@ class Net:
         del self.edges[old]
 
     def remove_node(self, nid: int) -> None:
-        node = self.nodes.pop(nid)
-        if self._surface is not None:
-            self._surface.remove(node)
+        self.surface.remove(self.nodes.pop(nid))
 
     def remove_door(self, box: Node, eid: int) -> None:
         """Drop auxiliary conclusion `eid` of `box`, whose consumer is gone.
@@ -312,39 +287,29 @@ class Net:
         conclusions are reclassified."""
         box.concl.remove(eid)
         del self.edges[eid]
-        if self._surface is not None:
-            self._surface.concluder.pop(eid, None)
-            for e in box.concl:
-                self._surface.touch(e)
+        del self.surface.concluder[eid]
+        for e in box.concl:
+            self.surface.touch(e)
 
     def splice(self, content: "Net") -> None:
-        """Merge another net's nodes and edges into this level.  An indexed
-        level takes over the content's index (built now if need be)."""
+        """Merge another net's nodes and edges, and its index, into this
+        level."""
         # Views test the smaller side against the other: O(|content|) here.
         _require(self.nodes.keys().isdisjoint(content.nodes.keys())
                  and self.edges.keys().isdisjoint(content.edges.keys()),
                  "spliced net shares node or edge ids with this level")
         self.nodes.update(content.nodes)
         self.edges.update(content.edges)
-        if self._surface is not None:
-            self._surface.merge(content.surface())
+        self.surface.merge(content.surface)
 
     def renamed(self) -> "Net":
-        """A copy of this level with fresh node and edge identifiers and no
-        surface index.  It shares the box contents, so it costs the size of
-        this level only."""
+        """A copy of this level with fresh node and edge identifiers.  It
+        shares the box contents, so it costs the size of this level only."""
         emap = {e: fresh_id() for e in self.edges}
-        clone = Net.__new__(Net)
-        clone.edges = {emap[e]: Edge(emap[e], edge.typ) for e, edge in self.edges.items()}
-        clone.nodes = {}
-        for n in self.nodes.values():
-            nid = fresh_id()
-            clone.nodes[nid] = Node(nid, n.kind, [emap[e] for e in n.concl],
-                                    [emap[e] for e in n.prem], n.label, list(n.contents))
-        clone.conclusions = [emap[e] for e in self.conclusions]
-        clone._surface = None
-        clone._sig = None
-        return clone
+        nodes = [Node(fresh_id(), n.kind, [emap[e] for e in n.concl], [emap[e] for e in n.prem],
+                      n.label, list(n.contents)) for n in self.nodes.values()]
+        return Net(nodes, [Edge(emap[e], edge.typ) for e, edge in self.edges.items()],
+                   [emap[e] for e in self.conclusions])
 
     def own_contents(self, box: Node) -> list["Net"]:
         """Give `box`, a node of this level, private `renamed` copies of its
@@ -362,7 +327,7 @@ class Net:
         }
         clone.edges = dict(self.edges)
         clone.conclusions = list(self.conclusions)
-        clone._surface = None if self._surface is None else self._surface.copy()
+        clone.surface = self.surface.copy()
         clone._sig = None
         return clone
 
@@ -376,13 +341,9 @@ class Net:
         premises.  Returns (edge numbering, node numbering), each in
         numbering order; raises `InvalidNetError` unless everything at
         this level was reached.  Reads the edges' endpoints from the
-        surface index if the level has one.
+        surface index.
         """
-        if self._surface is not None:
-            concluder, consumer = self._surface.concluder, self._surface.consumer
-        else:
-            concluder = {e: n.nid for n in self.nodes.values() for e in n.concl}
-            consumer = {e: n.nid for n in self.nodes.values() for e in n.prem}
+        concluder, consumer = self.surface.concluder, self.surface.consumer
         edge_no: dict[int, int] = {}
         node_no: dict[int, int] = {}
         queue: deque[int] = deque(self.conclusions)
@@ -484,10 +445,11 @@ def _require(ok, message: str) -> None:
 def validate(net: Net) -> None:
     """Check the structural and typing invariants of every level.
 
-    Raises `InvalidNetError` naming the first broken invariant.  The levels
-    are checked depth first, each box content where its box is met, from
-    an explicit stack of level checks, so deep nests of boxes do not reach
-    Python's recursion limit."""
+    Raises `InvalidNetError` naming the first broken invariant.  Each level
+    is checked against a fresh `SurfaceIndex` of what its nodes say, not
+    against the index the level keeps.  The levels are checked depth first,
+    each box content where its box is met, from an explicit stack of level
+    checks, so deep nests of boxes do not reach Python's recursion limit."""
     stack = [_validate_level(net)]
     while stack:
         content = next(stack[-1], None)
@@ -500,8 +462,8 @@ def validate(net: Net) -> None:
 def _validate_level(net: Net) -> Iterator[Net]:
     """Check one level, yielding each box content to be checked at the
     point where its box's checks end."""
-    concluded = net.concl_of()
-    consumed = net.prem_of()
+    ix = SurfaceIndex(net.nodes.values())
+    concluded, consumed = ix.concluder, ix.consumer
     conclusions = set(net.conclusions)
     for eid in net.edges:
         if eid not in concluded:
@@ -559,8 +521,8 @@ def _validate_level(net: Net) -> Iterator[Net]:
             for c in (left, right):
                 ct = [c.typ(e) for e in c.conclusions]
                 _require(ct == t, "choice box contents must mirror the box interface")
-                root = c.concl_of()[c.conclusions[0]]
-                _require(c.nodes[root[0]].kind == "bot",
+                root = SurfaceIndex(c.nodes.values()).concluder.get(c.conclusions[0])
+                _require(root is not None and c.nodes[root].kind == "bot",
                          "choice box content must be rooted by bot")
                 yield c
         else:
@@ -634,8 +596,7 @@ def cyclic_switching_block(net: Net) -> frozenset[int]:
     round deletes at least one node, so the decision takes polynomial time.
     The nodes returned are those of a block with no node to delete.
     """
-    concl_of = net.concl_of()
-    prem_of = net.prem_of()
+    ix = SurfaceIndex(net.nodes.values())  # what the nodes say
     group: dict[int, frozenset[int]] = {}  # switched node -> its switch group
     for n in net.nodes.values():
         if n.kind in ("par", "contr"):
@@ -644,11 +605,10 @@ def cyclic_switching_block(net: Net) -> frozenset[int]:
             group[n.nid] = frozenset(n.concl)
 
     ends: dict[int, tuple[int, int]] = {}  # graph edge -> its two nodes
-    for eid, (u, _) in concl_of.items():
-        consumer = prem_of.get(eid)
-        if consumer is None:
+    for eid, u in ix.concluder.items():
+        v = ix.consumer.get(eid)
+        if v is None:
             continue
-        v = consumer[0]
         if u == v:
             return frozenset((u,))  # a switching that keeps this loop is cyclic
         ends[eid] = (u, v)
@@ -739,7 +699,7 @@ def refreshed_surface(net: Net) -> SurfaceIndex:
     """The surface index of `net` with every cached redex up to date.  Only
     the cut and sync nodes that the rules since the last call marked dirty
     are classified again."""
-    ix = net.surface()
+    ix = net.surface
     nodes, concluder = net.nodes, ix.concluder
     for nid in ix.dirty:
         ix.redex[nid] = _classify(nodes, concluder, nodes[nid])
@@ -940,7 +900,7 @@ def _reduce_absorb(net: Net, cut_id: int, box_id: int, target_id: int) -> None:
         ports = [aux_port + (1 if target.kind == "ybox" else 0)]
     for content, port in zip(contents, ports):
         caux = content.conclusions[port]
-        holder = content.surface().concluder[caux]
+        holder = content.surface.concluder[caux]
         if content.nodes[holder].kind == "weak":
             # A closed box against a bare weakening erases; splicing it in
             # would leave a floating component, so erase it right away.
@@ -967,7 +927,7 @@ def _reduce_bot_branch(net: Net, cut_id: int, box_id: int, one_id: int, side: in
     net.edges.pop(e_one)
     # Remove the content's bot root along with its conclusion edge.
     root_edge = content.conclusions[0]
-    root_id = content.surface().concluder[root_edge]
+    root_id = content.surface.concluder[root_edge]
     content.remove_node(root_id)
     content.edges.pop(root_edge)
     residual = content.conclusions[1:]

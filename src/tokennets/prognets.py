@@ -75,7 +75,7 @@ class ProgramNet:
 def _unlinked(pn: ProgramNet):
     """The ids of the top-level one nodes without an address."""
     nodes = pn.net.nodes
-    return (nid for nid in pn.net.surface().ones if nodes[nid].concl[0] not in pn.ind)
+    return (nid for nid in pn.net.surface.ones if nodes[nid].concl[0] not in pn.ind)
 
 
 def enumerate_redexes(pn: ProgramNet) -> list[PnRedex]:

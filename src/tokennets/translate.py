@@ -81,8 +81,7 @@ class _Translator:
             return net.add_node("weak", [qt]).concl[0]
         edges = list(edges)
         while len(edges) > 1:
-            c = net.add_node("contr", [qt])
-            c.prem = [edges[0], edges[1]]
+            c = net.add_node("contr", [qt], edges[:2])
             edges = [c.concl[0]] + edges[2:]
         return edges[0]
 
@@ -124,8 +123,7 @@ class _Translator:
             if self.tp.use[id(t)] == "bang":
                 c = type_formula(d.sub[0])
                 ax = net.add_node("ax", [neg(c), c])
-                der = net.add_node("der", [quest(neg(c))])
-                der.prem = [ax.concl[0]]
+                der = net.add_node("der", [quest(neg(c))], [ax.concl[0]])
                 return ax.concl[1], {}, {t.name: [der.concl[0]]}
             a = type_formula(d)
             ax = net.add_node("ax", [neg(a), a])
@@ -135,8 +133,7 @@ class _Translator:
             d = self.tp.binders[id(t)][t.var]
             e, lin, bng = self.go(net, t.body, {**env, t.var: d})
             x_edge = self.bind(net, t.var, d, lin, bng)
-            p = net.add_node("par", [par(net.typ(x_edge), net.typ(e))])
-            p.prem = [x_edge, e]
+            p = net.add_node("par", [par(net.typ(x_edge), net.typ(e))], [x_edge, e])
             return p.concl[0], lin, bng
 
         if isinstance(t, App):
@@ -147,16 +144,14 @@ class _Translator:
                 raise InvalidNetError(f"applied a term of formula {fty}")
             bty = fty.sub[1]
             ax = net.add_node("ax", [neg(bty), bty])
-            tn = net.add_node("tensor", [tensor(net.typ(e_a), neg(bty))])
-            tn.prem = [e_a, ax.concl[0]]
+            tn = net.add_node("tensor", [tensor(net.typ(e_a), neg(bty))], [e_a, ax.concl[0]])
             _cut(net, e_f, tn.concl[0])
             return ax.concl[1], _merge_lin(lin1, lin2), _merge_bang(bng1, bng2)
 
         if isinstance(t, Pair):
             e_l, lin1, bng1 = self.go(net, t.left, env)
             e_r, lin2, bng2 = self.go(net, t.right, env)
-            tn = net.add_node("tensor", [tensor(net.typ(e_l), net.typ(e_r))])
-            tn.prem = [e_l, e_r]
+            tn = net.add_node("tensor", [tensor(net.typ(e_l), net.typ(e_r))], [e_l, e_r])
             return tn.concl[0], _merge_lin(lin1, lin2), _merge_bang(bng1, bng2)
 
         if isinstance(t, LetPair):
@@ -165,8 +160,7 @@ class _Translator:
             e_b, lin, bng = self.go(net, t.body, {**env, t.left: bs[t.left], t.right: bs[t.right]})
             x_edge = self.bind(net, t.left, bs[t.left], lin, bng)
             y_edge = self.bind(net, t.right, bs[t.right], lin, bng)
-            p = net.add_node("par", [par(net.typ(x_edge), net.typ(y_edge))])
-            p.prem = [x_edge, y_edge]
+            p = net.add_node("par", [par(net.typ(x_edge), net.typ(y_edge))], [x_edge, y_edge])
             _cut(net, e_s, p.concl[0])
             return e_b, _merge_lin(lin0, lin), _merge_bang(bng0, bng)
 
@@ -189,30 +183,25 @@ class _Translator:
         """c : 1^n -o 1^n as a %%-node over n axioms feeding a sync node."""
         n = t.label.arity
         axs = [net.add_node("ax", [BOT, ONE]) for _ in range(n)]
-        sync = net.add_node("sync", [ONE] * n, label=t.label)
-        sync.prem = [a.concl[1] for a in axs]
+        sync = net.add_node("sync", [ONE] * n, [a.concl[1] for a in axs], label=t.label)
 
         def tuple_edge(edges: list[int]) -> int:
             if len(edges) == 1:
                 return edges[0]
             rest = tuple_edge(edges[1:])
-            tn = net.add_node("tensor", [tensor(net.typ(edges[0]), net.typ(rest))])
-            tn.prem = [edges[0], rest]
-            return tn.concl[0]
+            typ = tensor(net.typ(edges[0]), net.typ(rest))
+            return net.add_node("tensor", [typ], [edges[0], rest]).concl[0]
 
         def cotuple_edge(edges: list[int]) -> int:
             if len(edges) == 1:
                 return edges[0]
             rest = cotuple_edge(edges[1:])
-            p = net.add_node("par", [par(net.typ(edges[0]), net.typ(rest))])
-            p.prem = [edges[0], rest]
-            return p.concl[0]
+            typ = par(net.typ(edges[0]), net.typ(rest))
+            return net.add_node("par", [typ], [edges[0], rest]).concl[0]
 
         arg = cotuple_edge([a.concl[0] for a in axs])
         out = tuple_edge(list(sync.concl))
-        top = net.add_node("par", [par(net.typ(arg), net.typ(out))])
-        top.prem = [arg, out]
-        return top.concl[0]
+        return net.add_node("par", [par(net.typ(arg), net.typ(out))], [arg, out]).concl[0]
 
     def conditional(self, net: Net, t: If, env: dict[str, Ty]):
         e_g, lin_g, bng_g = self.go(net, t.guard, env)
@@ -252,8 +241,8 @@ class _Translator:
         env_m = {**env, t.fun: d_f, t.var: d_x}
         e_m, lin_m, bng_m = self.go(content, t.fbody, env_m)
         x_edge = self.bind(content, t.var, d_x, lin_m, bng_m)
-        lam = content.add_node("par", [par(content.typ(x_edge), content.typ(e_m))])
-        lam.prem = [x_edge, e_m]
+        lam = content.add_node("par", [par(content.typ(x_edge), content.typ(e_m))],
+                               [x_edge, e_m])
         if content.typ(lam.concl[0]) != c_f:
             raise InvalidNetError(f"recursive body of formula {content.typ(lam.concl[0])}, not {c_f}")
         f_port = self.combine(content, bng_m.pop(t.fun, []), quest(neg(c_f)))

@@ -17,7 +17,6 @@ from tokennets.msiam import (
     STAR,
     Transition,
     indicator,
-    run,
 )
 from tokennets.nets import BOT, ONE, bang, par, quest, tensor
 from tokennets.pars import (
@@ -43,6 +42,13 @@ def make(src, bk):
     term = parse(src, backend.labels)
     tp = typecheck(term)
     return translate(tp, backend), backend
+
+
+def run(pn, horizon, policy=leftmost_policy, budget=500):
+    """(convergence probability, horizon hit) of the fused machine for `pn`."""
+    fused = FusedSystem(MsSystem(pn), budget)
+    start = fused.prepare(fused.sys.initial_state())
+    return converge(Distribution.dirac(start), fused, policy, horizon=horizon)
 
 
 def pcf_converge(src, backend, horizon=300):
@@ -80,7 +86,7 @@ def test_single_allocation_runs_to_final():
     assert not st.tokens  # a 1-conclusion has no initial tokens
     final = FusedSystem(sys).prepare(st)
     assert not sys.enumerate_redexes(final)
-    assert sys.classify(final) == "final"
+    assert sys.is_final(final)
     ((pos, orig),) = final.tokens
     assert sys.index.is_root_conclusion(pos[0])
     assert final.ind[orig] == 0  # the allocation got the first address
@@ -97,7 +103,7 @@ def test_sync_updates_memory():
     sys = MsSystem(pn)
     fused = FusedSystem(sys)
     st = fused.prepare(sys.initial_state())
-    assert sys.classify(st) == "final"
+    assert sys.is_final(st)
     # one register, incremented twice
     (a,) = st.memory.support()
     assert st.memory.get(a) == 2
@@ -113,7 +119,7 @@ def test_probabilistic_choice_splits_mass():
     finals = list(mu)
     assert len(finals) == 2
     assert all(p == pytest.approx(0.5) for _, p in finals)
-    assert all(sys.classify(a) == "final" for a, _ in finals)
+    assert all(sys.is_final(a) for a, _ in finals)
 
 
 def test_terminal_states_are_final():
@@ -125,7 +131,7 @@ def test_terminal_states_are_final():
         mu = lift_step(mu, fused, leftmost_policy)
     for a, _ in mu:
         if not fused.enumerate_redexes(a):
-            assert sys.classify(a) == "final"
+            assert sys.is_final(a)
     assert mu.mass() == pytest.approx(1.0)
 
 

@@ -1,10 +1,10 @@
-"""Once a level of a net has a surface index, only `Net`'s own methods keep it
-up to date, so nothing else in the package may change which node concludes
-or consumes an edge: no store into `.nodes[...]`, and no assignment to or
-in-place change of a node's `.concl`/`.prem`.  Box contents are shared
-between copies of a net, so only `Net`'s methods may replace a box's
-`.contents` either.  `translate.py` builds nets that are not indexed yet,
-so it may set the fields of the nodes it has just made."""
+"""Every level of a net has a surface index from birth, and only `Net`'s own
+methods keep it up to date, so nothing else in the package may change which
+node concludes or consumes an edge: no store into `.nodes[...]`, and no
+assignment to or in-place change of a node's `.concl`/`.prem`, not even on
+a node just made (`Net.add_node` takes its premises).  Box contents are
+shared between copies of a net, so only `Net`'s methods may replace a box's
+`.contents` either."""
 
 import ast
 from pathlib import Path
@@ -43,17 +43,15 @@ def changes(tree: ast.AST):
     return found
 
 
-def allowed(path: Path, kind: str, owner: str | None) -> bool:
-    if path.name == "nets.py" and owner == "Net":
-        return True
-    return path.name == "translate.py" and kind == "assign"
+def allowed(path: Path, owner: str | None) -> bool:
+    return path.name == "nets.py" and owner == "Net"
 
 
 def test_only_net_methods_change_edge_endpoints():
     bad = []
     for path in sorted(SRC.glob("*.py")):
         for line, kind, owner in changes(ast.parse(path.read_text(), str(path))):
-            if not allowed(path, kind, owner):
+            if not allowed(path, owner):
                 bad.append(f"{path.name}:{line} ({kind})")
     assert not bad, f"node fields changed outside Net's methods: {bad}"
 

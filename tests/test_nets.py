@@ -35,10 +35,6 @@ from tokennets.pcfll import parse, typecheck
 from tokennets.translate import translate
 
 
-def wire(net, node, *eids):
-    node.prem = list(eids)
-
-
 def test_formula_negation_involutive():
     a = par(tensor(ONE, BOT), bang(quest(ONE)))
     assert neg(neg(a)) == a
@@ -86,11 +82,21 @@ def test_validate_rejects_broken_nets(breaking):
         validate(net)
 
 
+def test_a_level_refuses_an_edge_with_two_concluders_or_consumers():
+    net = single_ax_net()
+    ax = next(iter(net.nodes.values()))
+    twin = Node(fresh_id(), "one", [ax.concl[1]])
+    with pytest.raises(InvalidNetError, match=f"^edge {ax.concl[1]} concluded twice$"):
+        Net([ax, twin], net.edges.values(), net.conclusions)
+    net.add_node("cut", [], list(ax.concl))
+    with pytest.raises(InvalidNetError, match=f"^edge {ax.concl[0]} consumed twice$"):
+        net.add_node("der", [quest(BOT)], [ax.concl[0]])
+
+
 def test_ax_cut_loop_is_cyclic_not_a_redex():
     net = single_ax_net()
     ax = next(iter(net.nodes.values()))
-    cut = Node(fresh_id(), "cut", [], [ax.concl[1], ax.concl[0]])
-    net.nodes[cut.nid] = cut
+    net.add_node("cut", [], [ax.concl[1], ax.concl[0]])
     net.conclusions = []
     validate(net)
     assert check_correct(net) is not None
@@ -102,8 +108,7 @@ def ax_cut_one_net():
     net = Net()
     one = net.add_node("one", [ONE])
     ax = net.add_node("ax", [BOT, ONE])
-    cut = Node(fresh_id(), "cut", [], [one.concl[0], ax.concl[0]])
-    net.nodes[cut.nid] = cut
+    net.add_node("cut", [], [one.concl[0], ax.concl[0]])
     net.conclusions = [ax.concl[1]]
     return net
 
@@ -125,14 +130,11 @@ def test_tensor_par_reduction():
     net = Net()
     one1 = net.add_node("one", [ONE])
     one2 = net.add_node("one", [ONE])
-    t = net.add_node("tensor", [tensor(ONE, ONE)])
-    wire(net, t, one1.concl[0], one2.concl[0])
+    t = net.add_node("tensor", [tensor(ONE, ONE)], [one1.concl[0], one2.concl[0]])
     ax_a = net.add_node("ax", [BOT, ONE])
     ax_b = net.add_node("ax", [BOT, ONE])
-    p = net.add_node("par", [par(BOT, BOT)])
-    wire(net, p, ax_a.concl[0], ax_b.concl[0])
-    cut = Node(fresh_id(), "cut", [], [t.concl[0], p.concl[0]])
-    net.nodes[cut.nid] = cut
+    p = net.add_node("par", [par(BOT, BOT)], [ax_a.concl[0], ax_b.concl[0]])
+    net.add_node("cut", [], [t.concl[0], p.concl[0]])
     net.conclusions = [ax_a.concl[1], ax_b.concl[1]]
     validate(net)
     assert check_correct(net) is None
@@ -154,8 +156,8 @@ def test_sync_reduction():
     net = Net()
     one1 = net.add_node("one", [ONE])
     one2 = net.add_node("one", [ONE])
-    sync = net.add_node("sync", [ONE, ONE], label=OperationLabel("max", 2))
-    wire(net, sync, one1.concl[0], one2.concl[0])
+    sync = net.add_node("sync", [ONE, ONE], [one1.concl[0], one2.concl[0]],
+                        label=OperationLabel("max", 2))
     net.conclusions = list(sync.concl)
     validate(net)
     assert check_correct(net) is None
@@ -175,10 +177,8 @@ def bang_box_net():
     net = Net()
     box = net.add_node("bangbox", [bang(ONE)], contents=[content])
     ax = net.add_node("ax", [BOT, ONE])
-    der = net.add_node("der", [quest(BOT)])
-    wire(net, der, ax.concl[0])
-    cut = Node(fresh_id(), "cut", [], [box.concl[0], der.concl[0]])
-    net.nodes[cut.nid] = cut
+    der = net.add_node("der", [quest(BOT)], [ax.concl[0]])
+    net.add_node("cut", [], [box.concl[0], der.concl[0]])
     net.conclusions = [ax.concl[1]]
     return net
 
@@ -218,8 +218,7 @@ def test_w_box_reduction():
     net = Net()
     box = net.add_node("bangbox", [bang(ONE)], contents=[content])
     weak = net.add_node("weak", [quest(BOT)])
-    cut = Node(fresh_id(), "cut", [], [box.concl[0], weak.concl[0]])
-    net.nodes[cut.nid] = cut
+    net.add_node("cut", [], [box.concl[0], weak.concl[0]])
     net.conclusions = []
     validate(net)
     (r,) = find_redexes(net)
@@ -237,10 +236,8 @@ def test_c_box_reduction():
     box = net.add_node("bangbox", [bang(ONE)], contents=[content])
     w1 = net.add_node("weak", [quest(BOT)])
     w2 = net.add_node("weak", [quest(BOT)])
-    contr = net.add_node("contr", [quest(BOT)])
-    wire(net, contr, w1.concl[0], w2.concl[0])
-    cut = Node(fresh_id(), "cut", [], [box.concl[0], contr.concl[0]])
-    net.nodes[cut.nid] = cut
+    contr = net.add_node("contr", [quest(BOT)], [w1.concl[0], w2.concl[0]])
+    net.add_node("cut", [], [box.concl[0], contr.concl[0]])
     net.conclusions = []
     validate(net)
     (r,) = find_redexes(net)
@@ -269,10 +266,8 @@ def y_box_net():
     net = Net()
     box = net.add_node("ybox", [bang(ONE)], contents=[content])
     ax = net.add_node("ax", [BOT, ONE])
-    der = net.add_node("der", [quest(BOT)])
-    wire(net, der, ax.concl[0])
-    cut = Node(fresh_id(), "cut", [], [box.concl[0], der.concl[0]])
-    net.nodes[cut.nid] = cut
+    der = net.add_node("der", [quest(BOT)], [ax.concl[0]])
+    net.add_node("cut", [], [box.concl[0], der.concl[0]])
     net.conclusions = [ax.concl[1]]
     return net
 
@@ -310,8 +305,7 @@ def bot_box_net():
     net = Net()
     box = net.add_node("botbox", [BOT, ONE], contents=[content_side(), content_side()])
     one = net.add_node("one", [ONE])
-    cut = Node(fresh_id(), "cut", [], [box.concl[0], one.concl[0]])
-    net.nodes[cut.nid] = cut
+    net.add_node("cut", [], [box.concl[0], one.concl[0]])
     net.conclusions = [box.concl[1]]
     return net
 
@@ -348,8 +342,7 @@ def test_absorb_reduction():
     net = Net()
     closed = net.add_node("bangbox", [bang(ONE)], contents=[inner_content])
     target = net.add_node("bangbox", [bang(ONE), quest(BOT)], contents=[target_content])
-    cut = Node(fresh_id(), "cut", [], [closed.concl[0], target.concl[1]])
-    net.nodes[cut.nid] = cut
+    net.add_node("cut", [], [closed.concl[0], target.concl[1]])
     net.conclusions = [target.concl[0]]
     validate(net)
     (r,) = find_redexes(net)
@@ -374,15 +367,13 @@ def test_absorb_reduction_into_dereliction_aux():
 
     target_content = Net()
     tc_ax = target_content.add_node("ax", [BOT, ONE])
-    tc_der = target_content.add_node("der", [quest(BOT)])
-    wire(target_content, tc_der, tc_ax.concl[0])
+    tc_der = target_content.add_node("der", [quest(BOT)], [tc_ax.concl[0]])
     target_content.conclusions = [tc_ax.concl[1], tc_der.concl[0]]
 
     net = Net()
     closed = net.add_node("bangbox", [bang(ONE)], contents=[inner_content])
     target = net.add_node("bangbox", [bang(ONE), quest(BOT)], contents=[target_content])
-    cut = Node(fresh_id(), "cut", [], [closed.concl[0], target.concl[1]])
-    net.nodes[cut.nid] = cut
+    net.add_node("cut", [], [closed.concl[0], target.concl[1]])
     net.conclusions = [target.concl[0]]
     validate(net)
     (r,) = find_redexes(net)
@@ -433,8 +424,9 @@ def switch_groups(level):
 
 def oracle_cyclic(level):
     """Whether some switching of this level is cyclic, by trying them all."""
-    concl_of, prem_of = level.concl_of(), level.prem_of()
-    links = [(e, concl_of[e][0], prem_of[e][0]) for e in concl_of if e in prem_of]
+    concluder = {e: n.nid for n in level.nodes.values() for e in n.concl}
+    consumer = {e: n.nid for n in level.nodes.values() for e in n.prem}
+    links = [(e, concluder[e], consumer[e]) for e in concluder if e in consumer]
     groups = switch_groups(level)
     for kept in itertools.product(*groups):
         removed = {e for g, k in zip(groups, kept) for e in g if e != k}
@@ -460,12 +452,13 @@ def switchings(level):
 
 
 def test_contraction_ring_beyond_4096_switchings_is_cyclic():
-    # 14 contraction nodes in a ring, each also fed by a weakening.
-    net = Net()
-    weak = [net.add_node("weak", [quest(BOT)]) for _ in range(14)]
-    ring = [net.add_node("contr", [quest(BOT)]) for _ in range(14)]
-    for i, c in enumerate(ring):
-        wire(net, c, ring[i - 1].concl[0], weak[i].concl[0])
+    # 14 contraction nodes in a ring, each also fed by a weakening.  A ring
+    # needs its edges before its nodes, so the level is built from nodes.
+    weak = [Node(fresh_id(), "weak", [fresh_id()]) for _ in range(14)]
+    out = [fresh_id() for _ in range(14)]
+    ring = [Node(fresh_id(), "contr", [out[i]], [out[i - 1], weak[i].concl[0]])
+            for i in range(14)]
+    net = Net(weak + ring, [Edge(n.concl[0], quest(BOT)) for n in weak + ring])
     validate(net)
     assert switchings(net) == 2 ** 14
     assert check_correct(net) == (
@@ -476,11 +469,11 @@ def test_contraction_ring_beyond_4096_switchings_is_cyclic():
 def test_sync_ring_without_ordinary_edges_is_cyclic():
     # Every edge is a switched sync conclusion, so contracting ordinary
     # edges (as in Danos's contractibility) would find nothing to merge.
-    net = Net()
     label = OperationLabel("max", 2)
-    syncs = [net.add_node("sync", [ONE, ONE], label=label) for _ in range(3)]
-    for i, s in enumerate(syncs):
-        wire(net, s, syncs[i - 1].concl[0], syncs[i - 2].concl[1])
+    out = [[fresh_id(), fresh_id()] for _ in range(3)]
+    syncs = [Node(fresh_id(), "sync", out[i], [out[i - 1][0], out[i - 2][1]], label)
+             for i in range(3)]
+    net = Net(syncs, [Edge(e, ONE) for pair in out for e in pair])
     validate(net)
     assert oracle_cyclic(net)
     assert check_correct(net) is not None
@@ -518,8 +511,7 @@ def test_boxes_nested_1500_deep_are_checked_without_recursion():
     assert net.renamed().signature() == net.signature()
     inner = single_one_net()  # beside an ax whose conclusions are cut together
     ax = inner.add_node("ax", [BOT, ONE])
-    cut = Node(fresh_id(), "cut", [], list(ax.concl))
-    inner.nodes[cut.nid] = cut
+    cut = inner.add_node("cut", [], list(ax.concl))
     net, boxes = nest_in_boxes(inner, 1500)
     path = "".join(f"inside box {nid}: " for nid in boxes)
     assert check_correct(net) == (

@@ -17,7 +17,7 @@ from tokennets.memory import (
     quantum_backend,
 )
 from tokennets.msiam import MachineState, MsSystem
-from tokennets.nets import BOT, Net, Node, ONE, fresh_id, validate
+from tokennets.nets import BOT, Net, ONE, validate
 from tokennets.pars import (
     Distribution,
     FusedSystem,
@@ -87,8 +87,7 @@ def counter_net():
     """one --> sync(S): a single register incremented once."""
     net = Net()
     one = net.add_node("one", [ONE])
-    sync = net.add_node("sync", [ONE], label=S)
-    sync.prem = [one.concl[0]]
+    sync = net.add_node("sync", [ONE], [one.concl[0]], label=S)
     net.conclusions = [sync.concl[0]]
     validate(net)
     return net
@@ -125,10 +124,8 @@ def coin_choice_net():
     net = Net()
     box = net.add_node("botbox", [BOT, ONE], contents=[content_side(), content_side()])
     one = net.add_node("one", [ONE])
-    sync = net.add_node("sync", [ONE], label=COIN)
-    sync.prem = [one.concl[0]]
-    cut = Node(fresh_id(), "cut", [], [box.concl[0], sync.concl[0]])
-    net.nodes[cut.nid] = cut
+    sync = net.add_node("sync", [ONE], [one.concl[0]], label=COIN)
+    net.add_node("cut", [], [box.concl[0], sync.concl[0]])
     net.conclusions = [box.concl[1]]
     validate(net)
     return net
@@ -414,8 +411,7 @@ assert sys.flags.optimize
 net = Net()
 one = net.add_node("one", [ONE])
 ax = net.add_node("ax", [BOT, ONE])
-cut = Node(fresh_id(), "cut", [], [one.concl[0], ax.concl[0]])
-net.nodes[cut.nid] = cut
+cut = net.add_node("cut", [], [one.concl[0], ax.concl[0]])
 net.conclusions = [ax.concl[1]]
 validate(net)
 
@@ -433,7 +429,7 @@ rejects(ValueError, reduce, net, NetRedex("test", (cut.nid, ax.nid, one.nid)))
 twin = Node(fresh_id(), "one", [one.concl[0]])
 net.nodes[twin.nid] = twin
 rejects(InvalidNetError, validate, net)  # an edge concluded twice
-rejects(InvalidNetError, net.concl_of)
+rejects(InvalidNetError, net.add_node, "cut", [], [one.concl[0], ax.concl[1]])  # consumed twice
 del net.nodes[twin.nid]
 net.conclusions = []
 rejects(InvalidNetError, validate, net)  # a dangling conclusion

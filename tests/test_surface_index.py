@@ -24,26 +24,24 @@ CORPUS = sorted(CORPUS_DIR.glob("*.pcf"))
 
 
 def rebuilt_redexes(level: Net) -> list:
-    """`find_redexes` of a fresh, unindexed view of the level: every cut and
-    sync node classified from scratch."""
+    """`find_redexes` of a fresh view of the level, indexed anew: every cut
+    and sync node classified from scratch."""
     return find_redexes(Net(level.nodes.values(), level.edges.values(), level.conclusions))
 
 
 def check_fresh(net: Net) -> None:
-    """Every level of `net` that has an index agrees with a rebuild."""
-    assert net._surface is not None
+    """The index of every level of `net` agrees with a rebuild."""
     levels = [net]
     while levels:
         level = levels.pop()
-        ix = level._surface
-        if ix is not None:
-            assert ix.concluder == {e: nid for e, (nid, _) in level.concl_of().items()}
-            assert ix.consumer == {e: nid for e, (nid, _) in level.prem_of().items()}
-            assert ix.ones == {nid for nid, n in level.nodes.items() if n.kind == "one"}
-            assert set(ix.redex) == {nid for nid, n in level.nodes.items()
-                                     if n.kind in ("cut", "sync")}
-            assert ix.dirty <= set(ix.redex)
-            assert find_redexes(level) == rebuilt_redexes(level)
+        ix = level.surface
+        assert ix.concluder == {e: n.nid for n in level.nodes.values() for e in n.concl}
+        assert ix.consumer == {e: n.nid for n in level.nodes.values() for e in n.prem}
+        assert ix.ones == {nid for nid, n in level.nodes.items() if n.kind == "one"}
+        assert set(ix.redex) == {nid for nid, n in level.nodes.items()
+                                 if n.kind in ("cut", "sync")}
+        assert ix.dirty <= set(ix.redex)
+        assert find_redexes(level) == rebuilt_redexes(level)
         levels.extend(c for n in level.nodes.values() for c in n.contents)
 
 
@@ -80,10 +78,9 @@ def test_maintained_index_equals_a_rebuild_after_every_rule(monkeypatch):
         return run
 
     def checked_copy(net):
-        # Branch copies and the closure's own copy start indexed, and each
-        # index is the copy's own.
+        # Branch copies and the closure's own copy each get their own index.
         clone = copy.deepcopy(net)
-        assert clone._surface is not None and clone._surface is not net._surface
+        assert clone.surface is not net.surface
         check_fresh(clone)
         return clone
 

@@ -8,7 +8,7 @@ terminal mass reached at each step count is independent of the policy, which
 is what the bundled diamond checker verifies.
 
 The generator `lifted_steps` is the one driver of the lifted step: the
-convergence, trace, iteration and diamond functions below, and the CLI,
+convergence, lift-step, split and diamond functions below, and the CLI,
 read the terminal and reducible parts it yields after each step.  It is
 also the one place that merges equal reducts and decides termination: a
 system's `apply` returns a plain list of (reduct, probability) pairs, and
@@ -177,19 +177,11 @@ def terminal_split(mu: Distribution, sys: RewriteSystem) -> tuple[Distribution, 
     return next(lifted_steps(mu, sys, leftmost_policy, 0, 0.0))[1:]
 
 
-def degree_of_termination(mu: Distribution, sys: RewriteSystem) -> float:
-    return terminal_split(mu, sys)[0].mass()
-
-
-def iterate(mu: Distribution, n: int, sys: RewriteSystem, policy: Policy) -> Distribution:
-    for mu, _, _ in lifted_steps(mu, sys, policy, n, 0.0):
-        pass
-    return mu
-
-
 def lift_step(mu: Distribution, sys: RewriteSystem, policy: Policy) -> Distribution:
     """One parallel step: every non-terminal support element is reduced once."""
-    return iterate(mu, 1, sys, policy)
+    for mu, _, _ in lifted_steps(mu, sys, policy, 1, 0.0):
+        pass
+    return mu
 
 
 def converge(
@@ -210,13 +202,6 @@ def converge(
     for _, term, red in lifted_steps(mu, sys, policy, horizon, tol):
         pass
     return term.mass(), red.mass() >= tol
-
-
-def converge_trace(
-    mu: Distribution, sys: RewriteSystem, policy: Policy, horizon: int
-) -> list[float]:
-    """Terminal degree after 0..horizon lifted steps (stops when mass settles)."""
-    return [term.mass() for _, term, _ in lifted_steps(mu, sys, policy, horizon, PRUNE)]
 
 
 @dataclass

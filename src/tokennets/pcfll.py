@@ -6,10 +6,13 @@ Terms:  x | \\x. M | M N | <M, N> | let <x,y> = M in N |
 `new` allocates a fresh memory address of base type; constants are the
 backend's labeled operations at type a^(x)n -o a^(x)n; `if` destructively
 tests its base-typed guard.  The type system is linear: non-! variables are
-used exactly once, duplicable values live at types !(A -o B) introduced by
-promotion, and `if` branches may only capture !-typed variables.  Types are
-inferred by unification, with promotions inserted where a value is checked
-against a !-type.
+used exactly once, and duplicable values live at types !(A -o B) introduced
+by promotion.  Three duplicable boundaries may only capture !-typed
+variables: the branches of an `if`, a `letrec` function's body, and a
+promoted value.  A linear variable bound outside one and used inside it is
+a type error.  Types are inferred by unification, with promotions inserted
+where a value is checked against a !-type, and linearity is checked in the
+same pass.
 
 The abstract machine rewrites closures (term, address map, memory): `new`
 links a fresh address, a constant applied to a tuple of linked variables
@@ -20,7 +23,7 @@ test, and beta/let/letrec steps are pure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import is_not
 from typing import Callable, NamedTuple
 
@@ -390,58 +393,87 @@ def is_value(t: Term) -> bool:
     return False
 
 
-def count_occurrences(t: Term, name: str) -> int:
-    """The number of free occurrences of `name` in `t`."""
-    return sum(
-        isinstance(s, Var) and s.name == name and name not in bound for s, bound in walk(t)
-    )
+def binder_uses(t: Term) -> dict[tuple[int, str], int]:
+    """Map (id(s), name) to the number of free occurrences of `name` in `s`,
+    for every scope `s` of `t` and every name bound in it, in one walk."""
+    uses: dict[tuple[int, str], int] = {}
+    inner: dict[str, list[int]] = {}  # name -> ids of the scopes binding it, innermost last
+    # An entry (term, names) visits `term`, a scope binding `names`; with
+    # term None, it leaves the scope that bound `names`.
+    todo: list = [(t, ())]
+    while todo:
+        t, names = todo.pop()
+        if t is None:
+            for name in names:
+                inner[name].pop()
+            continue
+        if names:
+            for name in names:
+                uses[id(t), name] = 0
+                inner.setdefault(name, []).append(id(t))
+            todo.append((None, names))
+        if isinstance(t, Var):
+            if inner.get(t.name):
+                uses[inner[t.name][-1], t.name] += 1
+        else:
+            todo.extend(scopes(t))
+    return uses
 
 
 class Checker:
-    """Unification-based inference with promotion insertion.
+    """One pass of unification-based inference, promotion insertion and
+    linearity checking.
 
     A binder whose variable occurs zero or several times in its scope is
-    forced to a !(A -o B) type; a once-used binder gets a plain variable.
-    Unification can still resolve that variable to a !-type, for instance
-    when the two branches of an `if` are functions whose binders are used
-    once in one branch and not at all in the other; its one occurrence then
-    stays a linear use.  `promotions` collects term nodes that are boxed by
-    the translation; `use` records for each variable occurrence whether it
-    is a linear use or a dereliction of a !-variable.
+    forced to a !(A -o B) type; a once-used binder is linear and gets a plain
+    variable.  Unification can still resolve that variable to a !-type, for
+    instance when the two branches of an `if` are functions whose binders
+    are used once in one branch and not at all in the other; its one
+    occurrence then stays a linear use.  `if` branches, recursive function
+    bodies and promoted values are duplicable boundaries: a context entry is
+    (type, depth), where depth counts the boundaries around a linear
+    binder's scope (None for a !-binder), and a linear variable used at
+    another depth crosses one.  `promotions` collects term nodes that are
+    boxed by the translation; `use` records for each variable occurrence
+    whether it is a linear use or a dereliction of a !-variable.
     """
 
-    def __init__(self):
+    def __init__(self, term: Term):
+        self.uses = binder_uses(term)
+        self.depth = 0
         self.promotions: set[int] = set()
         self.use: dict[int, str] = {}
-        self.types: dict[int, object] = {}
         self.binders: dict[int, dict[str, object]] = {}
 
-    def binder_type(self, term: Term, name: str):
-        n = count_occurrences(term, name)
-        if n == 1:
-            return TVar()
-        return bang_t(lolli(TVar(), TVar()))
+    def bind(self, t: Term, scope: Term, *names: str) -> dict[str, tuple]:
+        """Context entries for the names binder `t` binds in `scope`, also
+        recorded as `t`'s binder types: a once-used name is linear, with a
+        type variable and the current depth; any other gets !(A -o B)."""
+        entries = {
+            v: (TVar(), self.depth) if self.uses[id(scope), v] == 1
+            else (bang_t(lolli(TVar(), TVar())), None)
+            for v in names
+        }
+        self.binders.setdefault(id(t), {}).update((v, d) for v, (d, _) in entries.items())
+        return entries
 
     def infer(self, ctx: dict, t: Term):
-        ty = self._infer(ctx, t)
-        self.types[id(t)] = ty
-        return ty
-
-    def _infer(self, ctx: dict, t: Term):
         if isinstance(t, Var):
             if t.name not in ctx:
                 raise TypecheckError(f"unbound variable {t.name}")
-            d = resolve(ctx[t.name])
+            d, depth = ctx[t.name]
+            if depth is not None and depth != self.depth:
+                raise TypecheckError(f"linear variable {t.name} crosses a duplicable boundary")
+            d = resolve(d)
             if isinstance(d, Ty) and d.kind == "bang":
                 self.use[id(t)] = "bang"
                 return d.sub[0]
             self.use[id(t)] = "linear"
             return d
         if isinstance(t, Lam):
-            d = self.binder_type(t.body, t.var)
-            self.binders[id(t)] = {t.var: d}
-            body = self.infer({**ctx, t.var: d}, t.body)
-            return lolli(d, body)
+            inner = self.bind(t, t.body, t.var)
+            body = self.infer({**ctx, **inner}, t.body)
+            return lolli(inner[t.var][0], body)
         if isinstance(t, App):
             tf = self.infer(ctx, t.fun)
             a, b = TVar(), TVar()
@@ -451,21 +483,21 @@ class Checker:
         if isinstance(t, Pair):
             return tensor_t(self.infer(ctx, t.left), self.infer(ctx, t.right))
         if isinstance(t, LetPair):
-            da = self.binder_type(t.body, t.left)
-            db = self.binder_type(t.body, t.right)
             if t.left == t.right:
                 raise TypecheckError("pair pattern variables must be distinct")
-            self.binders[id(t)] = {t.left: da, t.right: db}
-            self.check(ctx, t.subject, tensor_t(da, db))
-            return self.infer({**ctx, t.left: da, t.right: db}, t.body)
+            inner = self.bind(t, t.body, t.left, t.right)
+            self.check(ctx, t.subject, tensor_t(inner[t.left][0], inner[t.right][0]))
+            return self.infer({**ctx, **inner}, t.body)
         if isinstance(t, LetRec):
             a, b = TVar(), TVar()
             df = bang_t(lolli(a, b))
-            dx = self.binder_type(t.fbody, t.var)
-            unify(a, dx)
-            self.binders[id(t)] = {t.fun: df, t.var: dx}
-            self.check({**ctx, t.fun: df, t.var: dx}, t.fbody, b)
-            return self.infer({**ctx, t.fun: df}, t.body)
+            self.binders[id(t)] = {t.fun: df}
+            self.depth += 1
+            inner = self.bind(t, t.fbody, t.var)
+            unify(a, inner[t.var][0])
+            self.check({**ctx, t.fun: (df, None), **inner}, t.fbody, b)
+            self.depth -= 1
+            return self.infer({**ctx, t.fun: (df, None)}, t.body)
         if isinstance(t, New):
             return BASE
         if isinstance(t, Const):
@@ -473,8 +505,10 @@ class Checker:
             return lolli(tuple_type(n), tuple_type(n))
         if isinstance(t, If):
             self.check(ctx, t.guard, BASE)
+            self.depth += 1
             ty = self.infer(ctx, t.then)
             self.check(ctx, t.els, ty)
+            self.depth -= 1
             return ty
         raise TypeError(t)
 
@@ -485,107 +519,29 @@ class Checker:
                 raise TypecheckError(f"only values can be promoted: {term_str(t)}")
             self.promotions.add(id(t))
             # A !-typed variable re-promotes through its dereliction.
+            self.depth += 1
             self.check(ctx, t, e.sub[0])
+            self.depth -= 1
             return
         unify(self.infer(ctx, t), expected)
-
-
-def check_linearity(t: Term, ctx: dict[str, str], boxed: frozenset = frozenset()) -> dict[str, int]:
-    """Enforce linear usage; returns the use count of free variables.
-
-    `ctx` maps variables to "linear" or "bang".  Linear variables must be
-    used exactly once and may not occur inside if-branches or boxed subterms
-    (promoted values, recursive function bodies) from outside.
-    """
-
-    def walk(t: Term, ctx, banned: frozenset) -> dict[str, int]:
-        counts: dict[str, int] = {}
-
-        def merge(sub: dict[str, int]):
-            for k, v in sub.items():
-                counts[k] = counts.get(k, 0) + v
-
-        if isinstance(t, Var):
-            if t.name in banned:
-                raise TypecheckError(
-                    f"linear variable {t.name} crosses a duplicable boundary"
-                )
-            return {t.name: 1}
-        if isinstance(t, Lam):
-            kind = "linear" if count_occurrences(t.body, t.var) == 1 else "bang"
-            inner = walk(t.body, {**ctx, t.var: kind}, banned - {t.var})
-            _leave(inner, t.var, kind)
-            return {k: v for k, v in inner.items() if k != t.var}
-        if isinstance(t, App):
-            merge(walk(t.fun, ctx, banned))
-            merge(walk(t.arg, ctx, banned))
-        elif isinstance(t, Pair):
-            merge(walk(t.left, ctx, banned))
-            merge(walk(t.right, ctx, banned))
-        elif isinstance(t, LetPair):
-            merge(walk(t.subject, ctx, banned))
-            kinds = {
-                v: ("linear" if count_occurrences(t.body, v) == 1 else "bang")
-                for v in (t.left, t.right)
-            }
-            inner = walk(t.body, {**ctx, **kinds}, banned - set(kinds))
-            for v, kind in kinds.items():
-                _leave(inner, v, kind)
-            merge({k: v for k, v in inner.items() if k not in kinds})
-        elif isinstance(t, LetRec):
-            linear_here = {v for v, k in ctx.items() if k == "linear"}
-            xkind = "linear" if count_occurrences(t.fbody, t.var) == 1 else "bang"
-            inner = walk(
-                t.fbody,
-                {**ctx, t.fun: "bang", t.var: xkind},
-                (banned | linear_here) - {t.fun, t.var},
-            )
-            _leave(inner, t.var, xkind)
-            merge({k: v for k, v in inner.items() if k not in (t.fun, t.var)})
-            inner = walk(t.body, {**ctx, t.fun: "bang"}, banned - {t.fun})
-            merge({k: v for k, v in inner.items() if k != t.fun})
-        elif isinstance(t, If):
-            merge(walk(t.guard, ctx, banned))
-            linear_here = {v for v, k in ctx.items() if k == "linear"}
-            for branch in (t.then, t.els):
-                merge(walk(branch, ctx, banned | linear_here))
-        return counts
-
-    def _leave(counts: dict[str, int], var: str, kind: str) -> None:
-        if kind == "linear" and counts.get(var, 0) != 1:
-            raise TypecheckError(f"linear variable {var} used {counts.get(var, 0)} times")
-
-    top = walk(t, ctx, frozenset())
-    for v, kind in ctx.items():
-        if kind == "linear" and top.get(v, 0) != 1:
-            raise TypecheckError(f"linear variable {v} used {top.get(v, 0)} times")
-    return top
 
 
 @dataclass
 class TypedProgram:
     term: Term
     type: Ty
-    types: dict[int, Ty]        # node id -> ground type (pre-promotion)
     binders: dict[int, dict[str, Ty]]  # binder node id -> var -> ground type
     use: dict[int, str]         # Var node id -> "linear" | "bang"
     promotions: set[int]        # node ids wrapped in a !-box
-    free: dict[str, Ty]
 
 
-def typecheck(term: Term, free: dict[str, Ty] | None = None) -> TypedProgram:
-    """Infer the type of `term` with free variables at the given types."""
-    free = dict(free or {})
-    checker = Checker()
-    ty = checker.infer(dict(free), term)
-    result = ground(ty)
-    types = {k: ground(v) for k, v in checker.types.items()}
+def typecheck(term: Term) -> TypedProgram:
+    """Infer the type of the closed program `term` and check its linearity."""
+    checker = Checker(term)
+    result = ground(checker.infer({}, term))
     binders = {
         k: {v: ground(d) for v, d in bs.items()} for k, bs in checker.binders.items()
     }
-    free_g = {v: ground(t) for v, t in free.items()}
-    kinds = {v: ("bang" if t.kind == "bang" else "linear") for v, t in free_g.items()}
-    check_linearity(term, kinds)
 
     def bang_shapes(ty: Ty):
         if ty.kind == "bang" and ty.sub[0].kind != "lolli":
@@ -593,11 +549,9 @@ def typecheck(term: Term, free: dict[str, Ty] | None = None) -> TypedProgram:
         for s in ty.sub:
             bang_shapes(s)
 
-    for ty2 in list(types.values()) + [d for bs in binders.values() for d in bs.values()]:
-        bang_shapes(ty2)
-    return TypedProgram(
-        term, result, types, binders, checker.use, checker.promotions, free_g
-    )
+    for ty in [result] + [d for bs in binders.values() for d in bs.values()]:
+        bang_shapes(ty)
+    return TypedProgram(term, result, binders, checker.use, checker.promotions)
 
 
 # ---------------------------------------------------------------------------

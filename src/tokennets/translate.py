@@ -266,9 +266,8 @@ class _Translator:
 
 
 def translate(tp: TypedProgram, backend: Backend) -> ProgramNet:
-    """Translate a closed typed program into an initial program net."""
-    if tp.free:
-        raise ValueError("only closed programs translate to initial program nets")
+    """Translate a typed program, which `typecheck` makes sure is closed,
+    into an initial program net."""
     net = Net()
     tr = _Translator(tp)
     e, lin, bng = tr.go(net, tp.term, {})

@@ -25,10 +25,11 @@ from tokennets.msiam import MsSystem
 from tokennets.pars import (
     Distribution,
     FusedSystem,
+    PRUNE,
     converge,
-    converge_trace,
     leftmost_policy,
     lift_step,
+    lifted_steps,
     seeded_policy,
     terminal_split,
 )
@@ -91,7 +92,8 @@ def test_quantum_coin_toss_geometric_convergence(engine):
     t0 = time.monotonic()
     fused, start = engine_system(engine, src, backend)
     start = fused.prepare(start)
-    trace = converge_trace(Distribution.dirac(start), fused, leftmost_policy, horizon=40)
+    trace = [t.mass() for _, t, _ in lifted_steps(Distribution.dirac(start), fused,
+                                                   leftmost_policy, 40, PRUNE)]
     # probability after k recursive rounds is 1 - 2^-k; check k = 10
     assert any(abs(v - 0.9990234375) <= TOL for v in trace), trace
     for k in range(1, 13):

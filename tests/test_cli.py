@@ -30,6 +30,17 @@ def test_type_error_exit_code(tmp_path, capsys):
     assert "type error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("src", [
+    r"(\g. (\a. new) g) (\z. z)",
+    r"(\x. (\f. <f new, f new>) x) (\z. z)",
+])
+def test_linear_variable_in_a_promoted_value_is_a_type_error(tmp_path, capsys, src):
+    f = write(tmp_path, src)
+    assert main([f]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("type error: linear variable") and err.count("\n") == 1
+
+
 def test_all_engines_agree(tmp_path, capsys):
     f = write(tmp_path, r"(\x. x) new")
     assert main([f, "--engine", "all", "--backend", "int", "--horizon", "30"]) == 0

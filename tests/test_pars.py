@@ -9,14 +9,12 @@ from hypothesis import given, strategies as st
 from tokennets.cli import ENGINES, build_backend, make_engine
 from tokennets.pars import (
     CONTINUE,
+    PRUNE,
     TOL,
     Distribution,
     FusedSystem,
     check_diamond,
     converge,
-    converge_trace,
-    degree_of_termination,
-    iterate,
     leftmost_policy,
     lift_step,
     lifted_steps,
@@ -117,8 +115,8 @@ def test_terminal_split_edge_cases():
 
 
 def test_degree_of_termination():
-    assert degree_of_termination(Distribution({"halt": 0.5, "a": 0.5}), GEO) == 0.5
-    assert degree_of_termination(Distribution({"halt": 1.0}), GEO) == 1.0
+    assert terminal_split(Distribution({"halt": 0.5, "a": 0.5}), GEO)[0].mass() == 0.5
+    assert terminal_split(Distribution({"halt": 1.0}), GEO)[0].mass() == 1.0
 
     class TwoTerminal(Geometric):
         def enumerate_redexes(self, a):
@@ -126,7 +124,7 @@ def test_degree_of_termination():
 
     sys = TwoTerminal()
     mu = Distribution({"halt": 0.25, "stop": 0.25, "a": 0.5})
-    assert degree_of_termination(mu, sys) == 0.5
+    assert terminal_split(mu, sys)[0].mass() == 0.5
 
 
 def test_lift_step_terminal_fixpoint():
@@ -143,12 +141,13 @@ def test_lift_step_geometric():
 
 def test_iterate():
     mu = Distribution.dirac("a")
-    assert iterate(mu, 0, GEO, leftmost_policy) == mu
-    out = iterate(mu, 10, GEO, leftmost_policy)
-    assert abs(degree_of_termination(out, GEO) - (1 - 2**-10)) < 1e-12
-    assert degree_of_termination(out, GEO) == pytest.approx(0.9990234375)
+    (first, _, _), *_, (out, term, _) = lifted_steps(mu, GEO, leftmost_policy, 10, 0.0)
+    assert first == mu
+    assert abs(term.mass() - (1 - 2**-10)) < 1e-12
+    assert terminal_split(out, GEO)[0].mass() == pytest.approx(0.9990234375)
     all_term = Distribution({"halt": 1.0})
-    assert iterate(all_term, 7, GEO, leftmost_policy) == all_term
+    *_, (out, _, _) = lifted_steps(all_term, GEO, leftmost_policy, 7, 0.0)
+    assert out == all_term
 
 
 def test_converge_geometric():
@@ -167,7 +166,8 @@ def test_converge_pure_loop():
 
 
 def test_converge_trace():
-    trace = converge_trace(Distribution.dirac("a"), GEO, leftmost_policy, 4)
+    trace = [t.mass() for _, t, _ in lifted_steps(Distribution.dirac("a"), GEO, leftmost_policy,
+                                                   4, PRUNE)]
     assert trace == pytest.approx([0.0, 0.5, 0.75, 0.875, 0.9375])
 
 
@@ -187,11 +187,11 @@ def test_check_diamond_fail():
 @given(st.integers(1, 6))
 def test_mass_conservation_and_monotonicity(n):
     mu = Distribution({"a": 0.6, "halt": 0.4})
-    prev_nf = degree_of_termination(mu, GEO)
+    prev_nf = terminal_split(mu, GEO)[0].mass()
     for _ in range(n):
         nxt = lift_step(mu, GEO, leftmost_policy)
         assert abs(nxt.mass() - mu.mass()) < 1e-9
-        nf = degree_of_termination(nxt, GEO)
+        nf = terminal_split(nxt, GEO)[0].mass()
         assert nf >= prev_nf - 1e-12
         assert nxt["halt"] >= mu["halt"] - 1e-12  # terminal persistence
         mu, prev_nf = nxt, nf

@@ -14,8 +14,8 @@ from tokennets.pars import (
     Distribution,
     check_diamond,
     converge,
-    iterate,
     leftmost_policy,
+    lifted_steps,
     seeded_policy,
 )
 from tokennets.pcfll import (
@@ -34,14 +34,16 @@ from tokennets.pcfll import (
     TypecheckError,
     Var,
     all_vars,
+    binder_uses,
     closure_step,
-    count_occurrences,
     find_redex,
     free_vars,
     parse,
     subst,
+    scopes,
     term_str,
     typecheck,
+    walk,
 )
 
 INT_OPS = IntRegisterMemory.labels
@@ -131,15 +133,49 @@ def test_linear_variable_cannot_cross_into_branch():
         typecheck(parse("let <a, b> = <new, new> in if a then b else new", {}))
 
 
+@pytest.mark.parametrize("src", [
+    # b is used once, inside the body of a recursive function.
+    "let <a, b> = <new, new> in letrec f x = <x, b> in f a",
+    # g is used once, as the value promoted for the unused binder a.
+    r"(\g. (\a. new) g) (\z. z)",
+    # x is used once, as the value promoted for the twice-used f.
+    r"(\x. (\f. <f new, f new>) x) (\z. z)",
+])
+def test_linear_variable_cannot_cross_into_a_duplicable_value(src):
+    with pytest.raises(TypecheckError, match="crosses a duplicable boundary"):
+        typecheck(parse(src, {}))
+
+
+def linear_nest(n):
+    """(\\v1. ... ((\\vn. vn) v(n-1)) ...) new: every binder is used once."""
+    t = Var(f"v{n}")
+    for i in range(n, 0, -1):
+        t = App(Lam(f"v{i}", t), Var(f"v{i - 1}") if i > 1 else New())
+    return t
+
+
+@pytest.mark.parametrize("n", [60, 120])
+def test_typecheck_visits_each_node_a_bounded_number_of_times(n, monkeypatch):
+    import tokennets.pcfll as pcfll
+
+    term = linear_nest(n)
+    nodes = sum(1 for _ in walk(term))
+    calls = 0
+
+    def counted(t):
+        nonlocal calls
+        calls += 1
+        return scopes(t)
+
+    monkeypatch.setattr(pcfll, "scopes", counted)
+    assert typecheck(term).type == Ty("base")
+    assert calls <= 2 * nodes
+
+
 def test_only_values_promote():
     src = r"(\f. <f new, f new>) (if new then (\x. x) else (\y. y))"
     with pytest.raises(TypecheckError):
         typecheck(parse(src, {}))
-
-
-def test_free_variables_typed_from_context():
-    tp = typecheck(parse("S x", INT_OPS), free={"x": Ty("base")})
-    assert tp.type == Ty("base")
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +241,11 @@ def check_all_vars(chain, nest):
     assert all_vars(nest) == {f"v{i}" for i in range(DEEP)} | {"y"}
 
 
-def check_count_occurrences(chain, nest):
-    assert count_occurrences(chain, "y") == 0
-    assert count_occurrences(nest, "y") == 1 and count_occurrences(nest, "v0") == 0
+def check_binder_uses(chain, nest):
+    assert binder_uses(chain) == {}
+    uses = binder_uses(nest)  # v0 is used once, in the innermost scope
+    assert len(uses) == DEEP and uses.pop((id(nest.body), "v0")) == 1
+    assert set(uses.values()) == {0}
 
 
 def check_subst(chain, nest):
@@ -236,7 +274,7 @@ def default_recursion_limit():
 
 
 @pytest.mark.parametrize("check", [
-    check_free_vars, check_all_vars, check_count_occurrences, check_subst, check_canonical_key,
+    check_free_vars, check_all_vars, check_binder_uses, check_subst, check_canonical_key,
 ])
 def test_walkers_are_stack_safe(check, default_recursion_limit):
     check(*deep_terms("v", 0))
@@ -252,7 +290,8 @@ def run(src, backend, steps=200):
     typecheck(term)
     cl = Closure(term, {}, backend.initial())
     sys = PcfSystem()
-    return iterate(Distribution.dirac(cl), steps, sys, leftmost_policy), sys
+    *_, (dist, _, _) = lifted_steps(Distribution.dirac(cl), sys, leftmost_policy, steps, 0.0)
+    return dist, sys
 
 
 def test_machine_identity():

@@ -23,9 +23,9 @@ from tokennets.pars import (
     FusedSystem,
     check_diamond,
     converge,
-    iterate,
     leftmost_policy,
     lift_step,
+    lifted_steps,
     seeded_policy,
 )
 from tokennets.pcfll import Closure, PcfSystem, parse, typecheck
@@ -96,7 +96,7 @@ def counter_net():
 def test_sync_update():
     pn = ProgramNet(counter_net(), {}, IntRegisterMemory())
     sys = PnSystem()
-    dist = iterate(Distribution.dirac(pn), 2, sys, leftmost_policy)
+    *_, (dist, _, _) = lifted_steps(Distribution.dirac(pn), sys, leftmost_policy, 2, 0.0)
     ((final, p),) = list(dist)
     assert p == 1.0
     assert not sys.enumerate_redexes(final)
@@ -137,7 +137,7 @@ def test_coin_choice_probabilities():
     p, hit = converge(Distribution.dirac(pn), sys, leftmost_policy, horizon=10)
     assert p == pytest.approx(1.0, abs=1e-12)
     assert not hit
-    dist = iterate(Distribution.dirac(pn), 10, sys, leftmost_policy)
+    *_, (dist, _, _) = lifted_steps(Distribution.dirac(pn), sys, leftmost_policy, 10, 0.0)
     probs = sorted(p for _, p in dist)
     assert probs == [pytest.approx(0.5), pytest.approx(0.5)]
     for final, _ in dist:
@@ -445,7 +445,7 @@ stuck = Closure(Var("x"), {"x": 0}, IntRegisterMemory({0: 0}))
 rejects(ValueError, closure_step, stuck)  # no redex
 rejects(ValueError, closure_step, stuck, PcfRedex("test", New(), lambda h: h))
 rejects(ValueError, closure_step_det, stuck, PcfRedex("beta", New(), lambda h: h))
-applied_new = TypedProgram(App(New(), New()), BASE, {}, {}, {}, set(), {})
+applied_new = TypedProgram(App(New(), New()), BASE, {}, {}, set())
 rejects(InvalidNetError, translate, applied_new, int_backend())  # `new` is not a function
 identity = typecheck(parse(r"(\\x. x) new", int_backend().labels))
 machine = MsSystem(translate(identity, int_backend()))

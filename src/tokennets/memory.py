@@ -393,8 +393,7 @@ class QuantumMemory:
 class Backend:
     """Bundle of an initial memory constructor and its operation labels."""
 
-    def __init__(self, name: str, labels: dict[str, OperationLabel], make_initial):
-        self.name = name
+    def __init__(self, labels: dict[str, OperationLabel], make_initial):
         self.labels = labels
         self.make_initial = make_initial
 
@@ -403,11 +402,11 @@ class Backend:
 
 
 def int_backend() -> Backend:
-    return Backend("int", dict(IntRegisterMemory.labels), IntRegisterMemory)
+    return Backend(dict(IntRegisterMemory.labels), IntRegisterMemory)
 
 
 def prob_backend() -> Backend:
-    return Backend("prob", dict(ProbRegisterMemory.labels), ProbRegisterMemory)
+    return Backend(dict(ProbRegisterMemory.labels), ProbRegisterMemory)
 
 
 def quantum_backend(gate_config: str | None = None) -> Backend:
@@ -415,4 +414,4 @@ def quantum_backend(gate_config: str | None = None) -> Backend:
     if gate_config:
         gates.update(load_gate_config(gate_config))
     labels = {name: OperationLabel(name, arity) for name, (arity, _) in gates.items()}
-    return Backend("quantum", labels, lambda: QuantumMemory(gates=gates))
+    return Backend(labels, lambda: QuantumMemory(gates=gates))

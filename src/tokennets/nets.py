@@ -103,7 +103,6 @@ def fresh_id() -> int:
 
 
 BOX_KINDS = ("bangbox", "ybox", "botbox")
-NODE_KINDS = ("ax", "cut", "tensor", "par", "one", "bot", "der", "weak", "contr", "sync") + BOX_KINDS
 
 
 @dataclass

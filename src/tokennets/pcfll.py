@@ -10,9 +10,9 @@ used exactly once, and duplicable values live at types !(A -o B) introduced
 by promotion.  Three duplicable boundaries may only capture !-typed
 variables: the branches of an `if`, a `letrec` function's body, and a
 promoted value.  A linear variable bound outside one and used inside it is
-a type error.  Types are inferred by unification, with promotions inserted
-where a value is checked against a !-type, and linearity is checked in the
-same pass.
+a type error.  In `letrec f x = M`, `x` shadows `f` inside `M`.  Types are
+inferred by unification, with promotions inserted where a value is checked
+against a !-type, and linearity is checked in the same pass.
 
 The abstract machine rewrites closures (term, address map, memory): `new`
 links a fresh address, a constant applied to a tuple of linked variables
@@ -340,9 +340,14 @@ def bang_t(a):
 
 
 def resolve(t):
-    while isinstance(t, TVar) and t.ref is not None:
-        t = t.ref
-    return t
+    """The end of `t`'s TVar chain; every variable on the chain is bound to
+    it directly, so the next lookup takes one step."""
+    end = t
+    while isinstance(end, TVar) and end.ref is not None:
+        end = end.ref
+    while t is not end:
+        t.ref, t = end, t.ref
+    return end
 
 
 def occurs(v: TVar, t) -> bool:
@@ -443,19 +448,17 @@ class Checker:
         self.depth = 0
         self.promotions: set[int] = set()
         self.use: dict[int, str] = {}
-        self.binders: dict[int, dict[str, object]] = {}
+        self.binders: dict[int, tuple] = {}
 
-    def bind(self, t: Term, scope: Term, *names: str) -> dict[str, tuple]:
-        """Context entries for the names binder `t` binds in `scope`, also
-        recorded as `t`'s binder types: a once-used name is linear, with a
-        type variable and the current depth; any other gets !(A -o B)."""
-        entries = {
-            v: (TVar(), self.depth) if self.uses[id(scope), v] == 1
+    def bind(self, scope: Term, *names: str) -> list[tuple]:
+        """Context entries for `names`, bound in `scope`: a once-used name is
+        linear, with a type variable and the current depth; any other gets
+        !(A -o B)."""
+        return [
+            (TVar(), self.depth) if self.uses[id(scope), v] == 1
             else (bang_t(lolli(TVar(), TVar())), None)
             for v in names
-        }
-        self.binders.setdefault(id(t), {}).update((v, d) for v, (d, _) in entries.items())
-        return entries
+        ]
 
     def infer(self, ctx: dict, t: Term):
         if isinstance(t, Var):
@@ -471,9 +474,9 @@ class Checker:
             self.use[id(t)] = "linear"
             return d
         if isinstance(t, Lam):
-            inner = self.bind(t, t.body, t.var)
-            body = self.infer({**ctx, **inner}, t.body)
-            return lolli(inner[t.var][0], body)
+            (x,) = self.bind(t.body, t.var)
+            self.binders[id(t)] = (x[0],)
+            return lolli(x[0], self.infer({**ctx, t.var: x}, t.body))
         if isinstance(t, App):
             tf = self.infer(ctx, t.fun)
             a, b = TVar(), TVar()
@@ -485,19 +488,21 @@ class Checker:
         if isinstance(t, LetPair):
             if t.left == t.right:
                 raise TypecheckError("pair pattern variables must be distinct")
-            inner = self.bind(t, t.body, t.left, t.right)
-            self.check(ctx, t.subject, tensor_t(inner[t.left][0], inner[t.right][0]))
-            return self.infer({**ctx, **inner}, t.body)
+            x, y = self.bind(t.body, t.left, t.right)
+            self.binders[id(t)] = (x[0], y[0])
+            self.check(ctx, t.subject, tensor_t(x[0], y[0]))
+            return self.infer({**ctx, t.left: x, t.right: y}, t.body)
         if isinstance(t, LetRec):
             a, b = TVar(), TVar()
-            df = bang_t(lolli(a, b))
-            self.binders[id(t)] = {t.fun: df}
+            f = (bang_t(lolli(a, b)), None)
             self.depth += 1
-            inner = self.bind(t, t.fbody, t.var)
-            unify(a, inner[t.var][0])
-            self.check({**ctx, t.fun: (df, None), **inner}, t.fbody, b)
+            (x,) = self.bind(t.fbody, t.var)
+            self.binders[id(t)] = (f[0], x[0])
+            unify(a, x[0])
+            # The argument shadows the function when they share a name.
+            self.check({**ctx, t.fun: f, t.var: x}, t.fbody, b)
             self.depth -= 1
-            return self.infer({**ctx, t.fun: (df, None)}, t.body)
+            return self.infer({**ctx, t.fun: f}, t.body)
         if isinstance(t, New):
             return BASE
         if isinstance(t, Const):
@@ -530,7 +535,9 @@ class Checker:
 class TypedProgram:
     term: Term
     type: Ty
-    binders: dict[int, dict[str, Ty]]  # binder node id -> var -> ground type
+    # binder node id -> the ground types of the names it binds, in field
+    # order: (var,) for \, (left, right) for let <,>, (fun, var) for letrec
+    binders: dict[int, tuple[Ty, ...]]
     use: dict[int, str]         # Var node id -> "linear" | "bang"
     promotions: set[int]        # node ids wrapped in a !-box
 
@@ -539,18 +546,7 @@ def typecheck(term: Term) -> TypedProgram:
     """Infer the type of the closed program `term` and check its linearity."""
     checker = Checker(term)
     result = ground(checker.infer({}, term))
-    binders = {
-        k: {v: ground(d) for v, d in bs.items()} for k, bs in checker.binders.items()
-    }
-
-    def bang_shapes(ty: Ty):
-        if ty.kind == "bang" and ty.sub[0].kind != "lolli":
-            raise TypecheckError(f"!-types must wrap functions: {ty}")
-        for s in ty.sub:
-            bang_shapes(s)
-
-    for ty in [result] + [d for bs in binders.values() for d in bs.values()]:
-        bang_shapes(ty)
+    binders = {k: tuple(map(ground, ds)) for k, ds in checker.binders.items()}
     return TypedProgram(term, result, binders, checker.use, checker.promotions)
 
 
@@ -784,7 +780,9 @@ def closure_step_det(cl: Closure, redex) -> Closure:
         return Closure(rebuild(Var(name)), ind2, cl.memory)
     if kind == "letrec":
         _check_redex(isinstance(node, LetRec), kind, node)
-        unrolled = Lam(node.var, LetRec(node.fun, node.var, node.fbody, node.fbody))
+        # An argument named like the function shadows it in the body.
+        inner = node.fbody if node.fun == node.var else LetRec(node.fun, node.var, node.fbody, node.fbody)
+        unrolled = Lam(node.var, inner)
         return Closure(rebuild(subst(node.body, node.fun, unrolled)), cl.ind, cl.memory)
     if kind == "beta":
         _check_redex(isinstance(node, App) and isinstance(node.fun, Lam), kind, node)

@@ -28,7 +28,6 @@ from .pcfll import (
     Ty,
     TypedProgram,
     Var,
-    free_vars,
 )
 from .prognets import ProgramNet
 
@@ -93,6 +92,21 @@ class _Translator:
             return lin.pop(var)
         return self.combine(net, bng.pop(var, []), _qtype(d))
 
+    def enclose(self, net: Net, kind: str, parts: list, head_types: list[Formula], env: dict):
+        """Add a `kind` box over `parts`, each (content, head edges,
+        ?-context).  Each content concludes its head edges, then one merged
+        ?-edge per name of the contexts' union, in sorted order; the box
+        concludes `head_types`, then the same ?-types.  Returns the box and
+        its outer ?-context."""
+        names = sorted(set().union(*(bng for _, _, bng in parts)))
+        qts = [_qtype(env[v]) for v in names]
+        for content, heads, bng in parts:
+            content.conclusions = heads + [
+                self.combine(content, bng.get(v, []), qt) for v, qt in zip(names, qts)
+            ]
+        box = net.add_node(kind, head_types + qts, contents=[c for c, _, _ in parts])
+        return box, {v: [e] for v, e in zip(names, box.concl[len(head_types):])}
+
     # -- main recursion ---------------------------------------------------
 
     def go(self, net: Net, t: Term, env: dict[str, Ty]):
@@ -105,16 +119,8 @@ class _Translator:
         e, lin, bng = self.go_raw(content, t, env)
         if lin:
             raise InvalidNetError(f"linear variables {sorted(lin)} inside a duplicable value")
-        ctx_vars = sorted(bng)
-        concl = [e]
-        types = [bang(content.typ(e))]
-        for v in ctx_vars:
-            qt = _qtype(env[v])
-            concl.append(self.combine(content, bng[v], qt))
-            types.append(qt)
-        content.conclusions = concl
-        box = net.add_node("bangbox", types, contents=[content])
-        bng_out = {v: [box.concl[i + 1]] for i, v in enumerate(ctx_vars)}
+        box, bng_out = self.enclose(net, "bangbox", [(content, [e], bng)],
+                                    [bang(content.typ(e))], env)
         return box.concl[0], {}, bng_out
 
     def go_raw(self, net: Net, t: Term, env: dict[str, Ty]):
@@ -130,7 +136,7 @@ class _Translator:
             return ax.concl[1], {t.name: ax.concl[0]}, {}
 
         if isinstance(t, Lam):
-            d = self.tp.binders[id(t)][t.var]
+            (d,) = self.tp.binders[id(t)]
             e, lin, bng = self.go(net, t.body, {**env, t.var: d})
             x_edge = self.bind(net, t.var, d, lin, bng)
             p = net.add_node("par", [par(net.typ(x_edge), net.typ(e))], [x_edge, e])
@@ -155,11 +161,11 @@ class _Translator:
             return tn.concl[0], _merge_lin(lin1, lin2), _merge_bang(bng1, bng2)
 
         if isinstance(t, LetPair):
-            bs = self.tp.binders[id(t)]
+            d_l, d_r = self.tp.binders[id(t)]
             e_s, lin0, bng0 = self.go(net, t.subject, env)
-            e_b, lin, bng = self.go(net, t.body, {**env, t.left: bs[t.left], t.right: bs[t.right]})
-            x_edge = self.bind(net, t.left, bs[t.left], lin, bng)
-            y_edge = self.bind(net, t.right, bs[t.right], lin, bng)
+            e_b, lin, bng = self.go(net, t.body, {**env, t.left: d_l, t.right: d_r})
+            x_edge = self.bind(net, t.left, d_l, lin, bng)
+            y_edge = self.bind(net, t.right, d_r, lin, bng)
             p = net.add_node("par", [par(net.typ(x_edge), net.typ(y_edge))], [x_edge, y_edge])
             _cut(net, e_s, p.concl[0])
             return e_b, _merge_lin(lin0, lin), _merge_bang(bng0, bng)
@@ -205,41 +211,25 @@ class _Translator:
 
     def conditional(self, net: Net, t: If, env: dict[str, Ty]):
         e_g, lin_g, bng_g = self.go(net, t.guard, env)
-        branch_vars = sorted((free_vars(t.then) | free_vars(t.els)) & set(env))
-        # Branches may only capture duplicable variables.
-        linear = [v for v in branch_vars if env[v].kind != "bang"]
-        if linear:
-            raise InvalidNetError(f"linear variables {linear} inside a conditional branch")
-        contents = []
-        btype = None
+        parts = []
         for branch in (t.els, t.then):  # left content is the false branch
             c = Net()
             root = c.add_node("bot", [BOT])
             e_b, lin_b, bng_b = self.go(c, branch, env)
             if lin_b:
                 raise InvalidNetError(f"linear variables {sorted(lin_b)} inside a conditional branch")
-            concl = [root.concl[0], e_b]
-            for v in branch_vars:
-                concl.append(self.combine(c, bng_b.pop(v, []), _qtype(env[v])))
-            if bng_b:
-                raise InvalidNetError(f"unexpected context {sorted(bng_b)} in a conditional branch")
-            c.conclusions = concl
-            btype = c.typ(e_b)
-            contents.append(c)
-        types = [BOT, btype] + [_qtype(env[v]) for v in branch_vars]
-        box = net.add_node("botbox", types, contents=contents)
+            parts.append((c, [root.concl[0], e_b], bng_b))
+        box, bng_out = self.enclose(net, "botbox", parts, [BOT, c.typ(e_b)], env)
         _cut(net, box.concl[0], e_g)
-        bng_out = {v: [box.concl[i + 2]] for i, v in enumerate(branch_vars)}
         return box.concl[1], lin_g, _merge_bang(bng_g, bng_out)
 
     def recursion(self, net: Net, t: LetRec, env: dict[str, Ty]):
-        bs = self.tp.binders[id(t)]
-        d_f, d_x = bs[t.fun], bs[t.var]
+        d_f, d_x = self.tp.binders[id(t)]
         c_f = type_formula(d_f.sub[0])  # the unfolded A -o B formula
 
         content = Net()
-        env_m = {**env, t.fun: d_f, t.var: d_x}
-        e_m, lin_m, bng_m = self.go(content, t.fbody, env_m)
+        # The argument shadows the function when they share a name.
+        e_m, lin_m, bng_m = self.go(content, t.fbody, {**env, t.fun: d_f, t.var: d_x})
         x_edge = self.bind(content, t.var, d_x, lin_m, bng_m)
         lam = content.add_node("par", [par(content.typ(x_edge), content.typ(e_m))],
                                [x_edge, e_m])
@@ -248,20 +238,12 @@ class _Translator:
         f_port = self.combine(content, bng_m.pop(t.fun, []), quest(neg(c_f)))
         if lin_m:
             raise InvalidNetError(f"linear variables {sorted(lin_m)} inside a recursive definition")
-        ctx_vars = sorted(bng_m)
-        concl = [lam.concl[0], f_port]
-        types = [bang(c_f)]
-        for v in ctx_vars:
-            qt = _qtype(env[v])
-            concl.append(self.combine(content, bng_m[v], qt))
-            types.append(qt)
-        content.conclusions = concl
-        box = net.add_node("ybox", types, contents=[content])
+        box, bng_out = self.enclose(net, "ybox", [(content, [lam.concl[0], f_port], bng_m)],
+                                    [bang(c_f)], env)
 
         e_n, lin, bng = self.go(net, t.body, {**env, t.fun: d_f})
         f_out = self.combine(net, bng.pop(t.fun, []), quest(neg(c_f)))
         _cut(net, box.concl[0], f_out)
-        bng_out = {v: [box.concl[i + 1]] for i, v in enumerate(ctx_vars)}
         return e_n, lin, _merge_bang(bng, bng_out)
 
 

@@ -152,6 +152,26 @@ def test_if_branches_with_a_once_used_bang_binder(tmp_path, capsys, engine):
     assert out.count("  0.500000000000  ") == 2
 
 
+@pytest.mark.parametrize("src, backend", [
+    (r"letrec f f = f new in f (\x. x)", "int"),
+    ("letrec f f = if f then new else new in f (c new)", "prob"),
+    ("letrec f f = f in f new", "int"),
+])
+def test_letrec_argument_named_like_the_function(tmp_path, capsys, src, backend):
+    # The argument shadows the function inside the recursive body.
+    f = write(tmp_path, src)
+    assert main([f, "--engine", "all", "--backend", backend, "--horizon", "20"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("probability: 1.000000000000") == 3 and "truncated: true" not in out
+    # Each engine's terminal lines, as (probability, memory) pairs.
+    terminals = [
+        sorted((line.split()[0], line.split("|")[1].strip())
+               for line in part.splitlines() if line.startswith("  "))
+        for part in out.split("engine: ")[1:]
+    ]
+    assert len(terminals) == 3 and terminals[0] and terminals[0] == terminals[1] == terminals[2]
+
+
 @pytest.mark.parametrize("src, engine", [
     pytest.param("S (" * 400 + "new" + ")" * 400, "all", id="too-deep-for-the-parser"),
     pytest.param(r"\f. <f new, f new>", "msiam", id="initial-tokens-under-modalities"),

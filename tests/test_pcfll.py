@@ -30,6 +30,7 @@ from tokennets.pcfll import (
     Pair,
     ParseError,
     PcfSystem,
+    TVar,
     Ty,
     TypecheckError,
     Var,
@@ -39,6 +40,7 @@ from tokennets.pcfll import (
     find_redex,
     free_vars,
     parse,
+    resolve,
     subst,
     scopes,
     term_str,
@@ -113,8 +115,20 @@ def test_letrec_types():
     term = parse("letrec f x = if x then new else f new in f (S new)", INT_OPS)
     tp = typecheck(term)
     assert tp.type == Ty("base")
-    fty = tp.binders[id(term)]["f"]
+    fty, _ = tp.binders[id(term)]
     assert fty == Ty("bang", (Ty("lolli", (Ty("base"), Ty("base"))),))
+    # x shadows f inside M in `letrec f x = M`; f keeps its !-type.
+    term = parse("letrec f f = f in f new", {})
+    assert typecheck(term).binders[id(term)] == (fty, Ty("base"))
+
+
+def test_resolve_flattens_the_chain_it_follows():
+    chain = [TVar() for _ in range(10**4)]
+    for v, nxt in zip(chain, chain[1:]):
+        v.ref = nxt
+    chain[-1].ref = Ty("base")
+    assert resolve(chain[0]) == Ty("base")
+    assert all(v.ref is chain[-1].ref for v in chain)
 
 
 def test_unbound_variable_rejected():
@@ -315,6 +329,12 @@ def test_machine_pair_and_letpair():
     # b first: address 1 (value 0), then a: address 0 (value 1).
     assert final.memory.get(final.ind[final.term.left.name]) == 0
     assert final.memory.get(final.ind[final.term.right.name]) == 1
+
+
+def test_machine_letrec_argument_shadows_the_function():
+    dist, _ = run(r"letrec a a = (\y. <new, a>) in (\f. a)", int_backend())
+    ((final, p),) = list(dist)
+    assert p == 1.0 and term_str(final.term) == r"\f. \a. \y. <new, a>"
 
 
 def test_machine_coin_test():

@@ -2,7 +2,7 @@ import pytest
 
 from tokennets.memory import int_backend, prob_backend, quantum_backend
 from tokennets.nets import check_correct, validate
-from tokennets.pars import Distribution, converge, leftmost_policy, seeded_policy
+from tokennets.pars import Distribution, FusedSystem, converge, leftmost_policy, seeded_policy
 from tokennets.pcfll import Closure, PcfSystem, parse, typecheck
 from tokennets.prognets import PnSystem
 from tokennets.translate import translate, type_formula
@@ -70,6 +70,21 @@ def test_net_agrees_with_machine(src, bk):
     assert not hit_net and not hit_pcf
     assert p_net == pytest.approx(p_pcf, abs=1e-9)
     assert p_net == pytest.approx(1.0, abs=1e-9)
+
+
+def test_letrec_argument_named_like_the_function_used_twice():
+    src = "letrec f f = f in <f new, f new>"
+    backend = int_backend()
+    _, pn = make(src, backend)
+    validate(pn.net)
+    assert check_correct(pn.net) is None
+    # Fused: each unfolding leaves a ybox cut against a weakening that no
+    # conclusion reaches, and the unfused engine would hash that net.
+    fused = FusedSystem(PnSystem())
+    p_net, hit_net = converge(Distribution.dirac(fused.prepare(pn)), fused, leftmost_policy, 40)
+    p_pcf, hit_pcf = pcf_converge(src, backend)
+    assert not hit_net and not hit_pcf
+    assert p_net == p_pcf == pytest.approx(1.0, abs=1e-9)
 
 
 def test_policy_independence_of_net_terminals():

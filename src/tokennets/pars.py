@@ -8,8 +8,8 @@ terminal mass reached at each step count is independent of the policy, which
 is what the bundled diamond checker verifies.
 
 The generator `lifted_steps` is the one driver of the lifted step: the
-convergence, lift-step, split and diamond functions below, and the CLI,
-read the terminal and reducible parts it yields after each step.  It is
+lift-step, split and diamond functions below, and the CLI, read the
+terminal and reducible parts it yields after each step.  It is
 also the one place that merges equal reducts and decides termination: a
 system's `apply` returns a plain list of (reduct, probability) pairs, and
 an element is terminal exactly when it has no redex.
@@ -182,26 +182,6 @@ def lift_step(mu: Distribution, sys: RewriteSystem, policy: Policy) -> Distribut
     for mu, _, _ in lifted_steps(mu, sys, policy, 1, 0.0):
         pass
     return mu
-
-
-def converge(
-    mu: Distribution,
-    sys: RewriteSystem,
-    policy: Policy,
-    horizon: int,
-    tol: float = TOL,
-) -> tuple[float, bool]:
-    """Iterate the lifted step up to `horizon`, tracking the terminal mass.
-
-    Stops early only once the remaining reducible mass falls below `tol`
-    (from that point the terminal degree can no longer change by >= tol), and
-    reports whether the horizon cut the run short.  A stall in the terminal
-    degree is not a stopping criterion: a looping system keeps mass reducible
-    forever and must report hitting the horizon.
-    """
-    for _, term, red in lifted_steps(mu, sys, policy, horizon, tol):
-        pass
-    return term.mass(), red.mass() >= tol
 
 
 @dataclass

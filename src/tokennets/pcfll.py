@@ -17,7 +17,14 @@ against a !-type, and linearity is checked in the same pass.
 The abstract machine rewrites closures (term, address map, memory): `new`
 links a fresh address, a constant applied to a tuple of linked variables
 updates the memory, `if` on a linked variable branches through the memory
-test, and beta/let/letrec steps are pure.
+test, and beta/let/letrec steps are pure.  A closure holds its head redex
+with the redex's evaluation context, a persistent stack of frames (Huet's
+zipper).  A step contracts the redex and resumes the search at the hole,
+not at the root (refocusing, after Danvy and Nielsen), so a micro-step
+touches only the part of the term around the hole; the whole term is
+built only to be hashed or printed.  `new` names its variable from a
+counter that avoids only the names of the program the run started from,
+so no step walks the term for a fresh name.
 """
 
 from __future__ import annotations
@@ -134,32 +141,52 @@ def walk(t: Term):
             todo.append((s, names[::-1] + bound if names else bound))
 
 
+_FUN_PARENS = (Lam, If, LetPair, LetRec)
+_ARG_PARENS = (App, Lam, If, LetPair, LetRec)
+
+
 def term_str(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Lam):
-        return f"\\{t.var}. {term_str(t.body)}"
-    if isinstance(t, App):
-        f = term_str(t.fun)
-        a = term_str(t.arg)
-        if isinstance(t.fun, (Lam, If, LetPair, LetRec)):
-            f = f"({f})"
-        if isinstance(t.arg, (App, Lam, If, LetPair, LetRec)):
-            a = f"({a})"
-        return f"{f} {a}"
-    if isinstance(t, Pair):
-        return f"<{term_str(t.left)}, {term_str(t.right)}>"
-    if isinstance(t, LetPair):
-        return f"let <{t.left}, {t.right}> = {term_str(t.subject)} in {term_str(t.body)}"
-    if isinstance(t, LetRec):
-        return f"letrec {t.fun} {t.var} = {term_str(t.fbody)} in {term_str(t.body)}"
-    if isinstance(t, New):
-        return "new"
-    if isinstance(t, Const):
-        return t.label.name
-    if isinstance(t, If):
-        return f"if {term_str(t.guard)} then {term_str(t.then)} else {term_str(t.els)}"
-    raise TypeError(t)
+    # Each node writes the text before its first subterm at once and stacks
+    # the rest of its text and subterms, the next one to print last.
+    out, todo = [], [t]
+    write = out.append
+    while todo:
+        t = todo.pop()
+        cls = type(t)
+        if cls is str:
+            write(t)
+        elif cls is Var:
+            write(t.name)
+        elif cls is App:
+            fp, ap = isinstance(t.fun, _FUN_PARENS), isinstance(t.arg, _ARG_PARENS)
+            if ap:
+                todo += (")", t.arg, ") (" if fp else " (", t.fun)
+            else:
+                todo += (t.arg, ") " if fp else " ", t.fun)
+            if fp:
+                write("(")
+        elif cls is Pair:
+            write("<")
+            todo += (">", t.right, ", ", t.left)
+        elif cls is Lam:
+            write(f"\\{t.var}. ")
+            todo.append(t.body)
+        elif cls is LetPair:
+            write(f"let <{t.left}, {t.right}> = ")
+            todo += (t.body, " in ", t.subject)
+        elif cls is LetRec:
+            write(f"letrec {t.fun} {t.var} = ")
+            todo += (t.body, " in ", t.fbody)
+        elif cls is New:
+            write("new")
+        elif cls is Const:
+            write(t.label.name)
+        elif cls is If:
+            write("if ")
+            todo += (t.els, " else ", t.then, " then ", t.guard)
+        else:
+            raise TypeError(t)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +418,15 @@ def tuple_type(n: int) -> Ty:
 
 
 def is_value(t: Term) -> bool:
-    if isinstance(t, (Var, Lam, Const)):
-        return True
-    if isinstance(t, Pair):
-        return is_value(t.left) and is_value(t.right)
-    return False
+    """A variable, a function, a constant, or a pair of values."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Pair):
+            todo += (t.left, t.right)
+        elif not isinstance(t, (Var, Lam, Const)):
+            return False
+    return True
 
 
 def binder_uses(t: Term) -> dict[tuple[int, str], int]:
@@ -555,16 +586,46 @@ def typecheck(term: Term) -> TypedProgram:
 
 
 class Closure:
-    __slots__ = ("term", "ind", "memory", "_key", "_hash")
+    """A machine state: a term, an address map from its free variables to
+    memory addresses, and a memory.
+
+    A closure keeps its head redex, `redex`, with the redex's context, and
+    builds the whole `term` from them on first use.  Closures are never
+    changed: a step builds its reduct in the redex's context, and shares
+    the address map when the step leaves it alone.  `names` holds the
+    names of the program a run started from, shared by every closure of
+    the run.  A name drawn for `new` avoids them, and cannot equal a name
+    drawn before it, whose counter value is smaller."""
+
+    __slots__ = ("redex", "ind", "memory", "names", "_term", "_key", "_hash")
 
     def __init__(self, term: Term, ind: dict[str, int], memory):
-        self.term = term
         self.ind = dict(ind)
-        self.memory = memory
         if len(set(self.ind.values())) != len(self.ind):
             raise ValueError(f"address map not injective: {self.ind}")
+        self.memory = memory
+        self.names = frozenset(all_vars(term) | self.ind.keys())
+        self.redex = find_redex(term)
+        self._term = term
         self._key = None
         self._hash = None
+
+    def reduct(self, t: Term, ctx: tuple | None, ind: dict[str, int], memory) -> "Closure":
+        """The closure of term `t` in the hole of `ctx`, with this one's names;
+        the search for its redex starts at `t`."""
+        cl = Closure.__new__(Closure)
+        cl.ind, cl.memory, cl.names = ind, memory, self.names
+        cl.redex = find_redex(t, ctx)
+        cl._term = None if cl.redex is not None else plug(t, ctx)
+        cl._key = None
+        cl._hash = None
+        return cl
+
+    @property
+    def term(self) -> Term:
+        if self._term is None:
+            self._term = plug(self.redex.node, self.redex.ctx)
+        return self._term
 
     def canonical_key(self):
         """(shape, renamed memory).  The shape lists the term's nodes in
@@ -620,7 +681,7 @@ def all_vars(t: Term) -> set[str]:
 _rename_counter = itertools.count()
 
 
-def _fresh_name(avoid: set[str], base: str = "v") -> str:
+def _fresh_name(avoid: set[str] | frozenset[str], base: str = "v") -> str:
     while True:
         name = f"{base}_{next(_rename_counter)}"
         if name not in avoid:
@@ -675,75 +736,125 @@ def subst(t: Term, name: str, value: Term) -> Term:
     return done[0]
 
 
+# Evaluation contexts.  A context is a persistent stack of frames, None when
+# empty: a frame (kind, node, value, outer) is one node around the hole,
+# with `outer` the frame around it.  The kind says where the hole is:
+#   APP_FUN    App(hole, N)        APP_ARG     App(V, hole)
+#   PAIR_LEFT  <hole, N>           PAIR_RIGHT  <V, hole>
+#   LET        let <x,y> = hole in N          IF   if hole then M else N
+# `node` is the node the frame was made from: N, M and the bound names are
+# read from it, and filling the hole gives `node` itself while the hole and
+# V still hold its own subterms.  In APP_ARG and PAIR_RIGHT frames, `value`
+# is V, the finished left side, so a value is never walked twice; it is
+# None in the others.
+APP_FUN, APP_ARG, PAIR_LEFT, PAIR_RIGHT, LET, IF = range(6)
+
+
+def frame(kind: int, node: Term, value: Term | None, outer: tuple | None) -> tuple:
+    """A frame around `outer`.  Frames are plain tuples, and every push
+    goes through here, so wrapping this function counts the pushes."""
+    return kind, node, value, outer
+
+
+def _fill(f: tuple, t: Term) -> Term:
+    """The node of frame `f` with `t` in its hole."""
+    kind, node, value, _ = f
+    if kind == APP_FUN:
+        return node if t is node.fun else App(t, node.arg)
+    if kind == APP_ARG:
+        return node if value is node.fun and t is node.arg else App(value, t)
+    if kind == PAIR_LEFT:
+        return node if t is node.left else Pair(t, node.right)
+    if kind == PAIR_RIGHT:
+        return node if value is node.left and t is node.right else Pair(value, t)
+    if kind == LET:
+        return node if t is node.subject else LetPair(node.left, node.right, t, node.body)
+    return node if t is node.guard else If(t, node.then, node.els)
+
+
+def plug(t: Term, ctx: tuple | None) -> Term:
+    """The whole term: `t` in the hole of `ctx`."""
+    while ctx is not None:
+        t, ctx = _fill(ctx, t), ctx[3]
+    return t
+
+
 def _tuple_vars(t: Term) -> list[str] | None:
     """Variable names of a var-tuple <x1, <x2, ...>> (or a single var)."""
-    if isinstance(t, Var):
-        return [t.name]
-    if isinstance(t, Pair):
-        l = _tuple_vars(t.left)
-        r = _tuple_vars(t.right)
-        if l is not None and r is not None:
-            return l + r
-    return None
+    names, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Var):
+            names.append(t.name)
+        elif isinstance(t, Pair):
+            todo += (t.right, t.left)
+        else:
+            return None
+    return names
 
 
 class PcfRedex(NamedTuple):
-    """A redex: its rule kind, its term node, and the function that puts a
-    reduct of the node back into the whole term."""
+    """A redex: its rule kind, its term node, and the evaluation context
+    around the node."""
 
     kind: str
     node: Term
-    rebuild: Callable[[Term], Term]
+    ctx: tuple | None
 
     def __repr__(self) -> str:
         return f"{self.kind}: {term_str(self.node)}"
 
 
-def find_redex(t: Term) -> PcfRedex | None:
-    """Locate the head redex, or None."""
+def find_redex(t: Term, ctx: tuple | None = None) -> PcfRedex | None:
+    """The head redex of `t` in the hole of `ctx` (the empty context by
+    default), or None when that term is a value or stuck.
 
-    def descend(t: Term, rebuild):
-        root = root_redex(t)
-        if root is not None:
-            return PcfRedex(root[0], t, rebuild)
-        if isinstance(t, App):
-            if not is_value(t.fun):
-                return descend(t.fun, lambda h: rebuild(App(h, t.arg)))
-            if not is_value(t.arg):
-                return descend(t.arg, lambda h: rebuild(App(t.fun, h)))
-        elif isinstance(t, Pair):
-            if not is_value(t.left):
-                return descend(t.left, lambda h: rebuild(Pair(h, t.right)))
-            if not is_value(t.right):
-                return descend(t.right, lambda h: rebuild(Pair(t.left, h)))
-        elif isinstance(t, LetPair):
-            if not is_value(t.subject):
-                return descend(
-                    t.subject,
-                    lambda h: rebuild(LetPair(t.left, t.right, h, t.body)),
-                )
-        elif isinstance(t, If):
-            if not is_value(t.guard):
-                return descend(t.guard, lambda h: rebuild(If(h, t.then, t.els)))
-        return None
-
-    def root_redex(t: Term):
-        if isinstance(t, New):
-            return ("link",)
-        if isinstance(t, LetRec):
-            return ("letrec",)
-        if isinstance(t, App) and isinstance(t.fun, Lam) and is_value(t.arg):
-            return ("beta",)
-        if isinstance(t, App) and isinstance(t.fun, Const) and is_value(t.arg):
-            if _tuple_vars(t.arg) is not None:
-                return ("update",)
-        if isinstance(t, LetPair) and is_value(t.subject) and isinstance(t.subject, Pair):
-            return ("letpair",)
-        if isinstance(t, If) and isinstance(t.guard, Var):
-            return ("test",)
-        return None
-
-    return descend(t, lambda h: h)
+    The search refocuses: it goes down the subterm each node evaluates
+    first, pushing a frame per node, and when the focus is a value it pops
+    a frame and goes down that node's next subterm, or, when the node has
+    none left, looks for a redex at the node.  A step contracts the redex
+    and searches again from its reduct in the same context, so it touches
+    only the part of the term around the hole."""
+    while True:
+        cls = type(t)
+        if cls is App:
+            ctx, t = frame(APP_FUN, t, None, ctx), t.fun
+        elif cls is Pair:
+            ctx, t = frame(PAIR_LEFT, t, None, ctx), t.left
+        elif cls is LetPair:
+            ctx, t = frame(LET, t, None, ctx), t.subject
+        elif cls is If:
+            ctx, t = frame(IF, t, None, ctx), t.guard
+        elif cls is New:
+            return PcfRedex("link", t, ctx)
+        elif cls is LetRec:
+            return PcfRedex("letrec", t, ctx)
+        else:  # a variable, function or constant: climb while nodes complete
+            while True:
+                if ctx is None:
+                    return None
+                kind, node, value, outer = ctx
+                if kind == APP_FUN:
+                    ctx, t = frame(APP_ARG, node, t, outer), node.arg
+                    break
+                if kind == PAIR_LEFT:
+                    ctx, t = frame(PAIR_RIGHT, node, t, outer), node.right
+                    break
+                t = _fill(ctx, t)
+                if kind == PAIR_RIGHT:
+                    ctx = outer
+                    continue
+                if kind == APP_ARG:
+                    if isinstance(value, Lam):
+                        return PcfRedex("beta", t, outer)
+                    if isinstance(value, Const) and _tuple_vars(t.arg) is not None:
+                        return PcfRedex("update", t, outer)
+                elif kind == LET:
+                    if isinstance(t.subject, Pair):
+                        return PcfRedex("letpair", t, outer)
+                elif isinstance(t.guard, Var):
+                    return PcfRedex("test", t, outer)
+                return None
 
 
 def _check_redex(ok: bool, kind: str, node) -> None:
@@ -754,63 +865,65 @@ def _check_redex(ok: bool, kind: str, node) -> None:
 def closure_step(cl: Closure, redex=None) -> list[tuple[Closure, float]]:
     """Fire a redex (the head redex by default): the reducts with their
     probabilities.  `cl` is left unchanged."""
-    found = find_redex(cl.term) if redex is None else redex
+    found = cl.redex if redex is None else redex
     if found is None:
         raise ValueError(f"no redex in {term_str(cl.term)}")
-    kind, node, rebuild = found
+    kind, node, ctx = found
     if kind != "test":
         return [(closure_step_det(cl, found), 1.0)]
     _check_redex(isinstance(node, If) and isinstance(node.guard, Var), kind, node)
     i = cl.ind[node.guard.name]
     ind2 = {v: a for v, a in cl.ind.items() if v != node.guard.name}
     return [
-        (Closure(rebuild(node.then if outcome else node.els), ind2, m2), p)
+        (cl.reduct(node.then if outcome else node.els, ctx, ind2, m2), p)
         for (outcome, m2), p in cl.memory.test(i)
     ]
 
 
 def closure_step_det(cl: Closure, redex) -> Closure:
     """The reduct of a non-branching redex; `cl` is left unchanged."""
-    kind, node, rebuild = redex
+    kind, node, ctx = redex
     if kind == "link":
-        i = fresh(cl.memory, set(cl.ind.values()))
-        name = _fresh_name(all_vars(cl.term) | set(cl.ind), base="x")
-        ind2 = dict(cl.ind)
-        ind2[name] = i
-        return Closure(rebuild(Var(name)), ind2, cl.memory)
+        _check_redex(isinstance(node, New), kind, node)
+        used = set(cl.ind.values())
+        i = fresh(cl.memory, used)
+        if i in used:
+            raise ValueError(f"address {i} is linked already")
+        name = _fresh_name(cl.names, base="x")
+        return cl.reduct(Var(name), ctx, {**cl.ind, name: i}, cl.memory)
     if kind == "letrec":
         _check_redex(isinstance(node, LetRec), kind, node)
         # An argument named like the function shadows it in the body.
         inner = node.fbody if node.fun == node.var else LetRec(node.fun, node.var, node.fbody, node.fbody)
         unrolled = Lam(node.var, inner)
-        return Closure(rebuild(subst(node.body, node.fun, unrolled)), cl.ind, cl.memory)
+        return cl.reduct(subst(node.body, node.fun, unrolled), ctx, cl.ind, cl.memory)
     if kind == "beta":
         _check_redex(isinstance(node, App) and isinstance(node.fun, Lam), kind, node)
         out = subst(node.fun.body, node.fun.var, node.arg)
-        return Closure(rebuild(out), cl.ind, cl.memory)
+        return cl.reduct(out, ctx, cl.ind, cl.memory)
     if kind == "update":
         _check_redex(isinstance(node, App) and isinstance(node.fun, Const), kind, node)
         names = _tuple_vars(node.arg)
         addrs = tuple(cl.ind[n] for n in names)
         m2 = cl.memory.update(addrs, node.fun.label)
-        return Closure(rebuild(node.arg), cl.ind, m2)
+        return cl.reduct(node.arg, ctx, cl.ind, m2)
     if kind == "letpair":
         _check_redex(isinstance(node, LetPair) and isinstance(node.subject, Pair), kind, node)
         out = subst(node.body, node.left, node.subject.left)
         out = subst(out, node.right, node.subject.right)
-        return Closure(rebuild(out), cl.ind, cl.memory)
+        return cl.reduct(out, ctx, cl.ind, cl.memory)
     raise ValueError(f"{kind} redex branches: use closure_step")
 
 
 class PcfSystem:
-    """PCF_AM closures as a probabilistic rewrite system."""
+    """PCF_AM closures as a probabilistic rewrite system.  A closure carries
+    its head redex, so neither `enumerate_redexes` nor `next_det` searches."""
 
     def enumerate_redexes(self, cl: Closure):
-        found = find_redex(cl.term)
-        return [found] if found is not None else []
+        return [] if cl.redex is None else [cl.redex]
 
     def next_det(self, cl: Closure):
-        found = find_redex(cl.term)
+        found = cl.redex
         return found if found is not None and found.kind != "test" else None
 
     def apply(self, cl: Closure, r) -> list[tuple[Closure, float]]:

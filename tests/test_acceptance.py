@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from commutation import run_suite
+from convergence import converge
 from tokennets.memory import (
     IntRegisterMemory,
     OperationLabel,
@@ -26,7 +27,6 @@ from tokennets.pars import (
     Distribution,
     FusedSystem,
     PRUNE,
-    converge,
     leftmost_policy,
     lift_step,
     lifted_steps,

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from convergence import converge
 import tokennets.msiam
 from tokennets import nets
 from tokennets.memory import int_backend, prob_backend, quantum_backend
@@ -22,7 +23,6 @@ from tokennets.nets import BOT, ONE, bang, par, quest, tensor
 from tokennets.pars import (
     Distribution,
     FusedSystem,
-    converge,
     leftmost_policy,
     lift_step,
     seeded_policy,

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from convergence import converge
 from tokennets.cli import ENGINES, build_backend, make_engine
 from tokennets.pars import (
     CONTINUE,
@@ -14,7 +15,6 @@ from tokennets.pars import (
     Distribution,
     FusedSystem,
     check_diamond,
-    converge,
     leftmost_policy,
     lift_step,
     lifted_steps,

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 
 import pytest
 
@@ -11,9 +12,10 @@ from tokennets.memory import (
     prob_backend,
 )
 from tokennets.pars import (
+    TOL,
     Distribution,
+    FusedSystem,
     check_diamond,
-    converge,
     leftmost_policy,
     lifted_steps,
     seeded_policy,
@@ -279,6 +281,27 @@ def check_canonical_key(chain, nest):
     assert b != Closure(deep_terms("v", 1)[1], {"y": 0}, m)
 
 
+def check_term_str(chain, nest):
+    assert term_str(chain) == "S (" * (DEEP - 1) + "S new" + ")" * (DEEP - 1)
+    assert term_str(nest) == "".join(f"\\v{i}. " for i in range(DEEP)) + "v0 y"
+
+
+def check_closure_repr(chain, nest):
+    m = IntRegisterMemory({0: 1})
+    text = repr(Closure(nest, {"y": 0}, m))
+    assert text == f"Closure({term_str(nest)!r}, ind={{'y': 0}}, memory={m!r})"
+
+
+def check_fused_machine(chain, nest):
+    # DEEP + 1 micro-steps: the closure budget exposes the chain about 20
+    # times on the way, and each exposed closure is hashed.
+    fused = FusedSystem(PcfSystem())
+    start = fused.prepare(Closure(chain, {}, IntRegisterMemory()))
+    *_, (_, term, _) = lifted_steps(Distribution.dirac(start), fused, leftmost_policy, 100, TOL)
+    ((final, p),) = list(term)
+    assert p == 1.0 and final.memory.get(final.ind[final.term.name]) == DEEP
+
+
 @pytest.fixture
 def default_recursion_limit():
     limit = sys.getrecursionlimit()
@@ -289,6 +312,7 @@ def default_recursion_limit():
 
 @pytest.mark.parametrize("check", [
     check_free_vars, check_all_vars, check_binder_uses, check_subst, check_canonical_key,
+    check_term_str, check_closure_repr, check_fused_machine,
 ])
 def test_walkers_are_stack_safe(check, default_recursion_limit):
     check(*deep_terms("v", 0))
@@ -306,6 +330,64 @@ def run(src, backend, steps=200):
     sys = PcfSystem()
     *_, (dist, _, _) = lifted_steps(Distribution.dirac(cl), sys, leftmost_policy, steps, 0.0)
     return dist, sys
+
+
+def s_chain(n):
+    """S (S (... new)), n deep."""
+    t = New()
+    for _ in range(n):
+        t = App(Const(S), t)
+    return t
+
+
+def register_tree(n):
+    """A balanced tree of pairs with n leaves S new."""
+    if n == 1:
+        return App(Const(S), New())
+    return Pair(register_tree(n // 2), register_tree(n - n // 2))
+
+
+@pytest.mark.parametrize("shape", [s_chain, register_tree])
+def test_search_work_per_micro_step_does_not_grow(shape, monkeypatch):
+    # The search's work is its frame pushes and its hole fillings: a frame
+    # is popped either to fill its node or to push the node's next frame.
+    # A micro-step is a `closure_step_det` call (these shapes never branch).
+    import tokennets.pcfll as pcfll
+
+    calls = Counter()
+    frame, fill, all_vars_, step_det = (
+        pcfll.frame, pcfll._fill, pcfll.all_vars, pcfll.closure_step_det)
+
+    def counted(name, f):
+        def call(*a):
+            calls[name] += 1
+            return f(*a)
+        return call
+
+    def counted_step_det(cl, r):
+        before = calls["all_vars"]
+        out = step_det(cl, r)
+        calls["micro"] += 1
+        calls[f"all_vars.{r.kind}"] += calls["all_vars"] - before
+        return out
+
+    monkeypatch.setattr(pcfll, "frame", counted("work", frame))
+    monkeypatch.setattr(pcfll, "_fill", counted("work", fill))
+    monkeypatch.setattr(pcfll, "all_vars", counted("all_vars", all_vars_))
+    monkeypatch.setattr(pcfll, "closure_step_det", counted_step_det)
+    per_step = {}
+    for n in (128, 512):
+        calls.clear()
+        fused = FusedSystem(PcfSystem())
+        start = fused.prepare(Closure(shape(n), {}, IntRegisterMemory()))
+        *_, (_, term, _) = lifted_steps(Distribution.dirac(start), fused, leftmost_policy, 20, TOL)
+        ((final, p),) = list(term)
+        assert p == 1.0 and sorted(final.memory.values.values()) == (
+            [n] if shape is s_chain else [1] * n)
+        assert calls["micro"] == (n + 1 if shape is s_chain else 2 * n)
+        assert calls["all_vars.link"] == 0
+        per_step[n] = calls["work"] / calls["micro"]
+    assert per_step[512] <= 1.05 * per_step[128], per_step
 
 
 def test_machine_identity():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from convergence import converge
 from tokennets.memory import (
     COIN,
     IntRegisterMemory,
@@ -22,7 +23,6 @@ from tokennets.pars import (
     Distribution,
     FusedSystem,
     check_diamond,
-    converge,
     leftmost_policy,
     lift_step,
     lifted_steps,
@@ -443,8 +443,8 @@ rejects(ValueError, Closure, New(), {"x": 0, "y": 0}, IntRegisterMemory())
 rejects(ValueError, Closure(Var("x"), {}, IntRegisterMemory()).canonical_key)
 stuck = Closure(Var("x"), {"x": 0}, IntRegisterMemory({0: 0}))
 rejects(ValueError, closure_step, stuck)  # no redex
-rejects(ValueError, closure_step, stuck, PcfRedex("test", New(), lambda h: h))
-rejects(ValueError, closure_step_det, stuck, PcfRedex("beta", New(), lambda h: h))
+rejects(ValueError, closure_step, stuck, PcfRedex("test", New(), None))
+rejects(ValueError, closure_step_det, stuck, PcfRedex("beta", New(), None))
 applied_new = TypedProgram(App(New(), New()), BASE, {}, {}, set())
 rejects(InvalidNetError, translate, applied_new, int_backend())  # `new` is not a function
 identity = typecheck(parse(r"(\\x. x) new", int_backend().labels))

@@ -11,10 +11,11 @@ from types import SimpleNamespace
 
 import pytest
 
+from convergence import converge
 from tokennets import prognets
 from tokennets.cli import build_backend, make_engine
 from tokennets.nets import Net, find_redexes, reduce, reduce_test
-from tokennets.pars import TOL, Distribution, converge, leftmost_policy, lifted_steps
+from tokennets.pars import TOL, Distribution, leftmost_policy, lifted_steps
 from tokennets.pcfll import parse, typecheck
 from tokennets.prognets import PnRedex, enumerate_redexes
 from tokennets.translate import translate

@@ -1,8 +1,9 @@
 import pytest
 
+from convergence import converge
 from tokennets.memory import int_backend, prob_backend, quantum_backend
 from tokennets.nets import check_correct, validate
-from tokennets.pars import Distribution, FusedSystem, converge, leftmost_policy, seeded_policy
+from tokennets.pars import Distribution, FusedSystem, leftmost_policy, seeded_policy
 from tokennets.pcfll import Closure, PcfSystem, parse, typecheck
 from tokennets.prognets import PnSystem
 from tokennets.translate import translate, type_formula

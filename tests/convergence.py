@@ -1,4 +1,4 @@
-"""`converge`, the tests' reading of the driver `pars.lifted_steps`."""
+"""`converge`: the terminal mass and truncation flag that `pars.lifted_steps` reaches."""
 
 from tokennets.pars import TOL, Distribution, Policy, RewriteSystem, lifted_steps
 

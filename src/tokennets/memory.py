@@ -61,7 +61,61 @@ def _check_update_args(addrs: tuple[Address, ...], label: OperationLabel) -> Non
 
 
 # ---------------------------------------------------------------------------
-# Integer registers
+# Registers
+
+
+class _Registers:
+    """Persistent map from addresses to register values; absent entries,
+    and only they, read as zero.
+
+    The constructor checks and filters what a caller passes in; a map the
+    backend builds from a valid one (`_with`) skips both, so `test`,
+    `update` and `rename` copy the map once.  `update`, `test`, `rename`
+    and `__hash__` are bound in each subclass body, where per-class
+    wrappers (`perfbench/layers.py`) find them."""
+
+    __slots__ = ("values",)
+    ZERO = 0
+
+    def __init__(self, values: dict[Address, float] = ()):  # type: ignore[assignment]
+        self.values = {i: v for i, v in dict(values).items() if v != 0}
+
+    def _with(self, values: dict[Address, float]):
+        m = type(self).__new__(type(self))
+        m.values = values
+        return m
+
+    def _set(self, i: Address, v):
+        vals = dict(self.values)
+        if v:
+            vals[i] = v
+        else:
+            vals.pop(i, None)
+        return self._with(vals)
+
+    def get(self, i: Address):
+        return self.values.get(i, self.ZERO)
+
+    def support(self) -> set[Address]:
+        return set(self.values)
+
+    def rename(self, sigma: dict[Address, Address]):
+        return self._with({sigma.get(i, i): v for i, v in self.values.items()})
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.values.items()))
+
+    def approx_eq(self, other, tol: float = TOL) -> bool:
+        if type(other) is not type(self):
+            return False
+        keys = set(self.values) | set(other.values)
+        return all(abs(self.get(i) - other.get(i)) <= tol for i in keys)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.values})"
 
 
 S = OperationLabel("S", 1)
@@ -69,102 +123,54 @@ P = OperationLabel("P", 1)
 MAX = OperationLabel("max", 2)
 
 
-class IntRegisterMemory:
-    """Map from addresses to naturals, absent entries read as 0.
+class IntRegisterMemory(_Registers):
+    """Registers holding naturals.
 
     The test is deterministic: true iff the value at the address is zero, and
     the memory is left unchanged.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ()
     labels = {l.name: l for l in (S, P, MAX)}
-
-    def __init__(self, values: dict[Address, int] = ()):  # type: ignore[assignment]
-        self.values = {i: v for i, v in dict(values).items() if v != 0}
-
-    def get(self, i: Address) -> int:
-        return self.values.get(i, 0)
-
-    def support(self) -> set[Address]:
-        return set(self.values)
+    rename, __hash__ = _Registers.rename, _Registers.__hash__
 
     def test(self, i: Address) -> Distribution:
         return Distribution.dirac((self.get(i) == 0, self))
 
     def update(self, addrs: tuple[Address, ...], label: OperationLabel) -> "IntRegisterMemory":
         _check_update_args(addrs, label)
-        vals = dict(self.values)
-
-        def put(i, v):
-            if v:
-                vals[i] = v
-            else:
-                vals.pop(i, None)
-
         if label == S:
-            put(addrs[0], self.get(addrs[0]) + 1)
+            v = self.get(addrs[0]) + 1
         elif label == P:
-            put(addrs[0], max(self.get(addrs[0]) - 1, 0))
+            v = max(self.get(addrs[0]) - 1, 0)
         elif label == MAX:
-            put(addrs[0], max(self.get(addrs[0]), self.get(addrs[1])))
+            v = max(self.get(addrs[0]), self.get(addrs[1]))
         else:
             raise ValueError(f"unknown integer-register operation {label.name}")
-        return IntRegisterMemory(vals)
-
-    def rename(self, sigma: dict[Address, Address]) -> "IntRegisterMemory":
-        return IntRegisterMemory({sigma.get(i, i): v for i, v in self.values.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntRegisterMemory) and self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.values.items()))
-
-    def approx_eq(self, other, tol: float = TOL) -> bool:
-        return self == other
-
-    def __repr__(self) -> str:
-        return f"IntRegisterMemory({self.values})"
-
-
-# ---------------------------------------------------------------------------
-# Probabilistic boolean registers
+        return self._set(addrs[0], v)
 
 
 COIN = OperationLabel("c", 1)
 
 
-class ProbRegisterMemory:
-    """Map from addresses to probabilities in [0, 1], absent entries read 0.
+class ProbRegisterMemory(_Registers):
+    """Registers holding probabilities in [0, 1].
 
     Testing address i yields true (setting the register to 1) with
     probability m(i) and false (setting it to 0) otherwise.  The only update
     places a fair coin: m(i) := 1/2.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ()
+    ZERO = 0.0
     labels = {COIN.name: COIN}
+    rename, __hash__ = _Registers.rename, _Registers.__hash__
 
     def __init__(self, values: dict[Address, float] = ()):  # type: ignore[assignment]
-        vals = dict(values)
-        for v in vals.values():
+        super().__init__(values)
+        for v in self.values.values():
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"register value {v} outside [0, 1]")
-        self.values = {i: v for i, v in vals.items() if v != 0.0}
-
-    def get(self, i: Address) -> float:
-        return self.values.get(i, 0.0)
-
-    def support(self) -> set[Address]:
-        return set(self.values)
-
-    def _set(self, i: Address, v: float) -> "ProbRegisterMemory":
-        vals = dict(self.values)
-        if v:
-            vals[i] = v
-        else:
-            vals.pop(i, None)
-        return ProbRegisterMemory(vals)
 
     def test(self, i: Address) -> Distribution:
         p = self.get(i)
@@ -177,24 +183,6 @@ class ProbRegisterMemory:
         if label != COIN:
             raise ValueError(f"unknown probabilistic-register operation {label.name}")
         return self._set(addrs[0], 0.5)
-
-    def rename(self, sigma: dict[Address, Address]) -> "ProbRegisterMemory":
-        return ProbRegisterMemory({sigma.get(i, i): v for i, v in self.values.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ProbRegisterMemory) and self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.values.items()))
-
-    def approx_eq(self, other, tol: float = TOL) -> bool:
-        if not isinstance(other, ProbRegisterMemory):
-            return False
-        keys = set(self.values) | set(other.values)
-        return all(abs(self.get(i) - other.get(i)) <= tol for i in keys)
-
-    def __repr__(self) -> str:
-        return f"ProbRegisterMemory({self.values})"
 
 
 # ---------------------------------------------------------------------------

@@ -42,12 +42,13 @@ picks the least pending site, else the least moving token, else the least
 ready update, without classifying any token.
 
 A fused closure owns the state it steps, as the net engine's closure owns
-its net: `MsSystem.own` copies the token set and the indexes into
-mutable containers once per closure, and `step_det` then updates them in
-place, in time proportional to the tokens that move.  `apply` does the
-same on a fresh copy for each outcome, so its argument is left unchanged.
-A state is never changed once exposed, so its hash, taken from the token
-set on first use, is cached, as is its canonical key.
+its program net: `MsSystem.own` copies the token set, the address map
+and the indexes into mutable containers once per closure, and
+`step_det` then updates them in place, in time proportional to the
+tokens that move.  `apply` does the same on a fresh copy for each
+outcome, so its argument is left unchanged.  A state is never changed
+once exposed, so its hash, taken from the token set on first use, is
+cached, as is its canonical key.
 
 A position is a nested tuple of ints: stack tags are negative ints and
 exponential signatures are ids interned per machine, so positions, and the
@@ -121,29 +122,30 @@ class NetIndex:
         self.level_net: dict = {}  # level -> Net
         self.doors: dict = {}  # door ekey -> (box nkey, ci, marker fstack)
         self.gate_sites: dict = {}  # gate -> [(kind, nkey)]
-        self.root_conclusions: list = []
-        self._walk(net, ())
         self.root_conclusions = [((), e) for e in net.conclusions]
-
-    def _walk(self, net: Net, level: tuple, gate=(None, 0)) -> None:
-        self.level_net[level] = net
-        for eid, edge in net.edges.items():
-            self.edge_type[(level, eid)] = edge.typ
-        for nid, node in net.nodes.items():
-            nkey = (level, nid)
-            self.node[nkey] = node
-            for i, e in enumerate(node.concl):
-                self.edge_concl[(level, e)] = (nkey, i)
-            for i, e in enumerate(node.prem):
-                self.edge_prem[(level, e)] = (nkey, i)
-            if node.kind in ("one", "der"):
-                kind = "link" if node.kind == "one" else "spawn"
-                self.gate_sites.setdefault(gate, []).append((kind, nkey))
-            exp = node.kind in ("bangbox", "ybox")
-            for ci, content in enumerate(node.contents):
-                inner = level + ((nid, ci),)
-                self.doors[(inner, content.conclusions[0])] = (nkey, ci, (DELTA,) if exp else ())
-                self._walk(content, inner, (nkey, ci))
+        # One level at a time from an explicit stack: nesting depth is
+        # not bounded by the recursion limit.
+        todo = [(net, (), (None, 0))]
+        while todo:
+            net, level, gate = todo.pop()
+            self.level_net[level] = net
+            for eid, edge in net.edges.items():
+                self.edge_type[(level, eid)] = edge.typ
+            for nid, node in net.nodes.items():
+                nkey = (level, nid)
+                self.node[nkey] = node
+                for i, e in enumerate(node.concl):
+                    self.edge_concl[(level, e)] = (nkey, i)
+                for i, e in enumerate(node.prem):
+                    self.edge_prem[(level, e)] = (nkey, i)
+                if node.kind in ("one", "der"):
+                    kind = "link" if node.kind == "one" else "spawn"
+                    self.gate_sites.setdefault(gate, []).append((kind, nkey))
+                marker = (DELTA,) if node.kind in ("bangbox", "ybox") else ()
+                for ci, content in enumerate(node.contents):
+                    inner = level + ((nid, ci),)
+                    self.doors[(inner, content.conclusions[0])] = (nkey, ci, marker)
+                    todo.append((content, inner, (nkey, ci)))
 
     def typ(self, ekey) -> Formula:
         return self.edge_type[ekey]
@@ -249,8 +251,9 @@ class MsSystem:
     """The machine for one program net, as a probabilistic rewrite system."""
 
     def __init__(self, pn: ProgramNet):
+        if pn.ind:
+            raise ValueError("the machine starts from a program net without addresses")
         self.index = NetIndex(pn.net)
-        self.pn_ind = {((), e): a for e, a in pn.ind.items()}
         self.initial_memory = pn.memory
         # Exponential signatures are hash-consed: each distinct signature
         # gets a small-int id, its index in `sig_struct`, and a compound
@@ -460,10 +463,10 @@ class MsSystem:
 
     def _ready_updates(self, st: MachineState) -> list[tuple]:
         """(sync nkey, box stack) of each sync node copy that has a token
-        on every premise."""
+        with an address on every premise."""
         at: dict = {}
         for orig, act in st.acts.items():
-            if act is not None and act[0] == "sync":
+            if act is not None and act[0] == "sync" and orig in st.ind:
                 at.setdefault(act[1:], set()).add(st.live[orig][0])
         return [(nkey, t) for (nkey, t), edges in at.items()
                 if all((nkey[0], e) in edges for e in self.index.node[nkey].prem)]
@@ -545,12 +548,12 @@ class MsSystem:
         return out
 
     def own(self, st: MachineState) -> MachineState:
-        """An equal state with private token, live, action, waiting,
-        open-copy and pending containers, which `step_det` may then change
-        in place."""
+        """An equal state with private token, address, live, action,
+        waiting, open-copy and pending containers, which `step_det` may
+        then change in place."""
         return MachineState(
             set(st.tokens),
-            st.ind,
+            dict(st.ind),
             st.memory,
             dict(st.live),
             dict(st.acts),
@@ -581,14 +584,10 @@ class MsSystem:
             p = (ekey, () if tr.kind == "link" else (STAR, DELTA), t)
             if tr.kind == "link":
                 taken = set(st.ind.values())
-                if not t and ekey in self.pn_ind:
-                    i = self.pn_ind[ekey]
-                else:
-                    i = fresh(st.memory, taken | set(self.pn_ind.values()))
+                i = fresh(st.memory, taken)
                 if i in taken:
                     raise MachineInvariantError(f"link at {nkey}: address {i} is already bound")
-                # `ind` is shared with the state this one was owned from.
-                st.ind = {**st.ind, p: i}
+                st.ind[p] = i
             st.pending.remove(site)
             return self._successor(st, [(p, None, p)])
         if tr.kind == "update":
@@ -608,9 +607,6 @@ class MsSystem:
 
     # -- classification ----------------------------------------------------
 
-    def is_final(self, st: MachineState) -> bool:
-        return not st.live
-
     def is_branching(self, st: MachineState, tr: Transition) -> bool:
         return tr.kind == "test"
 
@@ -618,17 +614,14 @@ class MsSystem:
 
     def initial_state(self) -> MachineState:
         moves = []
-        ind = {}
         for ekey in self.index.root_conclusions:
             for s in _up_stacks(self.index.typ(ekey)):
                 p = (ekey, s, ())
                 moves.append((p, None, p))
-                if s == () and ekey in self.pn_ind:
-                    ind[p] = self.pn_ind[ekey]
         # The whole net is one open copy, with the empty box stack.
         root_sites = self.index.gate_sites.get((None, 0), ())
         pending = {(kind, nkey, ()) for kind, nkey in root_sites}
-        empty = MachineState(set(), ind, self.initial_memory, {}, {}, {}, {}, pending)
+        empty = MachineState(set(), {}, self.initial_memory, {}, {}, {}, {}, pending)
         return self._successor(empty, moves)
 
 

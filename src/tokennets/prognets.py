@@ -34,7 +34,8 @@ class PnRedex:
 
 
 class ProgramNet:
-    """Immutable-by-convention triple of net, address map, and memory."""
+    """Triple of net, address map, and memory.  Only the closure that owns
+    one (see `own`) changes it, and only until it exposes it."""
 
     __slots__ = ("net", "ind", "memory", "_key", "_hash")
 
@@ -111,33 +112,27 @@ def next_det(pn: ProgramNet) -> PnRedex | None:
 
 
 def own(pn: ProgramNet) -> ProgramNet:
-    """An equal program net with a private copy of the net, which `rewrite`
-    may then change in place."""
+    """An equal program net with a private copy of the net and of the
+    address map, which `rewrite` may then change in place."""
     return ProgramNet(copy.deepcopy(pn.net), pn.ind, pn.memory)
 
 
 def rewrite(pn: ProgramNet, r: PnRedex) -> ProgramNet:
-    """Fire a non-branching redex, rewriting `pn.net` in place.
-
-    The reduct shares the rewritten net, so `pn` must be private to the
-    caller (see `own`) and is not to be used afterwards."""
+    """Fire a non-branching redex, changing `pn` (its net, address map and
+    memory) in place, and return it: `pn` must be private to the caller
+    (see `own`)."""
     if r.kind == "link":
-        one_edge = pn.net.nodes[r.node].concl[0]
-        i = fresh(pn.memory, set(pn.ind.values()))
-        ind2 = dict(pn.ind)
-        ind2[one_edge] = i
-        return ProgramNet(pn.net, ind2, pn.memory)
+        pn.ind[pn.net.nodes[r.node].concl[0]] = fresh(pn.memory, set(pn.ind.values()))
+        return pn
     nr = r.net_redex
     if nr.kind == "sync":
         sync = pn.net.nodes[nr.nodes[0]]
-        addrs = tuple(pn.ind[e] for e in sync.prem)
-        m2 = pn.memory.update(addrs, sync.label)
-        return ProgramNet(reduce(pn.net, nr), pn.ind, m2)
-    net2 = reduce(pn.net, nr)
-    ind2 = {e: a for e, a in pn.ind.items() if e in net2.edges}
-    if len(ind2) != len(pn.ind):
-        raise InvalidNetError(f"pure {nr.kind} step consumed an input")
-    return ProgramNet(net2, ind2, pn.memory)
+        pn.memory = pn.memory.update(tuple(pn.ind[e] for e in sync.prem), sync.label)
+    reduce(pn.net, nr)
+    # A sync keeps its premises; no other rule may consume an input.
+    if not pn.ind.keys() <= pn.net.edges.keys():
+        raise InvalidNetError(f"{nr.kind} step consumed an input")
+    return pn
 
 
 def step(pn: ProgramNet, r: PnRedex) -> list[tuple[ProgramNet, float]]:

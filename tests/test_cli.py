@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from tokennets.cli import main
+from tokennets.memory import Backend, IntRegisterMemory, ProbRegisterMemory
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = sorted((REPO / "corpus").glob("*.pcf"))
@@ -170,6 +171,44 @@ def test_letrec_argument_named_like_the_function(tmp_path, capsys, src, backend)
         for part in out.split("engine: ")[1:]
     ]
     assert len(terminals) == 3 and terminals[0] and terminals[0] == terminals[1] == terminals[2]
+
+
+@pytest.mark.parametrize("src", ["S", r"\x. S x"])
+def test_a_sync_on_an_unlinked_input_waits_in_every_engine(tmp_path, capsys, src):
+    # The input of `a -o a` gets no address, so its sync never fires: the
+    # net engine leaves it as a redex that is not ready, and msiam leaves
+    # the token that reaches it waiting.
+    f = write(tmp_path, src)
+    assert main([f, "--engine", "all", "--backend", "int", "--horizon", "20"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("probability: 1.000000000000") == 3 and "truncated: true" not in out
+    assert out.count("IntRegisterMemory({})") == 3
+
+
+def test_registers_are_checked_only_where_a_run_starts(monkeypatch, capsys):
+    # Every memory after the initial one is built by `test`, `update` or
+    # `rename` from a valid one, through the trusted path, so the checking
+    # constructor runs once per initial memory and never per micro-step.
+    counts = {"initial": 0, "checked": 0, "update": 0}
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(Backend, "initial", counted("initial", Backend.initial))
+    for cls in (IntRegisterMemory, ProbRegisterMemory):
+        monkeypatch.setattr(cls, "__init__", counted("checked", cls.__init__))
+        monkeypatch.setattr(cls, "update", counted("update", cls.update))
+    for path in CORPUS:
+        backend = re.search(r"^-- backend: *(\w+)", path.read_text(), re.M).group(1)
+        if path.name != "omega.pcf" and backend != "quantum":
+            argv = [str(path), "--engine", "all", "--backend", backend, "--horizon", "40"]
+            assert main(argv) == 0
+    capsys.readouterr()
+    assert counts["update"] > counts["initial"] > 0
+    assert counts["checked"] == counts["initial"]
 
 
 @pytest.mark.parametrize("src, engine", [

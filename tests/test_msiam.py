@@ -30,6 +30,8 @@ from tokennets.pars import (
 from tokennets.pcfll import Closure, PcfSystem, parse, typecheck
 from tokennets.translate import translate
 
+from test_nets import nest_in_boxes, single_one_net
+
 BACKENDS = {
     "int": int_backend,
     "prob": prob_backend,
@@ -86,7 +88,7 @@ def test_single_allocation_runs_to_final():
     assert not st.tokens  # a 1-conclusion has no initial tokens
     final = FusedSystem(sys).prepare(st)
     assert not sys.enumerate_redexes(final)
-    assert sys.is_final(final)
+    assert not final.live
     ((pos, orig),) = final.tokens
     assert sys.index.is_root_conclusion(pos[0])
     assert final.ind[orig] == 0  # the allocation got the first address
@@ -103,7 +105,7 @@ def test_sync_updates_memory():
     sys = MsSystem(pn)
     fused = FusedSystem(sys)
     st = fused.prepare(sys.initial_state())
-    assert sys.is_final(st)
+    assert not st.live
     # one register, incremented twice
     (a,) = st.memory.support()
     assert st.memory.get(a) == 2
@@ -119,7 +121,7 @@ def test_probabilistic_choice_splits_mass():
     finals = list(mu)
     assert len(finals) == 2
     assert all(p == pytest.approx(0.5) for _, p in finals)
-    assert all(sys.is_final(a) for a, _ in finals)
+    assert all(not a.live for a, _ in finals)
 
 
 def test_terminal_states_are_final():
@@ -131,7 +133,7 @@ def test_terminal_states_are_final():
         mu = lift_step(mu, fused, leftmost_policy)
     for a, _ in mu:
         if not fused.enumerate_redexes(a):
-            assert sys.is_final(a)
+            assert not a.live
     assert mu.mass() == pytest.approx(1.0)
 
 
@@ -390,6 +392,16 @@ def test_work_does_not_depend_on_process_history(monkeypatch):
     micro_steps(*coin)
     monkeypatch.setattr(nets, "_ids", itertools.count(10**6))
     assert micro_steps(wide, "quantum") == fresh
+
+
+def test_index_of_boxes_nested_1500_deep(default_recursion_limit):
+    inner = single_one_net()
+    (one,) = inner.nodes
+    net, boxes = nest_in_boxes(inner, 1500)
+    index = NetIndex(net)
+    level = tuple((nid, 0) for nid in boxes)
+    gate = ((level[:-1], boxes[-1]), 0)
+    assert ("link", (level, one)) in index.gate_sites[gate]
 
 
 # -- invariant checks ------------------------------------------------------

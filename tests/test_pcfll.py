@@ -1,4 +1,3 @@
-import sys
 from collections import Counter
 
 import pytest
@@ -300,14 +299,6 @@ def check_fused_machine(chain, nest):
     *_, (_, term, _) = lifted_steps(Distribution.dirac(start), fused, leftmost_policy, 100, TOL)
     ((final, p),) = list(term)
     assert p == 1.0 and final.memory.get(final.ind[final.term.name]) == DEEP
-
-
-@pytest.fixture
-def default_recursion_limit():
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    yield
-    sys.setrecursionlimit(limit)
 
 
 @pytest.mark.parametrize("check", [

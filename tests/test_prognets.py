@@ -328,6 +328,61 @@ def test_one_closure_copies_once_and_hashes_nothing(monkeypatch):
     assert counts == {"copy": 1, "own": 1, "distribution": 0, "key": 0}
 
 
+def test_net_closure_rewrites_its_program_net_in_place(monkeypatch):
+    # A closure copies its program net once, through `own`, and each
+    # branch reduct is built once; no micro-step builds another.
+    counts = {"init": 0, "own": 0, "reducts": 0, "micro": 0}
+    init, own, apply, step_det = (ProgramNet.__init__, PnSystem.own, PnSystem.apply,
+                                  PnSystem.step_det)
+
+    def counted_init(self, *args):
+        counts["init"] += 1
+        init(self, *args)
+
+    def counted_own(self, pn):
+        counts["own"] += 1
+        return own(self, pn)
+
+    def counted_apply(self, pn, r):
+        out = apply(self, pn, r)
+        counts["reducts"] += len(out)
+        return out
+
+    def counted_step_det(self, pn, r):
+        counts["micro"] += 1
+        return step_det(self, pn, r)
+
+    pn = translated(CORPUS_DIR / "omega.pcf")
+    monkeypatch.setattr(ProgramNet, "__init__", counted_init)
+    monkeypatch.setattr(PnSystem, "own", counted_own)
+    monkeypatch.setattr(PnSystem, "apply", counted_apply)
+    monkeypatch.setattr(PnSystem, "step_det", counted_step_det)
+    fused = FusedSystem(PnSystem())
+    p, truncated = converge(Distribution.dirac(fused.prepare(pn)), fused, leftmost_policy,
+                            horizon=6)
+    assert p == 0.0 and truncated
+    assert counts["micro"] > 1000
+    assert counts["init"] <= counts["own"] + counts["reducts"]
+
+
+def test_machine_link_keeps_the_owned_address_map(monkeypatch):
+    # A closure owns its state's address map, so a link adds to it.
+    links = []
+    step_det = MsSystem.step_det
+
+    def checked_step_det(self, st, tr):
+        ind, bound = st.ind, len(st.ind)
+        out = step_det(self, st, tr)
+        if tr.kind == "link":
+            links.append(out.ind is ind and len(ind) == bound + 1)
+        return out
+
+    monkeypatch.setattr(MsSystem, "step_det", checked_step_det)
+    sys = MsSystem(translated(CORPUS_DIR / "dup.pcf"))
+    FusedSystem(sys).prepare(sys.initial_state())
+    assert links and all(links)
+
+
 @pytest.mark.parametrize("name", ["letrec_count.pcf", "bell.pcf"])
 def test_a_test_copies_the_net_once_per_outcome(name, monkeypatch):
     fused = FusedSystem(PnSystem())
@@ -397,7 +452,7 @@ def test_branch_reducts_are_hashed_once_and_never_copied_again(monkeypatch):
 
 OPTIMIZED_CHECKS = """
 import sys
-from tokennets.memory import IntRegisterMemory, int_backend
+from tokennets.memory import IntRegisterMemory, ProbRegisterMemory, int_backend
 from tokennets.msiam import MachineInvariantError, MsSystem
 from tokennets.nets import (
     BOT, ONE, InvalidNetError, Net, NetRedex, Node, fresh_id, reduce, validate)
@@ -425,6 +480,8 @@ def rejects(error, f, *args):
 rejects(ValueError, ProgramNet, net, {one.concl[0]: 0, ax.concl[1]: 0}, IntRegisterMemory())
 pure = PnRedex("net", net_redex=NetRedex("ax", (cut.nid, ax.nid)))
 rejects(InvalidNetError, step, ProgramNet(net, {ax.concl[1]: 0}, IntRegisterMemory({0: 0})), pure)
+rejects(ValueError, MsSystem, ProgramNet(net, {ax.concl[1]: 0}, IntRegisterMemory()))
+rejects(ValueError, ProbRegisterMemory, {0: 1.5})
 rejects(ValueError, reduce, net, NetRedex("test", (cut.nid, ax.nid, one.nid)))
 twin = Node(fresh_id(), "one", [one.concl[0]])
 net.nodes[twin.nid] = twin

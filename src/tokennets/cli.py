@@ -6,12 +6,13 @@ convergence probability and terminal distribution for the selected engine(s):
 and `msiam` runs the multi-token machine on it.  Under `all`, the pairwise
 probability deltas are reported and the run fails if any exceeds the
 tolerance.  Exit codes: 2 bad input (unreadable program, parse error,
-missing or malformed `--gates` file, non-integer `MSIAM_SEED`), 3 type
-error, 4 engine disagreement, 5 the translated net is malformed or fails
-its correctness check (an internal fault), 6 any other internal fault
-(for instance a program nested too deeply for the parser, or a case an
-engine does not implement), 1 diamond-check failure.  Each failure prints
-a one-line message on stderr, never a traceback.
+missing or malformed `--gates` file, non-integer `MSIAM_SEED`, a flag
+value out of range), 3 type error, 4 engine disagreement, 5 the
+translated net is malformed or fails its correctness check (an internal
+fault), 6 any other internal fault (for instance a program nested too
+deeply for the parser, or a case an engine does not implement), 1
+diamond-check failure.  Each failure prints a one-line message on stderr
+(after argparse's usage line, for a flag value), never a traceback.
 """
 
 from __future__ import annotations
@@ -121,8 +122,10 @@ def _main(argv) -> int:
         help="compare leftmost vs seeded-random policies to this depth",
     )
     args = ap.parse_args(argv)
-    if args.horizon < 1 or args.tol <= 0:
-        ap.error("horizon must be >= 1 and tol > 0")
+    if args.horizon < 1 or not 0 < args.tol < 1:
+        ap.error("horizon must be >= 1 and tol in (0, 1)")
+    if args.check_diamond is not None and args.check_diamond < 0:
+        ap.error("--check-diamond DEPTH must be >= 0")
 
     seed_text = os.environ.get("MSIAM_SEED", "0")
     if args.check_diamond is not None:

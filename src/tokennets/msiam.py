@@ -19,15 +19,15 @@ terminal distribution matches net reduction.
 
 A micro-step moves one token, so a state carries indexes that let
 enumeration and application do work in proportion to the moving tokens
-rather than to all tokens: the live tokens (neither stable nor exited at
-a net conclusion) by origin; the open copies, the box stacks of the stable
-markers parked at each principal door (or choice box side); and the
-pending link/spawn sites, one per one/?d node of each open copy that has
-not yet fired.  These rest on one invariant: a stable token never moves
-again (nor does an exited one).  So a token leaves the live index for good
-when it becomes stable or exits, the open copies only grow, a site becomes
-pending exactly when its gate's copy opens and stops being pending when it
-fires, and a state is final exactly when no token is live.
+rather than to all tokens: the action of each live token (neither stable
+nor exited at a net conclusion) by origin; the open copies, the box stacks
+of the stable markers parked at each principal door (or choice box side);
+and the pending link/spawn sites, one per one/?d node of each open copy
+that has not yet fired.  These rest on one invariant: a stable token never
+moves again (nor does an exited one).  So a token leaves the action index
+for good when it becomes stable or exits, the open copies only grow, a site
+becomes pending exactly when its gate's copy opens and stops being pending
+when it fires, and a state is final exactly when no token is live.
 
 Only the token that moved can have a new action, so each live token's
 action (`MsSystem.token_step`) is computed once, when the token arrives,
@@ -41,13 +41,18 @@ a move stays a move, and no other action reads them.  `next_det` then
 picks the least pending site, else the least moving token, else the least
 ready update, without classifying any token.
 
+The machine reads the program net as it is and copies none of it: a
+token's edge is found in its level's `Net`, whose `edges` give the
+edge's formula and whose `surface` index gives the nodes that conclude
+and consume it (see `NetIndex`).
+
 A fused closure owns the state it steps, as the net engine's closure owns
-its program net: `MsSystem.own` copies the token set, the address map
+its program net: `MsSystem.own` copies the token map, the address map
 and the indexes into mutable containers once per closure, and
 `step_det` then updates them in place, in time proportional to the
 tokens that move.  `apply` does the same on a fresh copy for each
 outcome, so its argument is left unchanged.  A state is never changed
-once exposed, so its hash, taken from the token set on first use, is
+once exposed, so its hash, taken from the token map on first use, is
 cached, as is its canonical key.
 
 A position is a nested tuple of ints: stack tags are negative ints and
@@ -63,7 +68,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .memory import canonical_addresses, fresh
-from .nets import Formula, Net
+from .nets import Formula, Net, Node
 from .prognets import ProgramNet
 
 # Stack tags are negative ints, below every signature id; `STAR` is the
@@ -92,10 +97,12 @@ def indicator(s: tuple, a: Formula) -> str | None:
     return a.kind if a.kind in ("one", "bot") else None
 
 
-# A position is (edge_key, fstack, bstack); a token is (position, origin).
-# Edge keys are (level, eid) where a level is a tuple of (box node id,
-# content index) pairs from the root down.  Stacks hold tags and signature
-# ids, so every part of a position is an int or a tuple of them.
+# A position is (edge_key, fstack, bstack).  Edge keys are (level, eid)
+# where a level is a tuple of (box node id, content index) pairs from the
+# root down; node keys are (level, nid).  Stacks hold tags and signature
+# ids, so every part of a position is an int or a tuple of them.  A state's
+# token map sends each token's origin, the position where it was created,
+# to its position.
 
 
 class MachineInvariantError(RuntimeError):
@@ -105,39 +112,29 @@ class MachineInvariantError(RuntimeError):
 
 
 class NetIndex:
-    """Static index of a net: every edge at every box level, with its type,
-    producing node, consuming node, and door wiring.
+    """What the machine reads of a net beyond one level.
 
-    `doors` maps the content-side edge of each principal door (of each
-    choice box side) to (box nkey, content index, stack a parked marker
-    has there); `gate_sites` maps each gate, (box nkey, content index) or
-    (None, 0) for the whole net, to the link/spawn sites directly inside
-    it as (link or spawn, one/?d nkey)."""
+    `level_net` maps each box level to its `Net`: the machine reads an
+    edge's formula from that level's `edges`, its concluding and consuming
+    node ids from its `surface`, and the nodes from its `nodes`.  `doors`
+    maps the content-side edge of each principal door (of each choice box
+    side) to (box nkey, content index, stack a parked marker has there);
+    `gate_sites` maps each gate, (box nkey, content index) or (None, 0) for
+    the whole net, to the link/spawn sites directly inside it as (link or
+    spawn, one/?d nkey)."""
 
     def __init__(self, net: Net):
-        self.edge_type: dict = {}
-        self.edge_concl: dict = {}  # ekey -> (nkey, index)
-        self.edge_prem: dict = {}  # ekey -> (nkey, index); absent = interface edge
-        self.node: dict = {}  # nkey -> Node
         self.level_net: dict = {}  # level -> Net
         self.doors: dict = {}  # door ekey -> (box nkey, ci, marker fstack)
         self.gate_sites: dict = {}  # gate -> [(kind, nkey)]
-        self.root_conclusions = [((), e) for e in net.conclusions]
         # One level at a time from an explicit stack: nesting depth is
         # not bounded by the recursion limit.
         todo = [(net, (), (None, 0))]
         while todo:
             net, level, gate = todo.pop()
             self.level_net[level] = net
-            for eid, edge in net.edges.items():
-                self.edge_type[(level, eid)] = edge.typ
             for nid, node in net.nodes.items():
                 nkey = (level, nid)
-                self.node[nkey] = node
-                for i, e in enumerate(node.concl):
-                    self.edge_concl[(level, e)] = (nkey, i)
-                for i, e in enumerate(node.prem):
-                    self.edge_prem[(level, e)] = (nkey, i)
                 if node.kind in ("one", "der"):
                     kind = "link" if node.kind == "one" else "spawn"
                     self.gate_sites.setdefault(gate, []).append((kind, nkey))
@@ -147,63 +144,46 @@ class NetIndex:
                     self.doors[(inner, content.conclusions[0])] = (nkey, ci, marker)
                     todo.append((content, inner, (nkey, ci)))
 
-    def typ(self, ekey) -> Formula:
-        return self.edge_type[ekey]
+    def node(self, nkey) -> Node:
+        level, nid = nkey
+        return self.level_net[level].nodes[nid]
 
     def is_root_conclusion(self, ekey) -> bool:
         return ekey[0] == () and ekey[1] in self.level_net[()].conclusions
 
-    def content_role(self, ekey):
-        """For a content-conclusion edge, return (box nkey, content index,
-        conclusion position); None for other edges."""
-        level, eid = ekey
-        if not level or ekey in self.edge_prem:
-            return None
-        net = self.level_net[level]
-        if eid not in net.conclusions:
-            return None
-        bnid, ci = level[-1]
-        return ((level[:-1], bnid), ci, net.conclusions.index(eid))
 
-    def inner_edge(self, box_nkey, ci: int, pos: int):
-        level, bnid = box_nkey
-        box = self.node[box_nkey]
-        content = box.contents[ci]
-        return (level + ((bnid, ci),), content.conclusions[pos])
-
-    def principal_premise(self, box_nkey, ci: int = 0):
-        """The content-side edge of a box's principal door (or a choice
-        box side's bot root)."""
-        return self.inner_edge(box_nkey, ci, 0)
+def inner_edge(level: tuple, box: Node, ci: int, port: int) -> tuple:
+    """The edge key of conclusion `port` of content `ci` of `box`, a node
+    at `level`; port 0 is the content side of the principal door (or of a
+    choice box side's bot root)."""
+    return (level + ((box.nid, ci),), box.contents[ci].conclusions[port])
 
 
 class MachineState:
-    """Multi-token state: the set of tokens with their origins, the address
+    """Multi-token state: the token map (origin -> position), the address
     map on origins, and a memory.  Compared up to address permutation.
 
     It also carries the indexes `MsSystem` keeps (see the module docstring):
-    `live` (origin -> position of each token neither stable nor exited),
     `acts` (origin -> `MsSystem.token_step` of each live token, taken when
-    it arrived), `waiting` (gate -> set of origins whose action is a wait
-    marker naming that gate), `open_copies` (gate, that is (box nkey,
-    content index), -> set of opened box stacks) and `pending` (set of
-    (kind, nkey, box stack) link/spawn sites).  Only the closure that owns
-    a state (see `MsSystem.own`) changes these containers, and only until
-    it exposes the state; from then on nothing changes them, which is what
-    makes the cached hash and key safe.
+    it arrived; its keys are the live origins), `waiting` (gate -> set of
+    origins whose action is a wait marker naming that gate), `open_copies`
+    (gate, that is (box nkey, content index), -> set of opened box stacks)
+    and `pending` (set of (kind, nkey, box stack) link/spawn sites).  Only
+    the closure that owns a state (see `MsSystem.own`) changes these
+    containers, and only until it exposes the state; from then on nothing
+    changes them, which is what makes the cached hash and key safe.
 
     Positions are int tuples (see the module docstring), so the canonical
     key sorts `tokens` and `ind` in native tuple order."""
 
-    __slots__ = ("tokens", "ind", "memory", "live", "acts", "waiting", "open_copies",
-                 "pending", "_key", "_hash")
+    __slots__ = ("tokens", "ind", "memory", "acts", "waiting", "open_copies", "pending",
+                 "_key", "_hash")
 
-    def __init__(self, tokens: set, ind: dict, memory, live: dict, acts: dict,
-                 waiting: dict, open_copies: dict, pending: set):
+    def __init__(self, tokens: dict, ind: dict, memory, acts: dict, waiting: dict,
+                 open_copies: dict, pending: set):
         self.tokens = tokens
         self.ind = ind
         self.memory = memory
-        self.live = live
         self.acts = acts
         self.waiting = waiting
         self.open_copies = open_copies
@@ -214,7 +194,7 @@ class MachineState:
     def canonical_key(self):
         if self._key is None:
             sigma = canonical_addresses([self.ind[o] for o in sorted(self.ind)], self.memory)
-            toks = tuple(sorted(self.tokens))
+            toks = tuple(sorted(self.tokens.items()))
             ind_c = tuple(sorted((o, sigma[a]) for o, a in self.ind.items()))
             self._key = (toks, ind_c, self.memory.rename(sigma))
         return self._key
@@ -223,10 +203,10 @@ class MachineState:
         return isinstance(other, MachineState) and self.canonical_key() == other.canonical_key()
 
     def __hash__(self) -> int:
-        # Positions carry no addresses, so the raw token set is already
+        # Positions carry no addresses, so the raw token map is already
         # canonical; address-sensitive parts are left to __eq__.
         if self._hash is None:
-            self._hash = hash(frozenset(self.tokens))
+            self._hash = hash(frozenset(self.tokens.items()))
         return self._hash
 
     def __repr__(self) -> str:
@@ -276,18 +256,19 @@ class MsSystem:
     # -- token kinematics --------------------------------------------------
 
     def direction(self, pos) -> str:
-        ekey, fstack, _ = pos
+        (level, eid), fstack, _ = pos
         if fstack == (DELTA,):
             return "stable"
-        holder = self.index.edge_concl.get(ekey)
-        if holder is not None and self.index.node[holder[0]].kind == "bot":
+        net = self.index.level_net[level]
+        holder = net.surface.concluder.get(eid)
+        if holder is not None and net.nodes[holder].kind == "bot":
             return "stable"
-        kind = indicator(fstack, self.index.typ(ekey))
+        kind = indicator(fstack, net.edges[eid])
         if kind in ("bot", "bang"):
             return "up"
         if kind in ("one", "quest"):
             return "down"
-        raise MachineInvariantError(f"invalid stack {fstack} on {self.index.typ(ekey)}")
+        raise MachineInvariantError(f"invalid stack {fstack} on {net.edges[eid]}")
 
     def copies(self, st: MachineState, box_nkey, ci: int = 0) -> set:
         """Box stacks of the copies opened for a box (per side for choice
@@ -300,25 +281,23 @@ class MsSystem:
         gates) | None.  A wait marker names the gates of the copies that
         could let the token on; None means it never moves again.  `d` is
         the token's `direction`, when the caller has it already."""
-        ekey, fstack, bstack = pos
+        (level, eid), fstack, bstack = pos
         d = d or self.direction(pos)
         if d == "stable":
             return None
-        idx = self.index
+        net = self.index.level_net[level]
         if d == "down":
-            prem = idx.edge_prem.get(ekey)
-            if prem is None:
-                role = idx.content_role(ekey)
-                if role is None:
+            nid = net.surface.consumer.get(eid)
+            if nid is None:
+                if not level:
                     return None  # exited at a net conclusion
-                return self._exit_door(st, pos, role)
-            nkey, i = prem
-            node = idx.node[nkey]
-            level = ekey[0]
+                return self._exit_door(st, pos, net)
+            node = net.nodes[nid]
+            first = node.prem[0] == eid
             if node.kind == "cut":
-                other = node.prem[1 - i]
+                other = node.prem[1] if first else node.prem[0]
                 return ("move", ((level, other), fstack, bstack))
-            tag = L if i == 0 else R
+            tag = L if first else R
             if node.kind in ("tensor", "par"):
                 return ("move", ((level, node.concl[0]), (tag,) + fstack, bstack))
             if node.kind == "contr":
@@ -327,22 +306,21 @@ class MsSystem:
             if node.kind == "der":
                 return ("move", ((level, node.concl[0]), (STAR,) + fstack, bstack))
             if node.kind == "sync":
-                return ("sync", nkey, bstack)
+                return ("sync", (level, nid), bstack)
             return None
         # upward
-        concl = idx.edge_concl.get(ekey)
-        if concl is None:
+        nid = net.surface.concluder.get(eid)
+        if nid is None:
             return None  # upward at an interface edge with no producer
-        nkey, j = concl
-        node = idx.node[nkey]
-        level = ekey[0]
+        node = net.nodes[nid]
         if node.kind == "ax":
-            other = node.concl[1 - j]
+            other = node.concl[1] if node.concl[0] == eid else node.concl[0]
             return ("move", ((level, other), fstack, bstack))
         if node.kind in ("tensor", "par"):
             tag, rest = fstack[0], fstack[1:]
             if tag != L and tag != R:
-                raise MachineInvariantError(f"invalid stack {fstack} at {node.kind} {nkey}")
+                raise MachineInvariantError(
+                    f"invalid stack {fstack} at {node.kind} {(level, nid)}")
             target = node.prem[0 if tag == L else 1]
             return ("move", ((level, target), rest, bstack))
         if node.kind == "contr":
@@ -359,19 +337,20 @@ class MsSystem:
                 return ("move", ((level, node.prem[0]), rest, bstack))
             return None
         if node.kind in ("bangbox", "ybox"):
-            return self._enter_exp_box(st, pos, nkey, j, node.kind)
+            return self._enter_exp_box(st, pos, node, node.concl.index(eid))
         if node.kind == "botbox":
+            j = node.concl.index(eid)
             if j == 0:
                 return ("test",)
-            return self._enter_bot_aux(st, pos, nkey, j)
+            return self._enter_bot_aux(st, pos, node, j)
         return None
 
-    def _enter_exp_box(self, st, pos, box_nkey, j, kind):
-        ekey, fstack, bstack = pos
+    def _enter_exp_box(self, st, pos, box, j):
+        (level, _), fstack, bstack = pos
+        box_nkey = (level, box.nid)
         sig, rest = fstack[0], fstack[1:]
-        port = j if j == 0 else (j + 1 if kind == "ybox" else j)
         if j == 0:
-            inner = self.index.inner_edge(box_nkey, 0, 0)
+            inner = inner_edge(level, box, 0, 0)
             if rest == (DELTA,):
                 # The token found its box: it parks as the stable marker
                 # that opens copy `sig`.
@@ -386,27 +365,29 @@ class MsSystem:
         box_copy, inner_sig = struct[1], struct[2]
         if bstack + (box_copy,) not in self.copies(st, box_nkey):
             return ("wait", ((box_nkey, 0),))
-        inner = self.index.inner_edge(box_nkey, 0, port)
+        inner = inner_edge(level, box, 0, j + 1 if box.kind == "ybox" else j)
         return ("move", (inner, (inner_sig,) + rest, bstack + (box_copy,)))
 
-    def _enter_bot_aux(self, st, pos, box_nkey, j):
-        ekey, fstack, bstack = pos
+    def _enter_bot_aux(self, st, pos, box, j):
+        (level, _), fstack, bstack = pos
+        box_nkey = (level, box.nid)
         for ci in (0, 1):
             if bstack in self.copies(st, box_nkey, ci):
-                inner = self.index.inner_edge(box_nkey, ci, j)
-                return ("move", (inner, fstack, bstack))
+                return ("move", (inner_edge(level, box, ci, j), fstack, bstack))
         return ("wait", ((box_nkey, 0), (box_nkey, 1)))
 
-    def _exit_door(self, st, pos, role):
-        ekey, fstack, bstack = pos
-        box_nkey, ci, cpos = role
-        kind = self.index.node[box_nkey].kind
-        level, bnid = box_nkey
-        node = self.index.node[box_nkey]
-        if kind == "botbox":
+    def _exit_door(self, st, pos, net):
+        """The action of a token going down a conclusion of `net`, the
+        content at the token's level, out of its box."""
+        (level, eid), fstack, bstack = pos
+        outer, (bnid, _) = level[:-1], level[-1]
+        box = self.index.level_net[outer].nodes[bnid]
+        box_nkey = (outer, bnid)
+        cpos = net.conclusions.index(eid)
+        if box.kind == "botbox":
             if cpos < 1:
                 raise MachineInvariantError(f"token leaves {box_nkey} by its principal door")
-            return ("move", ((level, node.concl[cpos]), fstack, bstack))
+            return ("move", ((outer, box.concl[cpos]), fstack, bstack))
         if cpos == 0:
             copy = bstack[-1]
             struct = self.sig_struct[copy]
@@ -414,27 +395,27 @@ class MsSystem:
                 # Retrace into the copy that requested this one, at the
                 # recursion port.
                 c0, sig = struct[1], struct[2]
-                port = self.index.inner_edge(box_nkey, 0, 1)
+                port = (level, net.conclusions[1])
                 return ("move", (port, (sig,) + fstack, bstack[:-1] + (c0,)))
-            return ("move", ((level, node.concl[0]), (copy,) + fstack, bstack[:-1]))
-        if kind == "ybox" and cpos == 1:
+            return ("move", ((outer, box.concl[0]), (copy,) + fstack, bstack[:-1]))
+        if box.kind == "ybox" and cpos == 1:
             # Downward at the recursion port: request a new copy of the box.
             sig, rest = fstack[0], fstack[1:]
             c0 = bstack[-1]
             new_copy = self.sig("y", c0, sig)
-            inner = self.index.inner_edge(box_nkey, 0, 0)
+            inner = (level, net.conclusions[0])
             if rest == (DELTA,):
                 return ("move", (inner, (DELTA,), bstack[:-1] + (new_copy,)))
             if bstack[:-1] + (new_copy,) in self.copies(st, box_nkey):
                 return ("move", (inner, rest, bstack[:-1] + (new_copy,)))
             return ("wait", ((box_nkey, 0),))
         # exponential auxiliary door: wrap the inner signature with the copy
-        out_pos = cpos - (1 if kind == "ybox" else 0)
+        out_pos = cpos - (1 if box.kind == "ybox" else 0)
         sig, rest = fstack[0], fstack[1:]
         copy = bstack[-1]
         return (
             "move",
-            ((level, node.concl[out_pos]), (self.sig("p", copy, sig),) + rest, bstack[:-1]),
+            ((outer, box.concl[out_pos]), (self.sig("p", copy, sig),) + rest, bstack[:-1]),
         )
 
     # -- transition enumeration -------------------------------------------
@@ -467,9 +448,9 @@ class MsSystem:
         at: dict = {}
         for orig, act in st.acts.items():
             if act is not None and act[0] == "sync" and orig in st.ind:
-                at.setdefault(act[1:], set()).add(st.live[orig][0])
-        return [(nkey, t) for (nkey, t), edges in at.items()
-                if all((nkey[0], e) in edges for e in self.index.node[nkey].prem)]
+                at.setdefault(act[1:], set()).add(st.tokens[orig][0][1])
+        return [(nkey, t) for (nkey, t), eids in at.items()
+                if eids.issuperset(self.index.node(nkey).prem)]
 
     # -- transition application -------------------------------------------
 
@@ -477,26 +458,22 @@ class MsSystem:
         """Move each (origin, old position or None, new position) of
         `moves` in `st`, in place, and bring the indexes up to date: a token
         that stays live gets its action, one that turns stable or exits
-        leaves the live index, and one parked at a door opens its copy,
+        leaves the action index, and one parked at a door opens its copy,
         which makes the sites under that gate pending and classifies the
-        tokens waiting on the gate again."""
-        tokens, live, acts, waiting, open_copies, pending = (
-            st.tokens, st.live, st.acts, st.waiting, st.open_copies, st.pending)
+        tokens waiting on the gate again.  A new token (old position None)
+        whose origin already has one is refused."""
+        tokens, acts, waiting, open_copies, pending = (
+            st.tokens, st.acts, st.waiting, st.open_copies, st.pending)
         for orig, old, new in moves:
-            if old is not None:
-                try:
-                    tokens.remove((old, orig))
-                except KeyError:
-                    raise MachineInvariantError(f"token {orig} is not at {old}") from None
-            tokens.add((new, orig))
+            if tokens.get(orig) != old:
+                raise MachineInvariantError(f"token {orig} is at {tokens.get(orig)}, not {old}")
+            tokens[orig] = new
             d = self.direction(new)
             exited = d == "down" and self.index.is_root_conclusion(new[0]) and not new[2]
             if d != "stable" and not exited:
                 # A token that moves has no wait marker to withdraw.
-                live[orig] = new
                 self._file(st, orig, self.token_step(st, new, d))
                 continue
-            live.pop(orig, None)
             acts.pop(orig, None)
             door = self.index.doors.get(new[0])
             if door is None or new[1] != door[2]:
@@ -513,7 +490,7 @@ class MsSystem:
                             waiting[other].discard(waiter)
                             if not waiting[other]:
                                 del waiting[other]
-                    self._file(st, waiter, self.token_step(st, live[waiter]))
+                    self._file(st, waiter, self.token_step(st, tokens[waiter]))
         return st
 
     def _file(self, st: MachineState, orig, act) -> None:
@@ -531,16 +508,16 @@ class MsSystem:
         if tr.kind != "test":
             return [(self.step_det(self.own(st), tr), 1.0)]
         (orig,) = tr.data
-        pos = st.live[orig]
-        ekey, fstack, bstack = pos
-        box_nkey, j = self.index.edge_concl[ekey]
-        if j != 0 or self.index.node[box_nkey].kind != "botbox":
+        pos = st.tokens[orig]
+        (level, eid), fstack, bstack = pos
+        net = self.index.level_net[level]
+        box = net.nodes[net.surface.concluder[eid]]
+        if box.kind != "botbox" or box.concl[0] != eid:
             raise MachineInvariantError(f"test by a token not at a choice box: {pos}")
         i = st.ind[orig]
         out = []
         for (outcome, m2), p in st.memory.test(i):
-            side = 1 if outcome else 0
-            root = self.index.principal_premise(box_nkey, side)
+            root = inner_edge(level, box, 1 if outcome else 0, 0)
             nxt = self.own(st)
             nxt.memory = m2
             self._successor(nxt, [(orig, pos, (root, fstack, bstack))])
@@ -548,14 +525,13 @@ class MsSystem:
         return out
 
     def own(self, st: MachineState) -> MachineState:
-        """An equal state with private token, address, live, action,
-        waiting, open-copy and pending containers, which `step_det` may
-        then change in place."""
+        """An equal state with private token, address, action, waiting,
+        open-copy and pending containers, which `step_det` may then change
+        in place."""
         return MachineState(
-            set(st.tokens),
+            dict(st.tokens),
             dict(st.ind),
             st.memory,
-            dict(st.live),
             dict(st.acts),
             {gate: set(waiters) for gate, waiters in st.waiting.items()},
             {gate: set(copies) for gate, copies in st.open_copies.items()},
@@ -568,10 +544,10 @@ class MsSystem:
         and is not to be used afterwards."""
         if tr.kind == "move":
             (orig,) = tr.data
-            act = st.acts.get(orig)
-            if act is None or act[0] != "move":
+            act, pos = st.acts.get(orig), st.tokens.get(orig)
+            if act is None or act[0] != "move" or pos is None:
                 raise MachineInvariantError(f"token {orig} cannot move: {act}")
-            return self._successor(st, [(orig, st.live[orig], act[1])])
+            return self._successor(st, [(orig, pos, act[1])])
         if tr.kind in ("link", "spawn"):
             nkey, t = tr.data
             site = (tr.kind, nkey, t)
@@ -580,21 +556,22 @@ class MsSystem:
                     f"{tr.kind} at {nkey} in copy {t} is not pending: "
                     "its copy is not open or its origin already exists"
                 )
-            ekey = (nkey[0], self.index.node[nkey].concl[0])
+            ekey = (nkey[0], self.index.node(nkey).concl[0])
             p = (ekey, () if tr.kind == "link" else (STAR, DELTA), t)
+            st.pending.remove(site)
+            self._successor(st, [(p, None, p)])
             if tr.kind == "link":
                 taken = set(st.ind.values())
                 i = fresh(st.memory, taken)
                 if i in taken:
                     raise MachineInvariantError(f"link at {nkey}: address {i} is already bound")
                 st.ind[p] = i
-            st.pending.remove(site)
-            return self._successor(st, [(p, None, p)])
+            return st
         if tr.kind == "update":
             sync_nkey, t = tr.data
-            node = self.index.node[sync_nkey]
+            node = self.index.node(sync_nkey)
             level = sync_nkey[0]
-            at = {pos: orig for orig, pos in st.live.items()}
+            at = {st.tokens[orig]: orig for orig in st.acts}
             addrs, moves = [], []
             for i, e in enumerate(node.prem):
                 pos = ((level, e), (), t)
@@ -613,15 +590,16 @@ class MsSystem:
     # -- initial state ------------------------------------------------------
 
     def initial_state(self) -> MachineState:
+        root = self.index.level_net[()]
         moves = []
-        for ekey in self.index.root_conclusions:
-            for s in _up_stacks(self.index.typ(ekey)):
-                p = (ekey, s, ())
+        for e in root.conclusions:
+            for s in _up_stacks(root.edges[e]):
+                p = (((), e), s, ())
                 moves.append((p, None, p))
         # The whole net is one open copy, with the empty box stack.
         root_sites = self.index.gate_sites.get((None, 0), ())
         pending = {(kind, nkey, ()) for kind, nkey in root_sites}
-        empty = MachineState(set(), {}, self.initial_memory, {}, {}, {}, {}, pending)
+        empty = MachineState({}, {}, self.initial_memory, {}, {}, {}, pending)
         return self._successor(empty, moves)
 
 

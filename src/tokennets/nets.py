@@ -115,12 +115,6 @@ class Node:
     contents: list["Net"] = field(default_factory=list)
 
 
-@dataclass
-class Edge:
-    eid: int
-    typ: Formula
-
-
 class SurfaceIndex:
     """The edge endpoints of one level, and what `find_redexes` and
     `prognets.next_det` need of it.  Each `Net` level keeps one, up to date
@@ -218,6 +212,7 @@ class Signature:
 class Net:
     """One level of a net; boxes own nested Net contents.
 
+    `edges` maps each edge id of the level to its formula, and
     `conclusions` is the ordered interface: edges with no consumer at this
     level.  Node and edge identifiers are unique within a level; one
     content may sit in several boxes, so they are not unique across
@@ -239,21 +234,21 @@ class Net:
 
     def __init__(self, nodes=(), edges=(), conclusions=()):
         self.nodes: dict[int, Node] = {n.nid: n for n in nodes}
-        self.edges: dict[int, Edge] = {e.eid: e for e in edges}
+        self.edges: dict[int, Formula] = dict(edges)
         self.conclusions: list[int] = list(conclusions)
         self.surface = SurfaceIndex(self.nodes.values())
         self._sig: Signature | None = None
 
     def typ(self, eid: int) -> Formula:
-        return self.edges[eid].typ
+        return self.edges[eid]
 
     def add_node(self, kind, concl_types, prem=(), label=None, contents=()) -> Node:
         """Create a node with fresh conclusion edges of the given types."""
         concl = []
         for t in concl_types:
-            e = Edge(fresh_id(), t)
-            self.edges[e.eid] = e
-            concl.append(e.eid)
+            eid = fresh_id()
+            self.edges[eid] = t
+            concl.append(eid)
         node = Node(fresh_id(), kind, concl, list(prem), label, list(contents))
         self.surface.add(node)
         self.nodes[node.nid] = node
@@ -307,7 +302,7 @@ class Net:
         emap = {e: fresh_id() for e in self.edges}
         nodes = [Node(fresh_id(), n.kind, [emap[e] for e in n.concl], [emap[e] for e in n.prem],
                       n.label, list(n.contents)) for n in self.nodes.values()]
-        return Net(nodes, [Edge(emap[e], edge.typ) for e, edge in self.edges.items()],
+        return Net(nodes, {emap[e]: t for e, t in self.edges.items()},
                    [emap[e] for e in self.conclusions])
 
     def own_contents(self, box: Node) -> list["Net"]:
@@ -380,7 +375,7 @@ class Net:
                 tuple([edge_no[e] for e in n.prem]),
                 tuple([c.content_signature() for c in n.contents]) if n.contents else (),
             ))
-        types = tuple([self.edges[e].typ for e in edge_no])
+        types = tuple([self.edges[e] for e in edge_no])
         return (tuple(rows), types, tuple([edge_no[e] for e in self.conclusions]))
 
     def content_signature(self) -> Signature:
@@ -412,13 +407,13 @@ class Net:
             node_no = {n: i for i, n in enumerate(self.nodes)}
         lines = []
         lines.append(indent + "conclusions: " + ", ".join(
-            f"e{edge_no[e]}:{self.edges[e].typ}" for e in self.conclusions))
+            f"e{edge_no[e]}:{self.edges[e]}" for e in self.conclusions))
         for n in sorted(self.nodes.values(), key=lambda n: node_no[n.nid]):
             label = f" [{n.label.name}/{n.label.arity}]" if n.label else ""
             lines.append(
                 indent
                 + f"n{node_no[n.nid]} {n.kind}{label}"
-                + " concl(" + ", ".join(f"e{edge_no[e]}:{self.edges[e].typ}" for e in n.concl) + ")"
+                + " concl(" + ", ".join(f"e{edge_no[e]}:{self.edges[e]}" for e in n.concl) + ")"
                 + (" prem(" + ", ".join(f"e{edge_no[e]}" for e in n.prem) + ")" if n.prem else "")
             )
             tags = ("left", "right") if n.kind == "botbox" else ("content",)
@@ -842,7 +837,7 @@ def _reduce_y_unfold(net: Net, cut_id: int, box_id: int, der_id: int) -> None:
     # A fresh copy of the fixpoint box, sharing its content, is cut against
     # the recursion port of the unfolded content.
     box = net.nodes[box_id]
-    clone = Net([box], [net.edges[box.concl[0]]], [box.concl[0]]).renamed()
+    clone = Net([box], {box.concl[0]: net.edges[box.concl[0]]}, [box.concl[0]]).renamed()
     _, content = _open_box(net, cut_id, box_id, der_id)
     rec_port = content.conclusions[1]
     net.splice(clone)
@@ -865,7 +860,7 @@ def _reduce_c_box(net: Net, cut_id: int, box_id: int, contr_id: int) -> None:
     e_box, e_contr = _cut_sides(net, cut, box_id)
     _require(contr.concl[0] == e_contr, "cut is not against the contraction")
     q1, q2 = contr.prem
-    src = Net([box], [net.edges[e_box]], [e_box])
+    src = Net([box], {e_box: net.edges[e_box]}, [e_box])
     net.remove_node(cut_id)
     net.remove_node(contr_id)
     net.edges.pop(e_contr)
@@ -883,7 +878,7 @@ def _reduce_absorb(net: Net, cut_id: int, box_id: int, target_id: int) -> None:
     e_box, e_aux = _cut_sides(net, cut, box_id)
     aux_port = target.concl.index(e_aux)
     _require(aux_port >= 1, "absorbing box is cut against a principal door")
-    src = Net([box], [net.edges[e_box]], [e_box])
+    src = Net([box], {e_box: net.edges[e_box]}, [e_box])
     net.remove_node(cut_id)
     net.remove_node(box_id)
     net.edges.pop(e_box)

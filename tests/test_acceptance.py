@@ -218,11 +218,11 @@ def test_terminal_machine_states_are_final(name, bk, src):
         for a in mu.support():
             if a not in seen and not fused.enumerate_redexes(a):
                 seen.add(a)
-                assert not a.live, name
+                assert not a.acts, name
         mu = lift_step(mu, fused, leftmost_policy)
     for a in mu.support():
         if not fused.enumerate_redexes(a):
-            assert not a.live, name
+            assert not a.acts, name
 
 
 @pytest.mark.parametrize("name,bk,src", CORPUS, ids=[c[0] for c in CORPUS])

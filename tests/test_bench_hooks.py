@@ -51,4 +51,6 @@ def test_benchmark_tracer_installs_runs_and_uninstalls(monkeypatch, capsys):
     for name in ("pars.prepare", "msiam.copies", "prognets.step", "nets.find_redexes",
                  "nets.signature"):
         assert metrics.get(f"{name}_calls", 0) > 0, name
+    # The tracer takes `len` of the state's tokens at every branch point.
+    assert metrics["msiam.peak_tokens"] > 0
     assert attributes(tn) == before

@@ -269,3 +269,16 @@ def test_corpus_output_matches_golden(stem, argv):
     assert proc.returncode == 0, proc.stderr
     golden = REPO / "tests" / "golden" / f"{stem}.out"
     assert proc.stdout == golden.read_text()
+
+
+@pytest.mark.parametrize("flag,value", [("--check-diamond", "-3"), ("--tol", "5"),
+                                        ("--tol", "1"), ("--horizon", "0")])
+def test_a_flag_value_that_makes_a_check_vacuous_is_rejected(tmp_path, capsys, flag, value):
+    # A negative diamond depth reported "ok" for every engine, and a
+    # tolerance of 1 or more stopped every run at step 0 with all deltas 0.
+    f = write(tmp_path, "if c new then new else new")
+    with pytest.raises(SystemExit) as exit_:
+        main([f, "--backend", "prob", flag, value])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2
+    assert not captured.out and captured.err.splitlines()[-1].startswith("tokennets: error:")

@@ -18,6 +18,7 @@ from tokennets.msiam import (
     STAR,
     Transition,
     indicator,
+    inner_edge,
 )
 from tokennets.nets import BOT, ONE, bang, par, quest, tensor
 from tokennets.pars import (
@@ -88,8 +89,8 @@ def test_single_allocation_runs_to_final():
     assert not st.tokens  # a 1-conclusion has no initial tokens
     final = FusedSystem(sys).prepare(st)
     assert not sys.enumerate_redexes(final)
-    assert not final.live
-    ((pos, orig),) = final.tokens
+    assert not final.acts
+    ((orig, pos),) = final.tokens.items()
     assert sys.index.is_root_conclusion(pos[0])
     assert final.ind[orig] == 0  # the allocation got the first address
 
@@ -105,7 +106,7 @@ def test_sync_updates_memory():
     sys = MsSystem(pn)
     fused = FusedSystem(sys)
     st = fused.prepare(sys.initial_state())
-    assert not st.live
+    assert not st.acts
     # one register, incremented twice
     (a,) = st.memory.support()
     assert st.memory.get(a) == 2
@@ -121,7 +122,7 @@ def test_probabilistic_choice_splits_mass():
     finals = list(mu)
     assert len(finals) == 2
     assert all(p == pytest.approx(0.5) for _, p in finals)
-    assert all(not a.live for a, _ in finals)
+    assert all(not a.acts for a, _ in finals)
 
 
 def test_terminal_states_are_final():
@@ -133,7 +134,7 @@ def test_terminal_states_are_final():
         mu = lift_step(mu, fused, leftmost_policy)
     for a, _ in mu:
         if not fused.enumerate_redexes(a):
-            assert not a.live
+            assert not a.acts
     assert mu.mass() == pytest.approx(1.0)
 
 
@@ -209,9 +210,10 @@ def scan_copies(sys, st, box_nkey, ci=0):
     """Open copies of a box side, by scanning every token for a marker."""
     if box_nkey is None:
         return {()}
-    door = sys.index.principal_premise(box_nkey, ci)
-    want = (DELTA,) if sys.index.node[box_nkey].kind in ("bangbox", "ybox") else ()
-    return {pos[2] for pos, _ in st.tokens if pos[0] == door and pos[1] == want}
+    box = sys.index.node(box_nkey)
+    door = inner_edge(box_nkey[0], box, ci, 0)
+    want = (DELTA,) if box.kind in ("bangbox", "ybox") else ()
+    return {pos[2] for pos in st.tokens.values() if pos[0] == door and pos[1] == want}
 
 
 class ScanSystem(MsSystem):
@@ -224,7 +226,7 @@ class ScanSystem(MsSystem):
     def enumerate_redexes(self, st):
         out = []
         sync_tokens = {}
-        for pos, orig in st.tokens:
+        for orig, pos in st.tokens.items():
             act = self.token_step(st, pos)
             if act is None:
                 continue
@@ -234,40 +236,41 @@ class ScanSystem(MsSystem):
                 sync_tokens.setdefault((act[1], act[2]), set()).add(pos[0])
         for (sync_nkey, t), prem_edges in sync_tokens.items():
             level = sync_nkey[0]
-            if all((level, e) in prem_edges for e in self.index.node[sync_nkey].prem):
+            if all((level, e) in prem_edges for e in self.index.node(sync_nkey).prem):
                 out.append(Transition("update", (sync_nkey, t)))
-        used = {orig for _, orig in st.tokens}
-        for nkey, node in self.index.node.items():
-            if node.kind not in ("one", "der"):
-                continue
-            kind, fstack = ("link", ()) if node.kind == "one" else ("spawn", (STAR, DELTA))
-            for t in self.copies(st, *_gate(nkey[0])):
-                if ((nkey[0], node.concl[0]), fstack, t) not in used:
-                    out.append(Transition(kind, (nkey, t)))
+        for level, net in self.index.level_net.items():
+            for nid, node in net.nodes.items():
+                if node.kind not in ("one", "der"):
+                    continue
+                kind, fstack = ("link", ()) if node.kind == "one" else ("spawn", (STAR, DELTA))
+                for t in self.copies(st, *_gate(level)):
+                    if ((level, node.concl[0]), fstack, t) not in st.tokens:
+                        out.append(Transition(kind, ((level, nid), t)))
         return sorted(out, key=Transition.sort_key)
 
 
 def rebuilt_indexes(sys, st):
-    """(live, actions, waiting, open copies, pending sites) computed from
-    the token set."""
-    live = {}
-    for pos, orig in st.tokens:
+    """(live origins, actions, waiting, open copies, pending sites)
+    computed from the token map."""
+    live = set()
+    for orig, pos in st.tokens.items():
         d = sys.direction(pos)
         exited = d == "down" and sys.index.is_root_conclusion(pos[0]) and not pos[2]
         if d != "stable" and not exited:
-            live[orig] = pos
-    acts = {orig: sys.token_step(st, pos) for orig, pos in live.items()}
+            live.add(orig)
+    acts = {orig: sys.token_step(st, st.tokens[orig]) for orig in live}
     waiting = {}
     for orig, act in acts.items():
         if act is not None and act[0] == "wait":
             for gate in act[1]:
                 waiting.setdefault(gate, set()).add(orig)
     open_copies = {}
-    for nkey, node in sys.index.node.items():
-        for ci in range(len(node.contents)):
-            found = scan_copies(sys, st, nkey, ci)
-            if found:
-                open_copies[(nkey, ci)] = found
+    for level, net in sys.index.level_net.items():
+        for nid, node in net.nodes.items():
+            for ci in range(len(node.contents)):
+                found = scan_copies(sys, st, (level, nid), ci)
+                if found:
+                    open_copies[((level, nid), ci)] = found
     pending = {
         (tr.kind, *tr.data)
         for tr in ScanSystem.enumerate_redexes(sys, st)
@@ -290,7 +293,7 @@ class CheckedSystem(MsSystem):
 
     def check_indexes(self, st):
         live, acts, waiting, open_copies, pending = rebuilt_indexes(self.reference, st)
-        assert st.live == live
+        assert st.acts.keys() == live
         assert st.acts == acts
         assert st.waiting == waiting
         assert st.open_copies == open_copies

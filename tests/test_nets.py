@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from tokennets.memory import OperationLabel, int_backend, prob_backend, quantum_backend
 from tokennets.nets import (
     BOT,
-    Edge,
     Formula,
     InvalidNetError,
     Net,
@@ -71,7 +70,7 @@ def doubly_concluded_edge(net):
 
 def mistyped_axiom(net):
     ax = next(iter(net.nodes.values()))
-    net.edges[ax.concl[0]] = Edge(ax.concl[0], ONE)
+    net.edges[ax.concl[0]] = ONE
 
 
 @pytest.mark.parametrize("breaking", [dangling_conclusion, doubly_concluded_edge, mistyped_axiom])
@@ -87,7 +86,7 @@ def test_a_level_refuses_an_edge_with_two_concluders_or_consumers():
     ax = next(iter(net.nodes.values()))
     twin = Node(fresh_id(), "one", [ax.concl[1]])
     with pytest.raises(InvalidNetError, match=f"^edge {ax.concl[1]} concluded twice$"):
-        Net([ax, twin], net.edges.values(), net.conclusions)
+        Net([ax, twin], net.edges, net.conclusions)
     net.add_node("cut", [], list(ax.concl))
     with pytest.raises(InvalidNetError, match=f"^edge {ax.concl[0]} consumed twice$"):
         net.add_node("der", [quest(BOT)], [ax.concl[0]])
@@ -458,7 +457,7 @@ def test_contraction_ring_beyond_4096_switchings_is_cyclic():
     out = [fresh_id() for _ in range(14)]
     ring = [Node(fresh_id(), "contr", [out[i]], [out[i - 1], weak[i].concl[0]])
             for i in range(14)]
-    net = Net(weak + ring, [Edge(n.concl[0], quest(BOT)) for n in weak + ring])
+    net = Net(weak + ring, {n.concl[0]: quest(BOT) for n in weak + ring})
     validate(net)
     assert switchings(net) == 2 ** 14
     assert check_correct(net) == (
@@ -473,7 +472,7 @@ def test_sync_ring_without_ordinary_edges_is_cyclic():
     out = [[fresh_id(), fresh_id()] for _ in range(3)]
     syncs = [Node(fresh_id(), "sync", out[i], [out[i - 1][0], out[i - 2][1]], label)
              for i in range(3)]
-    net = Net(syncs, [Edge(e, ONE) for pair in out for e in pair])
+    net = Net(syncs, {e: ONE for pair in out for e in pair})
     validate(net)
     assert oracle_cyclic(net)
     assert check_correct(net) is not None
@@ -551,7 +550,7 @@ def levels(draw):
     net.nodes = {n.nid: n for n in nodes}
     for _ in range(draw(st.integers(0, 10))):
         eid = fresh_id()
-        net.edges[eid] = Edge(eid, ONE)
+        net.edges[eid] = ONE
         nodes[draw(st.integers(0, len(nodes) - 1))].concl.append(eid)
         consumer = draw(st.integers(-1, len(nodes) - 1))
         if consumer < 0:

@@ -236,14 +236,13 @@ def test_net_closure_owns_its_copy(path, policy):
 
 def ms_snapshot(st):
     """A machine state equal to `st` that shares no container with it."""
-    return MachineState(set(st.tokens), dict(st.ind), copy.deepcopy(st.memory), dict(st.live),
-                        dict(st.acts), {gate: set(w) for gate, w in st.waiting.items()},
+    return MachineState(dict(st.tokens), dict(st.ind), copy.deepcopy(st.memory), dict(st.acts),
+                        {gate: set(w) for gate, w in st.waiting.items()},
                         {gate: set(c) for gate, c in st.open_copies.items()}, set(st.pending))
 
 
 def ms_parts(st):
-    return (st.tokens, st.ind, st.memory, st.live, st.acts, st.waiting, st.open_copies,
-            st.pending)
+    return (st.tokens, st.ind, st.memory, st.acts, st.waiting, st.open_copies, st.pending)
 
 
 class UnchangedApply(MsSystem):
@@ -279,7 +278,7 @@ def test_machine_closure_owns_its_copy(path, policy):
     assert sys.applied["test"] > 0 or "if " not in path.read_text()
     for el, snap in exposed:
         assert ms_parts(el) == ms_parts(snap)
-        assert el._hash == hash(frozenset(el.tokens))
+        assert el._hash == hash(frozenset(el.tokens.items()))
 
 
 def count_whole_net_copies(monkeypatch, counts):
@@ -509,10 +508,13 @@ machine = MsSystem(translate(identity, int_backend()))
 st = machine.own(machine.initial_state())
 (link,) = machine.enumerate_redexes(st)
 st = machine.step_det(st, link)
+again = machine.own(st)
+again.pending.add((link.kind, *link.data))
+rejects(MachineInvariantError, machine.step_det, again, link)  # a second token at an origin
 (move,) = machine.enumerate_redexes(st)
 (orig,) = move.data
-st.tokens.remove((st.live[orig], orig))
-rejects(MachineInvariantError, machine.step_det, st, move)  # a token missing from the token set
+del st.tokens[orig]
+rejects(MachineInvariantError, machine.step_det, st, move)  # a token missing from the token map
 print("ok")
 """
 

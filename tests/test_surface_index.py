@@ -27,7 +27,7 @@ CORPUS = sorted(CORPUS_DIR.glob("*.pcf"))
 def rebuilt_redexes(level: Net) -> list:
     """`find_redexes` of a fresh view of the level, indexed anew: every cut
     and sync node classified from scratch."""
-    return find_redexes(Net(level.nodes.values(), level.edges.values(), level.conclusions))
+    return find_redexes(Net(level.nodes.values(), level.edges, level.conclusions))
 
 
 def check_fresh(net: Net) -> None:

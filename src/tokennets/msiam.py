@@ -41,6 +41,18 @@ a move stays a move, and no other action reads them.  `next_det` then
 picks the least pending site, else the least moving token, else the least
 ready update, without classifying any token.
 
+A token mostly moves many times in a row, so a state keeps its lead: the
+move `next_det` found for it, by the least moving token when no site was
+pending.  If the token still moves after that move, no other action
+changed and no copy opened (a copy opens only when a token parks, and a
+parked token is stable), so it is still the least mover and nothing is
+pending: `step_det` keeps the same `Transition` as the lead of the
+successor, and the next `next_det` returns it without a scan.  Any other
+transition clears the lead: a link, spawn, update or test, or the move
+of another token, may make a site pending or give a lesser origin a
+move.  A token's `direction` depends only on its edge and formula stack,
+so each machine memoizes it.
+
 The machine reads the program net as it is and copies none of it: a
 token's edge is found in its level's `Net`, whose `edges` give the
 edge's formula and whose `surface` index gives the nodes that conclude
@@ -173,14 +185,18 @@ class MachineState:
     containers, and only until it exposes the state; from then on nothing
     changes them, which is what makes the cached hash and key safe.
 
+    `lead` is the move `MsSystem.next_det` returns for the state, cached
+    there, or None (see the module docstring).  Like the hash and the key
+    it is a cache: equality, hashing and the canonical key ignore it.
+
     Positions are int tuples (see the module docstring), so the canonical
     key sorts `tokens` and `ind` in native tuple order."""
 
     __slots__ = ("tokens", "ind", "memory", "acts", "waiting", "open_copies", "pending",
-                 "_key", "_hash")
+                 "lead", "_key", "_hash")
 
     def __init__(self, tokens: dict, ind: dict, memory, acts: dict, waiting: dict,
-                 open_copies: dict, pending: set):
+                 open_copies: dict, pending: set, lead: Transition | None = None):
         self.tokens = tokens
         self.ind = ind
         self.memory = memory
@@ -188,6 +204,7 @@ class MachineState:
         self.waiting = waiting
         self.open_copies = open_copies
         self.pending = pending
+        self.lead = lead
         self._key = None
         self._hash = None
 
@@ -242,6 +259,7 @@ class MsSystem:
         # hashing tokens cheap and recursion-safe.
         self.sig_struct: list[tuple] = [("*",)]
         self._sig_ids: dict[tuple, int] = {("*",): STAR}
+        self._directions: dict[tuple, str] = {}  # (edge key, fstack) -> direction
 
     def sig(self, *struct) -> int:
         """The id of the signature `struct`: ("*",), (L, s) or (R, s) for a
@@ -256,7 +274,18 @@ class MsSystem:
     # -- token kinematics --------------------------------------------------
 
     def direction(self, pos) -> str:
-        (level, eid), fstack, _ = pos
+        """Where the token at `pos` travels: up, down or nowhere (stable).
+        That depends only on the fixed net, the edge and the formula stack,
+        so it is memoized by (edge key, formula stack); an invalid stack
+        raises each time and is never cached."""
+        key = (pos[0], pos[1])
+        d = self._directions.get(key)
+        if d is None:
+            d = self._directions[key] = self._direction(*key)
+        return d
+
+    def _direction(self, ekey, fstack) -> str:
+        level, eid = ekey
         if fstack == (DELTA,):
             return "stable"
         net = self.index.level_net[level]
@@ -431,14 +460,18 @@ class MsSystem:
     def next_det(self, st: MachineState) -> Transition | None:
         """The first non-test transition of `enumerate_redexes(st)`: the
         least pending site (links before spawns), else the least moving
-        token, else the least ready update."""
+        token, else the least ready update.  That is `st.lead` when it is
+        set; a move found by the scan becomes `st.lead`."""
+        if st.lead is not None:
+            return st.lead
         if st.pending:
             kind, nkey, t = min(st.pending)
             return Transition(kind, (nkey, t))
         mover = min((orig for orig, act in st.acts.items()
                      if act is not None and act[0] == "move"), default=None)
         if mover is not None:
-            return Transition("move", (mover,))
+            st.lead = Transition("move", (mover,))
+            return st.lead
         update = min(self._ready_updates(st), default=None)
         return None if update is None else Transition("update", update)
 
@@ -519,15 +552,15 @@ class MsSystem:
         for (outcome, m2), p in st.memory.test(i):
             root = inner_edge(level, box, 1 if outcome else 0, 0)
             nxt = self.own(st)
-            nxt.memory = m2
+            nxt.memory, nxt.lead = m2, None
             self._successor(nxt, [(orig, pos, (root, fstack, bstack))])
             out.append((nxt, p))
         return out
 
     def own(self, st: MachineState) -> MachineState:
-        """An equal state with private token, address, action, waiting,
-        open-copy and pending containers, which `step_det` may then change
-        in place."""
+        """An equal state, with the same lead, and private token, address,
+        action, waiting, open-copy and pending containers, which `step_det`
+        may then change in place."""
         return MachineState(
             dict(st.tokens),
             dict(st.ind),
@@ -536,18 +569,27 @@ class MsSystem:
             {gate: set(waiters) for gate, waiters in st.waiting.items()},
             {gate: set(copies) for gate, copies in st.open_copies.items()},
             set(st.pending),
+            st.lead,
         )
 
     def step_det(self, st: MachineState, tr: Transition) -> MachineState:
         """The state after a non-branching transition, made by changing
         `st` in place: `st` must come from `own` (or an earlier `step_det`)
-        and is not to be used afterwards."""
+        and is not to be used afterwards.  The lead survives only the move
+        that is `st.lead` itself, and only if the token still moves."""
+        if tr is not st.lead:
+            st.lead = None
         if tr.kind == "move":
             (orig,) = tr.data
             act, pos = st.acts.get(orig), st.tokens.get(orig)
             if act is None or act[0] != "move" or pos is None:
                 raise MachineInvariantError(f"token {orig} cannot move: {act}")
-            return self._successor(st, [(orig, pos, act[1])])
+            self._successor(st, [(orig, pos, act[1])])
+            if st.lead is not None:
+                act = st.acts.get(orig)
+                if act is None or act[0] != "move":
+                    st.lead = None
+            return st
         if tr.kind in ("link", "spawn"):
             nkey, t = tr.data
             site = (tr.kind, nkey, t)
@@ -575,7 +617,10 @@ class MsSystem:
             addrs, moves = [], []
             for i, e in enumerate(node.prem):
                 pos = ((level, e), (), t)
-                orig = at[pos]
+                orig = at.get(pos)
+                if orig not in st.ind:
+                    raise MachineInvariantError(
+                        f"update at {sync_nkey} in copy {t}: no token with an address on {e}")
                 addrs.append(st.ind[orig])
                 moves.append((orig, pos, ((level, node.concl[i]), (), t)))
             st.memory = st.memory.update(tuple(addrs), node.label)

@@ -452,7 +452,7 @@ def test_branch_reducts_are_hashed_once_and_never_copied_again(monkeypatch):
 OPTIMIZED_CHECKS = """
 import sys
 from tokennets.memory import IntRegisterMemory, ProbRegisterMemory, int_backend
-from tokennets.msiam import MachineInvariantError, MsSystem
+from tokennets.msiam import MachineInvariantError, MsSystem, Transition
 from tokennets.nets import (
     BOT, ONE, InvalidNetError, Net, NetRedex, Node, fresh_id, reduce, validate)
 from tokennets.pcfll import (
@@ -515,6 +515,10 @@ rejects(MachineInvariantError, machine.step_det, again, link)  # a second token 
 (orig,) = move.data
 del st.tokens[orig]
 rejects(MachineInvariantError, machine.step_det, st, move)  # a token missing from the token map
+chain = MsSystem(translate(typecheck(parse("S (S new)", int_backend().labels)), int_backend()))
+sync = min(nid for nid, node in chain.index.level_net[()].nodes.items() if node.kind == "sync")
+unready = Transition("update", (((), sync), ()))
+rejects(MachineInvariantError, chain.apply, chain.initial_state(), unready)  # no token on a premise
 print("ok")
 """
 

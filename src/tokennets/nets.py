@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappush
 from typing import Iterator
 
 from .memory import OperationLabel
@@ -124,32 +125,47 @@ class SurfaceIndex:
     `concluder` and `consumer` map each edge to the id of the node that
     concludes it and of the node that consumes it; an edge concluded or
     consumed twice raises `InvalidNetError`.  `ones` holds the ids of the
-    level's `one` nodes.  `redex` has an entry for every cut and sync
-    node: its redex or None, valid unless the node is in `dirty`.  A cut's
-    redex depends only on the nodes that conclude its premises (a sync's
-    too), so a change there marks it dirty (`touch`).  A node's conclusions
-    are fresh edges when it is added, and a rule that removes the concluder
-    of a premise then renames that premise, which touches it; so `add` and
-    `remove` touch no other node."""
+    level's `one` nodes, and `added_ones` those that `add_node` and
+    `splice` brought in since its reader last cleared it (`prognets`
+    keeps a program net's `unlinked` heap with it).  `redex` has an entry for every
+    cut and sync node: its redex or None, valid unless the node is in
+    `dirty`.  A cut's redex depends only on the nodes that conclude its
+    premises (a sync's too), so a change there marks it dirty (`touch`).
+    A node's conclusions are fresh edges when it is added, and a rule that
+    removes the concluder of a premise then renames that premise, which
+    touches it; so `add` and `remove` touch no other node.
 
-    __slots__ = ("concluder", "consumer", "ones", "redex", "dirty")
+    `ready` is a heap of `NetRedex.sort_key` entries, `(kind, nodes)`,
+    that holds one for every non-`test` redex in `redex` once the level
+    is refreshed (`refreshed_surface` pushes each redex it classifies).
+    An entry whose cut or sync node no longer has that redex is stale, and
+    its reader drops it when it reaches the top; node ids are never
+    reused, so the first entry that `redex` still holds is the least
+    non-`test` redex of the level."""
+
+    __slots__ = ("concluder", "consumer", "ones", "added_ones", "redex", "dirty", "ready")
 
     def __init__(self, nodes=()):
         self.concluder: dict[int, int] = {}
         self.consumer: dict[int, int] = {}
         self.ones: set[int] = set()
+        self.added_ones: list[int] = []
         self.redex: dict[int, NetRedex | None] = {}
         self.dirty: set[int] = set()
+        self.ready: list[tuple[str, tuple[int, ...]]] = []
         for n in nodes:
             self.add(n)
+        self.added_ones.clear()
 
     def copy(self) -> "SurfaceIndex":
         clone = SurfaceIndex()
         clone.concluder = dict(self.concluder)
         clone.consumer = dict(self.consumer)
         clone.ones = set(self.ones)
+        clone.added_ones = list(self.added_ones)
         clone.redex = dict(self.redex)
         clone.dirty = set(self.dirty)
+        clone.ready = list(self.ready)
         return clone
 
     def touch(self, eid: int) -> None:
@@ -169,6 +185,7 @@ class SurfaceIndex:
             self.concluder[e] = n.nid
         if n.kind == "one":
             self.ones.add(n.nid)
+            self.added_ones.append(n.nid)
         if n.kind in ("cut", "sync"):
             self.redex[n.nid] = None
             self.dirty.add(n.nid)
@@ -186,8 +203,11 @@ class SurfaceIndex:
         self.concluder.update(other.concluder)
         self.consumer.update(other.consumer)
         self.ones |= other.ones
+        self.added_ones.extend(other.ones)
         self.redex.update(other.redex)
         self.dirty |= other.dirty
+        for entry in other.ready:
+            heappush(self.ready, entry)
 
 
 class Signature:
@@ -690,13 +710,15 @@ def _box_is_closed(n: Node) -> bool:
 
 
 def refreshed_surface(net: Net) -> SurfaceIndex:
-    """The surface index of `net` with every cached redex up to date.  Only
-    the cut and sync nodes that the rules since the last call marked dirty
-    are classified again."""
+    """The surface index of `net` with every cached redex up to date, and a
+    `ready` entry for each non-`test` one.  Only the cut and sync nodes
+    that the rules since the last call marked dirty are classified again."""
     ix = net.surface
-    nodes, concluder = net.nodes, ix.concluder
+    nodes, concluder, redex, ready = net.nodes, ix.concluder, ix.redex, ix.ready
     for nid in ix.dirty:
-        ix.redex[nid] = _classify(nodes, concluder, nodes[nid])
+        r = redex[nid] = _classify(nodes, concluder, nodes[nid])
+        if r is not None and r.kind != "test":
+            heappush(ready, (r.kind, r.nodes))
     ix.dirty.clear()
     return ix
 
@@ -752,17 +774,7 @@ def reduce(net: Net, redex: NetRedex) -> Net:
     that must keep the old net copies it first."""
     if redex.kind == "test":
         raise ValueError("test reduction branches: use reduce_test")
-    handler = {
-        "ax": _reduce_ax,
-        "tensor_par": _reduce_tensor_par,
-        "d_box": _reduce_d_box,
-        "w_box": _reduce_w_box,
-        "c_box": _reduce_c_box,
-        "y_unfold": _reduce_y_unfold,
-        "absorb": _reduce_absorb,
-        "sync": _reduce_sync,
-    }[redex.kind]
-    handler(net, *redex.nodes)
+    _RULES[redex.kind](net, *redex.nodes)
     return net
 
 
@@ -939,3 +951,15 @@ def _reduce_sync(net: Net, sync_id: int) -> None:
     net.remove_node(sync_id)
     for p, c in zip(prems, concls):
         net.replace_edge_ref(c, p)
+
+
+_RULES = {
+    "ax": _reduce_ax,
+    "tensor_par": _reduce_tensor_par,
+    "d_box": _reduce_d_box,
+    "w_box": _reduce_w_box,
+    "c_box": _reduce_c_box,
+    "y_unfold": _reduce_y_unfold,
+    "absorb": _reduce_absorb,
+    "sync": _reduce_sync,
+}

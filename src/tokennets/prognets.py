@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .memory import canonical_addresses, fresh
 from .nets import (InvalidNetError, Net, NetRedex, find_redexes, reduce, reduce_test,
@@ -35,9 +36,16 @@ class PnRedex:
 
 class ProgramNet:
     """Triple of net, address map, and memory.  Only the closure that owns
-    one (see `own`) changes it, and only until it exposes it."""
+    one (see `own`) changes it, and only until it exposes it.
 
-    __slots__ = ("net", "ind", "memory", "_key", "_hash")
+    `unlinked` is a heap of node ids that holds every top-level `one` node
+    without an address; `next_det` drops the ids of linked nodes when
+    they reach its top.  It belongs to the program net, not to the `Net`,
+    because one `Net` may sit under several address maps.  The constructor
+    builds it from the level's `ones`, and `rewrite` adds the `one` nodes
+    each rule brings in, read from the level's `added_ones`."""
+
+    __slots__ = ("net", "ind", "memory", "unlinked", "_key", "_hash")
 
     def __init__(self, net: Net, ind: dict[int, int], memory):
         self.net = net
@@ -45,6 +53,10 @@ class ProgramNet:
         self.memory = memory
         if len(set(self.ind.values())) != len(self.ind):
             raise ValueError(f"address map not injective: {self.ind}")
+        nodes, ix = net.nodes, net.surface
+        self.unlinked = [nid for nid in ix.ones if nodes[nid].concl[0] not in self.ind]
+        heapify(self.unlinked)
+        ix.added_ones.clear()  # `ones` holds them all
         self._key = None
         self._hash = None
 
@@ -100,15 +112,24 @@ def enumerate_redexes(pn: ProgramNet) -> list[PnRedex]:
 
 def next_det(pn: ProgramNet) -> PnRedex | None:
     """The first non-test redex of `enumerate_redexes(pn)`, without the
-    list: the least link, else the least net redex other than a test.  With
-    every top-level one node linked, every sync redex is ready."""
-    link = min(_unlinked(pn), default=None)
-    if link is not None:
-        return PnRedex("link", node=link)
-    redexes = refreshed_surface(pn.net).redex.values()
-    r = min((r for r in redexes if r is not None and r.kind != "test"),
-            key=NetRedex.sort_key, default=None)
-    return None if r is None else PnRedex("net", net_redex=r)
+    list: the least link, else the least net redex other than a test.  Each
+    is the first valid entry of a heap, `pn.unlinked` and the level's
+    `ready`, and a stale entry at the top is dropped for good.  With every
+    top-level one node linked, every sync redex is ready."""
+    unlinked, nodes, ind = pn.unlinked, pn.net.nodes, pn.ind
+    while unlinked:
+        if nodes[unlinked[0]].concl[0] not in ind:
+            return PnRedex("link", node=unlinked[0])
+        heappop(unlinked)
+    ix = refreshed_surface(pn.net)
+    ready, redex = ix.ready, ix.redex
+    while ready:
+        kind, ids = ready[0]
+        r = redex.get(ids[0])
+        if r is not None and r.nodes == ids and r.kind == kind:
+            return PnRedex("net", net_redex=r)
+        heappop(ready)
+    return None
 
 
 def own(pn: ProgramNet) -> ProgramNet:
@@ -118,9 +139,9 @@ def own(pn: ProgramNet) -> ProgramNet:
 
 
 def rewrite(pn: ProgramNet, r: PnRedex) -> ProgramNet:
-    """Fire a non-branching redex, changing `pn` (its net, address map and
-    memory) in place, and return it: `pn` must be private to the caller
-    (see `own`)."""
+    """Fire a non-branching redex, changing `pn` (its net, address map,
+    memory and `unlinked`) in place, and return it: `pn` must be private
+    to the caller (see `own`)."""
     if r.kind == "link":
         pn.ind[pn.net.nodes[r.node].concl[0]] = fresh(pn.memory, set(pn.ind.values()))
         return pn
@@ -129,6 +150,10 @@ def rewrite(pn: ProgramNet, r: PnRedex) -> ProgramNet:
         sync = pn.net.nodes[nr.nodes[0]]
         pn.memory = pn.memory.update(tuple(pn.ind[e] for e in sync.prem), sync.label)
     reduce(pn.net, nr)
+    added = pn.net.surface.added_ones
+    for nid in added:
+        heappush(pn.unlinked, nid)
+    added.clear()
     # A sync keeps its premises; no other rule may consume an input.
     if not pn.ind.keys() <= pn.net.edges.keys():
         raise InvalidNetError(f"{nr.kind} step consumed an input")

@@ -3,11 +3,13 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from convergence import converge
+from test_pcfll import register_tree, s_chain
 from tokennets.memory import (
     COIN,
     IntRegisterMemory,
@@ -20,6 +22,7 @@ from tokennets.memory import (
 from tokennets.msiam import MachineState, MsSystem
 from tokennets.nets import BOT, Net, ONE, validate
 from tokennets.pars import (
+    TOL,
     Distribution,
     FusedSystem,
     check_diamond,
@@ -29,7 +32,8 @@ from tokennets.pars import (
     seeded_policy,
 )
 from tokennets.pcfll import Closure, PcfSystem, parse, typecheck
-from tokennets.prognets import PnSystem, ProgramNet, enumerate_redexes, step
+from tokennets.prognets import (
+    PnSystem, ProgramNet, enumerate_redexes, next_det, own, rewrite, step)
 from tokennets.translate import translate
 
 
@@ -109,6 +113,31 @@ def test_sync_requires_all_premises_linked():
     pn = ProgramNet(net, {}, IntRegisterMemory())
     kinds = [r.kind for r in enumerate_redexes(pn)]
     assert kinds == ["link"]  # sync gated until its premise is active
+
+
+def test_program_nets_sharing_a_net_keep_their_own_unlinked_nodes():
+    # One net under two address maps: the one node is linked in `pn_b` and
+    # not in `pn_a`, so `pn_a` must link it and `pn_b` fire the sync.  Ask
+    # in either order, and again after each is stepped from its own copy,
+    # which leaves the shared net alone.
+    def kind(r):
+        return None if r is None else r.kind if r.kind == "link" else r.net_redex.kind
+
+    for a_first in (True, False):
+        net = counter_net()
+        (one,) = net.surface.ones
+        pn_a = ProgramNet(net, {}, IntRegisterMemory())
+        pn_b = ProgramNet(net, {net.nodes[one].concl[0]: 0}, IntRegisterMemory({0: 0}))
+        expected = [(pn_a, "link"), (pn_b, "sync")]
+        order = expected if a_first else expected[::-1]
+        for pn, want in order:
+            assert kind(next_det(pn)) == want
+        for pn, _ in reversed(order):
+            stepped = rewrite(own(pn), next_det(pn))
+            assert kind(next_det(stepped)) == ("sync" if pn is pn_a else None)
+            for other, want in order:
+                assert kind(next_det(other)) == want
+            assert stepped.net is not net and len(net.nodes) == 2
 
 
 def coin_choice_net():
@@ -362,6 +391,50 @@ def test_net_closure_rewrites_its_program_net_in_place(monkeypatch):
     assert p == 0.0 and truncated
     assert counts["micro"] > 1000
     assert counts["init"] <= counts["own"] + counts["reducts"]
+
+
+@pytest.mark.parametrize("shape, sizes", [(s_chain, (64, 256)), (register_tree, (128, 512))])
+def test_next_det_work_per_micro_step_does_not_grow(shape, sizes, monkeypatch):
+    # The work is the Python lines that `next_det` runs, with what it
+    # calls: a few per call, per heap entry it inspects and per cut or sync
+    # node it classifies.  A micro-step is a `rewrite` call (these shapes
+    # never branch).  Deeper chains still overflow the front end's stack.
+    import tokennets.prognets as prognets
+
+    calls = Counter()
+    next_det_, rewrite_ = prognets.next_det, prognets.rewrite
+
+    def line(frame, event, arg):
+        calls["work"] += event == "line"
+        return line
+
+    def traced_next_det(pn):
+        outer = sys.gettrace()
+        sys.settrace(line)
+        try:
+            return next_det_(pn)
+        finally:
+            sys.settrace(outer)
+
+    def counted_rewrite(pn, r):
+        calls["micro"] += 1
+        return rewrite_(pn, r)
+
+    monkeypatch.setattr(prognets, "next_det", traced_next_det)
+    monkeypatch.setattr(prognets, "rewrite", counted_rewrite)
+    per_step = {}
+    for n in sizes:
+        pn = translate(typecheck(shape(n)), int_backend())
+        calls.clear()
+        fused = FusedSystem(PnSystem())
+        start = fused.prepare(pn)
+        *_, (_, term, _) = lifted_steps(Distribution.dirac(start), fused, leftmost_policy, 50, TOL)
+        ((final, p),) = list(term)
+        assert p == 1.0 and sorted(final.memory.values.values()) == (
+            [n] if shape is s_chain else [1] * n)
+        assert calls["micro"] > n
+        per_step[n] = calls["work"] / calls["micro"]
+    assert per_step[sizes[1]] <= 1.25 * per_step[sizes[0]], per_step
 
 
 def test_machine_link_keeps_the_owned_address_map(monkeypatch):

@@ -42,7 +42,10 @@ def check_fresh(net: Net) -> None:
         assert set(ix.redex) == {nid for nid, n in level.nodes.items()
                                  if n.kind in ("cut", "sync")}
         assert ix.dirty <= set(ix.redex)
-        assert find_redexes(level) == rebuilt_redexes(level)
+        redexes = find_redexes(level)
+        assert redexes == rebuilt_redexes(level)
+        # Every live non-test redex has its entry in the ready heap.
+        assert {r.sort_key() for r in redexes if r.kind != "test"} <= set(ix.ready)
         levels.extend(c for n in level.nodes.values() for c in n.contents)
 
 
@@ -52,18 +55,29 @@ def program(src: str, backend_name: str):
     return term, backend, translate(typecheck(term), backend)
 
 
+def tree_source(n: int) -> str:
+    """A balanced tree of pairs with n leaves `S new`."""
+    if n == 1:
+        return "S new"
+    return f"<{tree_source(n // 2)}, {tree_source(n - n // 2)}>"
+
+
 def programs():
     """(name, source, backend, horizon): the corpus, a program that erases
-    a box, and the benchmark's wide and deep shapes at small sizes."""
+    a box, one whose unfolding brings a `one` node to the top level, the
+    benchmark's wide and deep shapes at small sizes, and a register tree,
+    whose top level has many `one` nodes and many ready redexes at once."""
     for path in CORPUS:
         src = path.read_text()
         backend = re.search(r"^-- backend: *(\w+)", src, re.M).group(1)
         yield path.name, src, backend, 3 if path.name == "omega.pcf" else 200
     yield "erase", "(\\f. new) (\\x. x)", "int", 200
+    yield "unfold", "letrec f x = <x, new> in f new", "int", 200
     from programs import deep_source, wide_quantum_source
 
     yield "wide", wide_quantum_source(4, random.Random(1)), "quantum", 200
     yield "deep", deep_source(30), "int", 200
+    yield "tree", tree_source(16), "int", 200
 
 
 def test_maintained_index_equals_a_rebuild_after_every_rule(monkeypatch):

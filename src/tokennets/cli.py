@@ -87,9 +87,9 @@ def report_engine(name, fused, start, describe, args) -> float:
     print(f"probability: {p:.12f}")
     print(f"truncated: {str(truncated).lower()}")
     print("terminal distribution:")
-    entries = sorted(term, key=lambda ap: (-ap[1], describe(ap[0])))
-    for a, q in entries:
-        print(f"  {q:.12f}  {describe(a)}")
+    entries = sorted(((q, describe(a)) for a, q in term), key=lambda qd: (-qd[0], qd[1]))
+    for q, d in entries:
+        print(f"  {q:.12f}  {d}")
     return p
 
 

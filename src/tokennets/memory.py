@@ -253,6 +253,14 @@ class QuantumMemory:
     are bound on first use.  Measurement is destructive: the outcome qubit is
     projected, the state renormalized, and the address removed from `bound`.
 
+    With n bound qubits, slot s is axis 1 of the (left, 2, right) view
+    `amps.reshape(2**s, 2, 2**(n-s-1))` of the C-contiguous `amps`.  A
+    1-qubit gate, a binding, each measured outcome and the rounding are one
+    numpy call on such a view; a k-qubit gate is one matrix product on the
+    qubit axes transposed to put its own first, and a renaming one
+    transpose.  States have a few qubits, so the calls, not the
+    arithmetic, are the cost.
+
     The constructor checks what a caller passes in; a state the backend
     builds from a valid one (`_with`) skips those checks.  A state never
     changes, so its rounded form, which equality and hashing read, is kept
@@ -268,7 +276,7 @@ class QuantumMemory:
         if amps is None:
             amps = np.zeros(2 ** len(self.bound), dtype=complex)
             amps[0] = 1.0
-        self.amps = np.asarray(amps, dtype=complex)
+        self.amps = np.ascontiguousarray(amps, dtype=complex)
         if self.amps.shape != (2 ** len(self.bound),):
             raise ValueError("amplitude vector length does not match bound addresses")
         if abs(np.sum(np.abs(self.amps) ** 2) - 1.0) > TOL:
@@ -283,7 +291,7 @@ class QuantumMemory:
         """A state made by a unitary, a projection then renormalization, or
         a renaming of this one: sorted `bound`, matching normalized `amps`."""
         m = QuantumMemory.__new__(QuantumMemory)
-        m.bound, m.amps = bound, np.asarray(amps, dtype=complex)
+        m.bound, m.amps = bound, np.ascontiguousarray(amps, dtype=complex)
         m.gates, m._round = self.gates, None
         return m
 
@@ -291,11 +299,10 @@ class QuantumMemory:
         """Bind any unbound addresses as |0> (keeping `bound` sorted)."""
         m = self
         for i in sorted(set(addrs) - set(m.bound)):
-            pos = sum(1 for b in m.bound if b < i)
-            tensor = m.amps.reshape([2] * len(m.bound) or [1])
-            expanded = np.stack([tensor, np.zeros_like(tensor)], axis=pos)
-            bound = m.bound[:pos] + (i,) + m.bound[pos:]
-            m = m._with(bound, expanded.reshape(-1))
+            n, pos = len(m.bound), sum(1 for b in m.bound if b < i)
+            expanded = np.zeros((2**pos, 2, 2 ** (n - pos)), dtype=complex)
+            expanded[:, 0, :] = m.amps.reshape(2**pos, 2 ** (n - pos))
+            m = m._with(m.bound[:pos] + (i,) + m.bound[pos:], expanded.reshape(-1))
         return m
 
     def update(self, addrs: tuple[Address, ...], label: OperationLabel) -> "QuantumMemory":
@@ -308,43 +315,49 @@ class QuantumMemory:
         m = self._bind(addrs)
         n = len(m.bound)
         slots = [m.bound.index(i) for i in addrs]
-        tensor = m.amps.reshape([2] * n)
-        gate = mat.reshape([2] * (2 * arity))
-        # Contract gate input axes against the addressed qubit axes; the gate
-        # output axes land first, followed by the untouched axes in order.
-        tensor = np.tensordot(gate, tensor, axes=(list(range(arity, 2 * arity)), slots))
-        rest = [ax for ax in range(n) if ax not in slots]
-        tensor = np.moveaxis(tensor, list(range(n)), slots + rest)
-        return m._with(m.bound, tensor.reshape(-1))
+        if arity == 1:
+            s = slots[0]
+            view = m.amps.reshape(2**s, 2, 2 ** (n - s - 1))
+            return m._with(m.bound, np.matmul(mat, view).reshape(-1))
+        # The addressed axes go first, in address order, so that the gate's
+        # row index reads them most significant first; the rest follow.
+        perm = slots + [ax for ax in range(n) if ax not in slots]
+        front = m.amps.reshape([2] * n).transpose(perm).reshape(2**arity, -1)
+        tensor = (mat @ front).reshape([2] * n)
+        inverse = sorted(range(n), key=perm.__getitem__)
+        return m._with(m.bound, tensor.transpose(inverse).reshape(-1))
 
     def test(self, i: Address) -> Distribution:
         if i not in self.bound:
             # A fresh qubit is |0>, so measuring it deterministically yields
             # false and leaves the state untouched.
             return Distribution.dirac((False, self))
-        n = len(self.bound)
-        slot = self.bound.index(i)
-        tensor = self.amps.reshape([2] * n)
-        new_bound = tuple(b for b in self.bound if b != i)
+        n, s = len(self.bound), self.bound.index(i)
+        view = self.amps.reshape(2**s, 2, 2 ** (n - s - 1))
+        new_bound = self.bound[:s] + self.bound[s + 1:]
         branches = []
-        for outcome in (False, True):
-            sub = np.take(tensor, 1 if outcome else 0, axis=slot).reshape(-1)
-            p = float(np.sum(np.abs(sub) ** 2))
+        for k in (0, 1):
+            sub = view[:, k, :]
+            p = float(np.vdot(sub, sub).real)
             if p >= PRUNE:
-                branches.append(((outcome, self._with(new_bound, sub / sqrt(p))), p))
+                branches.append(((bool(k), self._with(new_bound, (sub / sqrt(p)).reshape(-1))), p))
         return Distribution(branches)
 
     def rename(self, sigma: dict[Address, Address]) -> "QuantumMemory":
         renamed = [sigma.get(b, b) for b in self.bound]
-        order = np.argsort(renamed, kind="stable")
-        tensor = self.amps.reshape([2] * len(self.bound) or [1])
-        tensor = np.transpose(tensor, axes=list(order)) if self.bound else tensor
-        return self._with(tuple(sorted(renamed)), tensor.reshape(-1))
+        n = len(renamed)
+        order = sorted(range(n), key=renamed.__getitem__)
+        if order == list(range(n)):
+            # States never change, so an order-keeping renaming shares amps.
+            return self._with(tuple(renamed), self.amps)
+        tensor = self.amps.reshape([2] * n).transpose(order)
+        return self._with(tuple(renamed[j] for j in order), tensor.reshape(-1))
 
     def _rounded(self):
         if self._round is None:
-            # Adding 0.0 maps any -0.0 component to +0.0.
-            self._round = self.bound, (np.round(self.amps, 6) + 0.0).tobytes()
+            # rint(x * 1e6) names the class of round(x, 6) on each real and
+            # imaginary part; adding 0.0 maps any -0.0 to +0.0.
+            self._round = self.bound, (np.rint(self.amps.view(np.float64) * 1e6) + 0.0).tobytes()
         return self._round
 
     def __eq__(self, other) -> bool:

@@ -451,8 +451,10 @@ class MsSystem:
 
     def enumerate_redexes(self, st: MachineState) -> list[Transition]:
         out = [Transition(kind, (nkey, t)) for kind, nkey, t in st.pending]
+        # A test, like a sync, waits while its token's origin has no address.
         out += [Transition(act[0], (orig,)) for orig, act in st.acts.items()
-                if act is not None and act[0] in ("move", "test")]
+                if act is not None
+                and (act[0] == "move" or (act[0] == "test" and orig in st.ind))]
         out += [Transition("update", u) for u in self._ready_updates(st)]
         out.sort(key=Transition.sort_key)
         return out

@@ -185,6 +185,17 @@ def test_a_sync_on_an_unlinked_input_waits_in_every_engine(tmp_path, capsys, src
     assert out.count("IntRegisterMemory({})") == 3
 
 
+def test_a_test_on_an_unlinked_input_waits_in_every_engine(tmp_path, capsys):
+    # The input of `a -o a` gets no address, so the token that reaches the
+    # choice box has nothing to test: msiam leaves it waiting, as the net
+    # engine leaves that test alone.
+    f = write(tmp_path, r"\x. if x then new else new")
+    assert main([f, "--engine", "all", "--backend", "int", "--horizon", "20"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("probability: 1.000000000000") == 3 and "truncated: true" not in out
+    assert out.count("IntRegisterMemory({})") == 3
+
+
 def test_registers_are_checked_only_where_a_run_starts(monkeypatch, capsys):
     # Every memory after the initial one is built by `test`, `update` or
     # `rename` from a valid one, through the trusted path, so the checking

@@ -1,10 +1,12 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from tokennets.memory import (
+    BUILTIN_GATES,
     COIN,
     MAX,
     OperationLabel,
@@ -293,3 +295,173 @@ def test_quantum_constructor_still_checks_its_arguments():
         QuantumMemory((0,), [1, 1])
     with pytest.raises(ValueError):
         QuantumMemory((0,), [1, 0, 0, 0])
+
+
+# ---------------------------------------------------------------------------
+# Quantum kernels against a dense reference
+
+
+KET = (np.array([[1], [0]], dtype=complex), np.array([[0], [1]], dtype=complex))
+
+
+def kron(*factors):
+    return reduce(np.kron, factors, np.eye(1))
+
+
+def random_state(rng, n, gates=None, addresses=range(12)):
+    bound = sorted(int(a) for a in rng.choice(list(addresses), n, replace=False))
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return QuantumMemory(bound, amps / np.linalg.norm(amps), gates)
+
+
+def dense_gate(mat, slots, n):
+    """The gate on `slots` of n qubits as one 2^n x 2^n matrix: the sum over
+    its entries (r, c) of |r><c| on the addressed qubits, most significant
+    first, tensored with the identity on the others."""
+    k = len(slots)
+    full = np.zeros((2**n, 2**n), dtype=complex)
+    for r in range(2**k):
+        for c in range(2**k):
+            factors = [np.eye(2)] * n
+            for t, s in enumerate(slots):
+                shift = k - 1 - t
+                factors[s] = KET[r >> shift & 1] @ KET[c >> shift & 1].T
+            full += mat[r, c] * kron(*factors)
+    return full
+
+
+def assert_close(got, want):
+    assert np.abs(np.asarray(got) - np.asarray(want)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_one_qubit_gates_match_the_dense_reference(n):
+    rng = np.random.default_rng(100 + n)
+    m = random_state(rng, n)
+    for label in (H1, X1, Z1):
+        for s in range(n):
+            out = m.update((m.bound[s],), label)
+            assert out.bound == m.bound
+            assert_close(out.amps, dense_gate(m.gates[label.name][1], [s], n) @ m.amps)
+
+
+def random_two_qubit_gates(rng, tmp_path):
+    """The builtin gates and a random 2-qubit unitary `U` (the Q of a QR
+    decomposition), loaded from a gate configuration file."""
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    entries = ", ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in q.reshape(-1))
+    cfg = tmp_path / "u.cfg"
+    cfg.write_text(f"U, 2, {entries}\n")
+    gates = dict(BUILTIN_GATES)
+    gates.update(load_gate_config(str(cfg)))
+    assert_close(gates["U"][1], q)
+    return gates
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_two_qubit_gates_match_the_dense_reference_on_every_ordered_pair(n, tmp_path):
+    # Adjacent, non-adjacent and reversed pairs of slots alike.
+    rng = np.random.default_rng(200 + n)
+    gates = random_two_qubit_gates(rng, tmp_path)
+    m = random_state(rng, n, gates)
+    for name in ("CNOT", "U"):
+        for a in range(n):
+            for b in range(n):
+                if a != b:
+                    out = m.update((m.bound[a], m.bound[b]), OperationLabel(name, 2))
+                    assert out.bound == m.bound
+                    assert_close(out.amps, dense_gate(gates[name][1], [a, b], n) @ m.amps)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_fresh_addresses_bind_below_between_and_above(n, tmp_path):
+    rng = np.random.default_rng(300 + n)
+    gates = random_two_qubit_gates(rng, tmp_path)
+    m = random_state(rng, n, gates, addresses=range(1, 40, 3))
+    # Bound addresses are 1 mod 3, so each of these is fresh.
+    fresh_addrs = [m.bound[0] - 1, m.bound[-1] + 1] + [b + 1 for b in m.bound[:-1]]
+    for f in fresh_addrs:
+        pos = sum(1 for b in m.bound if b < f)
+        bound = m.bound[:pos] + (f,) + m.bound[pos:]
+        bound_amps = kron(np.eye(2**pos), KET[0], np.eye(2 ** (n - pos))) @ m.amps
+        out = m.update((f,), H1)
+        assert out.bound == bound
+        assert_close(out.amps, dense_gate(m.gates["H"][1], [pos], n + 1) @ bound_amps)
+        for other in range(n + 1):
+            if other != pos:
+                out = m.update((f, bound[other]), OperationLabel("U", 2))
+                assert out.bound == bound
+                want = dense_gate(gates["U"][1], [pos, other], n + 1) @ bound_amps
+                assert_close(out.amps, want)
+                out = m.update((bound[other], f), CN)
+                want = dense_gate(gates["CNOT"][1], [other, pos], n + 1) @ bound_amps
+                assert_close(out.amps, want)
+    # Two fresh addresses at once, one on either side of the bound ones.
+    lo, hi = m.bound[0] - 1, m.bound[-1] + 1
+    out = m.update((hi, lo), CN)
+    assert out.bound == (lo,) + m.bound + (hi,)
+    bound_amps = kron(KET[0], np.eye(2**n), KET[0]) @ m.amps
+    assert_close(out.amps, dense_gate(gates["CNOT"][1], [n + 1, 0], n + 2) @ bound_amps)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_test_matches_the_dense_projection_at_every_slot(n):
+    rng = np.random.default_rng(400 + n)
+    m = random_state(rng, n)
+    for s in range(n):
+        branches = {b: (p, mm) for (b, mm), p in m.test(m.bound[s])}
+        assert set(branches) == {False, True}
+        for k in (0, 1):
+            sub = kron(np.eye(2**s), KET[k].T, np.eye(2 ** (n - s - 1))) @ m.amps
+            p = float(np.vdot(sub, sub).real)
+            got_p, got = branches[bool(k)]
+            assert abs(got_p - p) <= 1e-12
+            assert got.bound == m.bound[:s] + m.bound[s + 1:]
+            assert_close(got.amps, sub / math.sqrt(p))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_rename_matches_the_index_permutation(n):
+    rng = np.random.default_rng(500 + n)
+    m = random_state(rng, n)
+    targets = [rng.permutation(12)[:n] for _ in range(8)] + [sorted(rng.permutation(12)[:n])]
+    for target in targets:
+        sigma = {b: int(t) for b, t in zip(m.bound, target)}
+        new_bound = tuple(sorted(sigma.values()))
+        want = np.zeros_like(m.amps)
+        for x in range(2**n):
+            y = 0
+            for j, b in enumerate(m.bound):
+                if x >> (n - 1 - j) & 1:
+                    y |= 1 << (n - 1 - new_bound.index(sigma[b]))
+            want[y] = m.amps[x]
+        out = m.rename(sigma)
+        assert out.bound == new_bound and np.array_equal(out.amps, want)
+    # An order-keeping renaming shares the amplitude vector.
+    assert m.rename({b: b + 20 for b in m.bound}).amps is m.amps
+    assert m.rename({}).amps is m.amps
+
+
+def test_rounded_classes_match_numpy_round():
+    # Values on and either side of the 0.5e-6 rounding boundaries, and both
+    # zeros; each state pads its first qubit to unit norm.
+    edges = [0.0, -0.0, 0.5e-6, -0.5e-6, 1.5e-6, 2.5e-6, 1e-7, -1e-7, 0.3, 0.6000005]
+    values = sorted({v + d for v in edges for d in (0.0, 1e-13, -1e-13)})
+    values += [np.nextafter(0.5e-6, 1.0), np.nextafter(0.5e-6, 0.0), -0.0]
+    states = [QuantumMemory((0, 1), [complex(a, b), 0.0, math.sqrt(1 - a * a - b * b), 0.0])
+              for a in values for b in values[::5]]
+    for m1 in states:
+        for m2 in states[::3]:
+            same = np.array_equal(np.round(m1.amps, 6), np.round(m2.amps, 6))
+            assert (m1._rounded() == m2._rounded()) == same
+            assert (m1 == m2) == (same or np.array_equal(m1.amps, m2.amps))
+            assert not same or hash(m1) == hash(m2)
+
+
+def test_a_strided_amplitude_vector_is_stored_contiguous():
+    spread = np.zeros(8, dtype=complex)
+    spread[::2] = [S2, 0, 0, S2]
+    m = QuantumMemory((0, 1), spread[::2])
+    assert m.amps.flags.c_contiguous
+    bell = QuantumMemory((0, 1), [S2, 0, 0, S2])
+    assert m == bell and hash(m) == hash(bell)

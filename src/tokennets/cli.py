@@ -87,9 +87,11 @@ def report_engine(name, fused, start, describe, args) -> float:
     print(f"probability: {p:.12f}")
     print(f"truncated: {str(truncated).lower()}")
     print("terminal distribution:")
-    entries = sorted(((q, describe(a)) for a, q in term), key=lambda qd: (-qd[0], qd[1]))
+    # By the printed probability, so that 1-ulp noise sets no order.
+    entries = sorted(((f"{q:.12f}", describe(a)) for a, q in term),
+                     key=lambda qd: (-float(qd[0]), qd[1]))
     for q, d in entries:
-        print(f"  {q:.12f}  {d}")
+        print(f"  {q}  {d}")
     return p
 
 

@@ -380,10 +380,9 @@ class QuantumMemory:
 
     def __repr__(self) -> str:
         terms = []
-        for idx, a in enumerate(self.amps):
-            if abs(a) > PRUNE:
-                ket = format(idx, f"0{len(self.bound)}b") if self.bound else ""
-                terms.append(f"{a:.4g}|{ket}>")
+        for idx in np.flatnonzero(np.abs(self.amps) > PRUNE):
+            ket = format(idx, f"0{len(self.bound)}b") if self.bound else ""
+            terms.append(f"{self.amps[idx]:.4g}|{ket}>")
         return f"QuantumMemory(bound={self.bound}, {' + '.join(terms) or '1|>'})"
 
 

@@ -125,9 +125,9 @@ class SurfaceIndex:
     `concluder` and `consumer` map each edge to the id of the node that
     concludes it and of the node that consumes it; an edge concluded or
     consumed twice raises `InvalidNetError`.  `ones` holds the ids of the
-    level's `one` nodes, and `added_ones` those that `add_node` and
-    `splice` brought in since its reader last cleared it (`prognets`
-    keeps a program net's `unlinked` heap with it).  `redex` has an entry for every
+    level's `one` nodes, and `added_ones` those that `add` (and `merge`)
+    brought in since its reader last cleared it (`prognets` keeps a
+    program net's `unlinked` heap with it).  `redex` has an entry for every
     cut and sync node: its redex or None, valid unless the node is in
     `dirty`.  A cut's redex depends only on the nodes that conclude its
     premises (a sync's too), so a change there marks it dirty (`touch`).
@@ -240,8 +240,9 @@ class Net:
 
     A box's content is an immutable value that copies of the box share:
     no rule changes a `Net` in place once it is a box's content.  A rule
-    that opens a box splices a `renamed` copy of the content, and one that
-    changes a content first gives the box private copies (`own_contents`).
+    that opens or copies a box copies the nodes straight into the level
+    (`copy_in`), and one that changes a content first gives the box private
+    copies (`own_contents`).
     So copying a level (`copy.deepcopy`) copies that level only, and a
     content keeps its signature once computed (`content_signature`).
 
@@ -316,14 +317,33 @@ class Net:
         self.edges.update(content.edges)
         self.surface.merge(content.surface)
 
+    def copy_in(self, nodes, edges: dict[int, Formula], conclusions, omit: Node | None = None
+                ) -> list[int]:
+        """Copy `nodes`, whose edges and their formulas `edges` lists, into
+        this level under fresh ids, sharing their box contents, and return
+        the new ids of `conclusions`.  `omit`, one of `nodes`, is left out
+        with its conclusion edges.  Ids are drawn in `edges` order, then one
+        per node, `omit` included."""
+        emap = {e: fresh_id() for e in edges}
+        dropped = omit.concl if omit is not None else ()
+        for e, t in edges.items():
+            if e not in dropped:
+                self.edges[emap[e]] = t
+        for n in nodes:
+            nid = fresh_id()
+            if n is not omit:
+                node = Node(nid, n.kind, [emap[e] for e in n.concl], [emap[e] for e in n.prem],
+                            n.label, list(n.contents))
+                self.surface.add(node)
+                self.nodes[nid] = node
+        return [emap[e] for e in conclusions]
+
     def renamed(self) -> "Net":
         """A copy of this level with fresh node and edge identifiers.  It
         shares the box contents, so it costs the size of this level only."""
-        emap = {e: fresh_id() for e in self.edges}
-        nodes = [Node(fresh_id(), n.kind, [emap[e] for e in n.concl], [emap[e] for e in n.prem],
-                      n.label, list(n.contents)) for n in self.nodes.values()]
-        return Net(nodes, {emap[e]: t for e, t in self.edges.items()},
-                   [emap[e] for e in self.conclusions])
+        clone = Net()
+        clone.conclusions = clone.copy_in(self.nodes.values(), self.edges, self.conclusions)
+        return clone
 
     def own_contents(self, box: Node) -> list["Net"]:
         """Give `box`, a node of this level, private `renamed` copies of its
@@ -820,25 +840,24 @@ def _reduce_tensor_par(net: Net, cut_id: int, t_id: int, p_id: int) -> None:
     net.add_node("cut", [], [a2, b2])
 
 
-def _open_box(net: Net, cut_id: int, box_id: int, der_id: int) -> tuple[int, Net]:
+def _open_box(net: Net, cut_id: int, box_id: int, der_id: int) -> list[int]:
     """Shared prologue of dereliction/unfolding: delete the cut, the box
-    border and the dereliction node, splice a renamed copy of the content,
-    and cut its principal conclusion against the dereliction premise.
-    Returns (content principal conclusion edge, spliced copy)."""
+    border and the dereliction node, copy the content into the level, and
+    cut its principal conclusion against the dereliction premise.  Returns
+    the new ids of the content's conclusions."""
     cut, box, der = net.nodes[cut_id], net.nodes[box_id], net.nodes[der_id]
     e_box, e_der = _cut_sides(net, cut, box_id)
     _require(der.concl[0] == e_der, "cut is not against the dereliction")
-    content = box.contents[0].renamed()
+    content = box.contents[0]
     ed = der.prem[0]
     net.remove_node(cut_id)
     net.remove_node(box_id)
     net.remove_node(der_id)
     net.edges.pop(e_box)
     net.edges.pop(e_der)
-    net.splice(content)
-    c0 = content.conclusions[0]
-    net.add_node("cut", [], [c0, ed])
-    return c0, content
+    concl = net.copy_in(content.nodes.values(), content.edges, content.conclusions)
+    net.add_node("cut", [], [concl[0], ed])
+    return concl
 
 
 def _reduce_d_box(net: Net, cut_id: int, box_id: int, der_id: int) -> None:
@@ -849,11 +868,10 @@ def _reduce_y_unfold(net: Net, cut_id: int, box_id: int, der_id: int) -> None:
     # A fresh copy of the fixpoint box, sharing its content, is cut against
     # the recursion port of the unfolded content.
     box = net.nodes[box_id]
-    clone = Net([box], {box.concl[0]: net.edges[box.concl[0]]}, [box.concl[0]]).renamed()
-    _, content = _open_box(net, cut_id, box_id, der_id)
-    rec_port = content.conclusions[1]
-    net.splice(clone)
-    net.add_node("cut", [], [clone.conclusions[0], rec_port])
+    (e_box,) = box.concl
+    (clone,) = net.copy_in([box], {e_box: net.edges[e_box]}, [e_box])
+    rec_port = _open_box(net, cut_id, box_id, der_id)[1]
+    net.add_node("cut", [], [clone, rec_port])
 
 
 def _reduce_w_box(net: Net, cut_id: int, box_id: int, weak_id: int) -> None:
@@ -872,14 +890,14 @@ def _reduce_c_box(net: Net, cut_id: int, box_id: int, contr_id: int) -> None:
     e_box, e_contr = _cut_sides(net, cut, box_id)
     _require(contr.concl[0] == e_contr, "cut is not against the contraction")
     q1, q2 = contr.prem
-    src = Net([box], {e_box: net.edges[e_box]}, [e_box])
+    edges = {e_box: net.edges[e_box]}
     net.remove_node(cut_id)
     net.remove_node(contr_id)
     net.edges.pop(e_contr)
     for q in (q1, q2):
-        clone = src.renamed()  # O(1): the copies share the box's content
-        net.splice(clone)
-        net.add_node("cut", [], [clone.conclusions[0], q])
+        # O(1): the copies share the box's content.
+        (clone,) = net.copy_in([box], edges, [e_box])
+        net.add_node("cut", [], [clone, q])
     net.remove_node(box_id)
     net.edges.pop(e_box)
 
@@ -890,7 +908,7 @@ def _reduce_absorb(net: Net, cut_id: int, box_id: int, target_id: int) -> None:
     e_box, e_aux = _cut_sides(net, cut, box_id)
     aux_port = target.concl.index(e_aux)
     _require(aux_port >= 1, "absorbing box is cut against a principal door")
-    src = Net([box], {e_box: net.edges[e_box]}, [e_box])
+    edges = {e_box: net.edges[e_box]}
     net.remove_node(cut_id)
     net.remove_node(box_id)
     net.edges.pop(e_box)
@@ -908,15 +926,14 @@ def _reduce_absorb(net: Net, cut_id: int, box_id: int, target_id: int) -> None:
         caux = content.conclusions[port]
         holder = content.surface.concluder[caux]
         if content.nodes[holder].kind == "weak":
-            # A closed box against a bare weakening erases; splicing it in
+            # A closed box against a bare weakening erases; copying it in
             # would leave a floating component, so erase it right away.
             content.remove_node(holder)
             content.edges.pop(caux)
             content.conclusions.remove(caux)
             continue
-        clone = src.renamed()
-        content.splice(clone)
-        content.add_node("cut", [], [clone.conclusions[0], caux])
+        (clone,) = content.copy_in([box], edges, [e_box])
+        content.add_node("cut", [], [clone, caux])
         content.conclusions.remove(caux)
 
 
@@ -924,21 +941,17 @@ def _reduce_bot_branch(net: Net, cut_id: int, box_id: int, one_id: int, side: in
     cut, box, one = net.nodes[cut_id], net.nodes[box_id], net.nodes[one_id]
     e_bot, e_one = _cut_sides(net, cut, box_id)
     _require(one.concl[0] == e_one, "cut is not against the one")
-    content = box.contents[side].renamed()
+    content = box.contents[side]
     aux_edges = box.concl[1:]
     net.remove_node(cut_id)
     net.remove_node(box_id)
     net.remove_node(one_id)
     net.edges.pop(e_bot)
     net.edges.pop(e_one)
-    # Remove the content's bot root along with its conclusion edge.
-    root_edge = content.conclusions[0]
-    root_id = content.surface.concluder[root_edge]
-    content.remove_node(root_id)
-    content.edges.pop(root_edge)
-    residual = content.conclusions[1:]
-    content.conclusions = []
-    net.splice(content)
+    # The content's bot root is left out, along with its conclusion edge.
+    root = content.nodes[content.surface.concluder[content.conclusions[0]]]
+    residual = net.copy_in(content.nodes.values(), content.edges, content.conclusions[1:],
+                           omit=root)
     for outer, inner in zip(aux_edges, residual):
         # The inner conclusion takes over the outer edge's consumers.
         net.replace_edge_ref(outer, inner)

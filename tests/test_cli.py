@@ -293,3 +293,29 @@ def test_a_flag_value_that_makes_a_check_vacuous_is_rejected(tmp_path, capsys, f
     captured = capsys.readouterr()
     assert exit_.value.code == 2
     assert not captured.out and captured.err.splitlines()[-1].startswith("tokennets: error:")
+
+
+def test_terminal_lines_with_one_printed_probability_come_in_description_order(
+        tmp_path, capsys, monkeypatch):
+    # The 8-qubit wide program's 256 outcomes each have probability 2^-8,
+    # computed as 0.0039062499999999983 or ...87 depending on the path, so
+    # an order by the raw float would interleave its lines by that noise.
+    import random
+
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    from programs import WIDE_WIDTH, wide_quantum_source
+
+    f = write(tmp_path, wide_quantum_source(WIDE_WIDTH, random.Random(11)))
+    assert main([f, "--engine", "all", "--backend", "quantum"]) == 0
+    lines: dict[str, list[tuple[str, str]]] = {}
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("engine: "):
+            engine = lines.setdefault(line.split()[1], [])
+        elif line.startswith("  "):
+            q, d = line.strip().split("  ", 1)
+            engine.append((q, d))
+    assert sorted(lines) == ["msiam", "net", "pcf"]
+    for entries in lines.values():
+        assert len(entries) == 2**WIDE_WIDTH
+        assert {q for q, _ in entries} == {f"{2 ** -WIDE_WIDTH:.12f}"}
+        assert entries == sorted(entries, key=lambda qd: qd[1])

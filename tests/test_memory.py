@@ -22,7 +22,7 @@ from tokennets.memory import (
     prob_backend,
     quantum_backend,
 )
-from tokennets.pars import Distribution
+from tokennets.pars import PRUNE, Distribution
 
 from commutation import run_suite
 
@@ -465,3 +465,34 @@ def test_a_strided_amplitude_vector_is_stored_contiguous():
     assert m.amps.flags.c_contiguous
     bell = QuantumMemory((0, 1), [S2, 0, 0, S2])
     assert m == bell and hash(m) == hash(bell)
+
+
+def reference_repr(m):
+    """`QuantumMemory.__repr__` as a loop over every amplitude."""
+    terms = []
+    for idx, a in enumerate(m.amps):
+        if abs(a) > PRUNE:
+            ket = format(idx, f"0{len(m.bound)}b") if m.bound else ""
+            terms.append(f"{a:.4g}|{ket}>")
+    return f"QuantumMemory(bound={m.bound}, {' + '.join(terms) or '1|>'})"
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_repr_prints_the_kept_amplitudes_in_index_order(n):
+    # Amplitudes on and either side of PRUNE, zeros of both signs, and
+    # ordinary ones, each in a real or an imaginary part.
+    rng = np.random.default_rng(300 + n)
+    small = [PRUNE, np.nextafter(PRUNE, 1.0), np.nextafter(PRUNE, 0.0), -PRUNE, 0.0, -0.0, 1e-16]
+    for _ in range(20):
+        m = random_state(rng, n)
+        amps = m.amps.copy()
+        for idx in rng.choice(2**n, rng.integers(0, 2**n + 1), replace=True):
+            v = small[rng.integers(len(small))]
+            amps[idx] = complex(v, 0.0) if rng.random() < 0.5 else complex(0.0, v)
+        m = QuantumMemory.__new__(QuantumMemory)
+        m.bound, m.amps = random_state(rng, n).bound, amps
+        assert repr(m) == reference_repr(m)
+    assert repr(QuantumMemory()) == "QuantumMemory(bound=(), 1+0j|>)"
+    empty = QuantumMemory.__new__(QuantumMemory)
+    empty.bound, empty.amps = (), np.zeros(1, dtype=complex)
+    assert repr(empty) == reference_repr(empty) == "QuantumMemory(bound=(), 1|>)"

@@ -15,6 +15,7 @@ from tokennets.nets import (
     Net,
     Node,
     ONE,
+    Signature,
     bang,
     check_correct,
     count_units,
@@ -32,6 +33,8 @@ from tokennets.nets import (
 )
 from tokennets.pcfll import parse, typecheck
 from tokennets.translate import translate
+
+from test_surface_index import check_fresh
 
 
 def test_formula_negation_involutive():
@@ -397,6 +400,79 @@ def test_signature_isomorphism_invariance():
     box = bang_box_net()
     assert box.signature() == box.renamed().signature()
     assert net1.signature() != bang_box_net().signature()
+
+
+def rooted_content_with_boxes():
+    """A choice-box content: a bot root, a one, and a !-box and a fixpoint
+    box, each with a content of its own, the !-box cut against a
+    dereliction."""
+    y_content = Net()
+    y_one = y_content.add_node("one", [ONE])
+    y_weak = y_content.add_node("weak", [quest(BOT)])
+    y_content.conclusions = [y_one.concl[0], y_weak.concl[0]]
+    c = Net()
+    root = c.add_node("bot", [BOT])
+    one = c.add_node("one", [ONE])
+    bbox = c.add_node("bangbox", [bang(ONE)], contents=[single_one_net()])
+    ybox = c.add_node("ybox", [bang(ONE)], contents=[y_content])
+    ax = c.add_node("ax", [BOT, ONE])
+    der = c.add_node("der", [quest(BOT)], [ax.concl[0]])
+    c.add_node("cut", [], [bbox.concl[0], der.concl[0]])
+    c.conclusions = [root.concl[0], one.concl[0], ybox.concl[0], ax.concl[1]]
+    return c, root
+
+
+def test_copy_in_shares_nested_contents_and_leaves_the_source_alone():
+    def state(net):
+        return ([(n.nid, n.kind, list(n.concl), list(n.prem), n.label, list(n.contents))
+                 for n in net.nodes.values()], dict(net.edges), list(net.conclusions))
+
+    source, _ = rooted_content_with_boxes()
+    sig = source.content_signature()
+    before = state(source)
+    level = single_one_net()
+    start = fresh_id()
+    concl = level.copy_in(source.nodes.values(), source.edges, source.conclusions)
+    # Ids are drawn as `renamed` draws them: every edge, then every node.
+    n_edges = len(source.edges)
+    assert sorted(set(level.edges) - {level.conclusions[0]}) == list(
+        range(start + 1, start + 1 + n_edges))
+    assert sorted(level.nodes)[1:] == list(
+        range(start + 1 + n_edges, start + 1 + n_edges + len(source.nodes)))
+    assert [level.typ(e) for e in concl] == [source.typ(e) for e in source.conclusions]
+    level.conclusions += concl
+    validate(level)
+    check_fresh(level)
+    for kind in ("bangbox", "ybox"):
+        (old,) = [n for n in source.nodes.values() if n.kind == kind]
+        (new,) = [n for n in level.nodes.values() if n.kind == kind]
+        assert new.nid != old.nid and new.contents[0] is old.contents[0]
+    # A rule on the copy leaves the source alone.
+    (r,) = find_redexes(level)
+    assert r.kind == "d_box"
+    reduce(level, r)
+    validate(level)
+    check_fresh(level)
+    assert state(source) == before
+    assert source.content_signature() is sig and sig == Signature(source.signature())
+
+
+def test_copy_in_leaves_out_a_node_and_its_conclusions():
+    source, root = rooted_content_with_boxes()
+    level = Net()
+    concl = level.copy_in(source.nodes.values(), source.edges, source.conclusions[1:],
+                          omit=root)
+    level.conclusions = concl
+    validate(level)
+    check_fresh(level)
+    assert len(level.nodes) == len(source.nodes) - 1
+    assert len(level.edges) == len(source.edges) - 1
+    assert "bot" not in [n.kind for n in level.nodes.values()]
+    assert list(level.edges.values()).count(BOT) == list(source.edges.values()).count(BOT) - 1
+    assert level.signature() == Net(
+        [n for n in source.nodes.values() if n is not root],
+        {e: t for e, t in source.edges.items() if e not in root.concl},
+        source.conclusions[1:]).signature()
 
 
 def test_dump_smoke():

@@ -20,7 +20,7 @@ from tokennets.memory import (
     quantum_backend,
 )
 from tokennets.msiam import MachineState, MsSystem
-from tokennets.nets import BOT, Net, ONE, validate
+from tokennets.nets import BOT, Net, ONE, SurfaceIndex, validate
 from tokennets.pars import (
     TOL,
     Distribution,
@@ -313,8 +313,9 @@ def test_machine_closure_owns_its_copy(path, policy):
 def count_whole_net_copies(monkeypatch, counts):
     """Count in `counts["copy"]` each whole-net copy: each
     `Net.__deepcopy__`, which copies the top level and shares the box
-    contents.  The level copies a rule makes go through `Net.renamed`
-    instead, so they are not counted."""
+    contents.  The nodes a rule copies go through `Net.copy_in` and the
+    private contents it makes through `Net.renamed` instead, so they are
+    not counted."""
     deepcopy = Net.__deepcopy__
 
     def counted(self, memo):
@@ -322,6 +323,76 @@ def count_whole_net_copies(monkeypatch, counts):
         return deepcopy(self, memo)
 
     monkeypatch.setattr(Net, "__deepcopy__", counted)
+
+
+def count_level_builds(monkeypatch, counts):
+    """Count in `counts["net"]` and `counts["index"]` each `Net` and each
+    `SurfaceIndex` built."""
+    for cls, name in ((Net, "net"), (SurfaceIndex, "index")):
+        def counted(self, *args, _init=cls.__init__, _name=name, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+
+def test_rules_build_a_level_only_for_private_contents(monkeypatch):
+    # A rule that opens or copies a box copies its nodes straight into the
+    # level: only `absorb` builds levels, one private copy per content of
+    # its target.
+    import tokennets.prognets as prognets
+
+    counts = Counter()
+    fired = Counter()
+    bad = []
+
+    def checked(rule):
+        def run(net, redex, *side):
+            before = counts.copy()
+            target = net.nodes[redex.nodes[2]] if redex.kind == "absorb" else None
+            out = rule(net, redex, *side)
+            fired[redex.kind] += 1
+            want = len(target.contents) if target is not None else 0
+            built = (counts["net"] - before["net"], counts["index"] - before["index"])
+            if built != (want, want):
+                bad.append((redex.kind, built, want))
+            return out
+        return run
+
+    count_level_builds(monkeypatch, counts)
+    monkeypatch.setattr(prognets, "reduce", checked(prognets.reduce))
+    monkeypatch.setattr(prognets, "reduce_test", checked(prognets.reduce_test))
+    for path in CORPUS:
+        horizon = 3 if path.name == "omega.pcf" else 200
+        fused = FusedSystem(PnSystem())
+        converge(Distribution.dirac(fused.prepare(translated(path))), fused, leftmost_policy,
+                 horizon)
+    assert not bad, bad[:5]
+    assert {"d_box", "y_unfold", "c_box", "test", "absorb"} <= set(fired), fired
+
+
+def test_omega_builds_no_level_after_translation(monkeypatch):
+    counts = Counter()
+    fired = Counter()
+    count_level_builds(monkeypatch, counts)
+    count_whole_net_copies(monkeypatch, counts)
+    pn = translated(CORPUS_DIR / "omega.pcf")
+    assert counts["net"] > 0  # translation builds the top level and a content
+    counts.clear()
+    step_det = PnSystem.step_det
+
+    def counted_step_det(self, pn, r):
+        fired[r.net_redex.kind if r.net_redex else r.kind] += 1
+        return step_det(self, pn, r)
+
+    monkeypatch.setattr(PnSystem, "step_det", counted_step_det)
+    fused = FusedSystem(PnSystem())
+    p, truncated = converge(Distribution.dirac(fused.prepare(pn)), fused, leftmost_policy,
+                            horizon=3)
+    assert p == 0.0 and truncated
+    assert fired["y_unfold"] >= 400 and fired["ax"] >= 1000, fired
+    # Only whole-net copies, one per closure, build an index: no `Net`.
+    assert counts["net"] == 0 and counts["index"] == counts["copy"] <= 4, counts
 
 
 def test_one_closure_copies_once_and_hashes_nothing(monkeypatch):

@@ -5,14 +5,15 @@ convergence probability and terminal distribution for the selected engine(s):
 `pcf` reduces the term directly, `net` rewrites the translated program net,
 and `msiam` runs the multi-token machine on it.  Under `all`, the pairwise
 probability deltas are reported and the run fails if any exceeds the
-tolerance.  Exit codes: 2 bad input (unreadable program, parse error,
-missing or malformed `--gates` file, non-integer `MSIAM_SEED`, a flag
-value out of range), 3 type error, 4 engine disagreement, 5 the
-translated net is malformed or fails its correctness check (an internal
-fault), 6 any other internal fault (for instance a program nested too
-deeply for the parser, or a case an engine does not implement), 1
-diamond-check failure.  Each failure prints a one-line message on stderr
-(after argparse's usage line, for a flag value), never a traceback.
+tolerance.  Exit codes: 2 bad input (unreadable or non-UTF-8 program,
+parse error, missing or malformed `--gates` file, non-integer
+`MSIAM_SEED`, a flag value out of range), 3 type error, 4 engine
+disagreement, 5 the translated net is malformed or fails its correctness
+check (an internal fault), 6 any other internal fault (for instance a
+program nested too deeply for the parser, or a case an engine does not
+implement), 1 diamond-check failure.  Each failure prints a one-line
+message on stderr (after argparse's usage line, for a flag value), never
+a traceback.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def _main(argv) -> int:
     try:
         with open(args.file) as fh:
             src = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:

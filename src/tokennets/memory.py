@@ -108,12 +108,6 @@ class _Registers:
     def __hash__(self) -> int:
         return hash(frozenset(self.values.items()))
 
-    def approx_eq(self, other, tol: float = TOL) -> bool:
-        if type(other) is not type(self):
-            return False
-        keys = set(self.values) | set(other.values)
-        return all(abs(self.get(i) - other.get(i)) <= tol for i in keys)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.values})"
 
@@ -362,21 +356,13 @@ class QuantumMemory:
 
     def __eq__(self, other) -> bool:
         # Equal when the amplitudes rounded to 6 decimals are, as the hash sees
-        # them; equal arrays skip the rounding.  Tolerance is left to approx_eq.
+        # them; equal arrays skip the rounding.
         if not isinstance(other, QuantumMemory) or self.bound != other.bound:
             return False
         return np.array_equal(self.amps, other.amps) or self._rounded() == other._rounded()
 
     def __hash__(self) -> int:
         return hash(self._rounded())
-
-    def approx_eq(self, other, tol: float = TOL) -> bool:
-        return (
-            isinstance(other, QuantumMemory)
-            and self.bound == other.bound
-            and self.amps.shape == other.amps.shape
-            and bool(np.all(np.abs(self.amps - other.amps) <= tol))
-        )
 
     def __repr__(self) -> str:
         terms = []

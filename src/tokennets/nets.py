@@ -118,19 +118,18 @@ class Node:
 
 class SurfaceIndex:
     """The edge endpoints of one level, and what `find_redexes` and
-    `prognets.next_det` need of it.  Each `Net` level keeps one, up to date
-    through the `Net` methods that change the level, so that a rule costs
-    what it touches; the checkers build a fresh one from the nodes.
+    `prognets.next_det` need of it.  Each `Net` level keeps one (see
+    `Net`), so that a rule costs what it touches; the checkers build a
+    fresh one from the nodes.
 
     `concluder` and `consumer` map each edge to the id of the node that
     concludes it and of the node that consumes it; an edge concluded or
-    consumed twice raises `InvalidNetError`.  `ones` holds the ids of the
-    level's `one` nodes, and `added_ones` those that `add` (and `merge`)
-    brought in since its reader last cleared it (`prognets` keeps a
-    program net's `unlinked` heap with it).  `redex` has an entry for every
-    cut and sync node: its redex or None, valid unless the node is in
-    `dirty`.  A cut's redex depends only on the nodes that conclude its
-    premises (a sync's too), so a change there marks it dirty (`touch`).
+    consumed twice raises `InvalidNetError`.  `added_ones` lists the `one`
+    nodes that `add` brought in since its reader last cleared it (`rewrite`
+    feeds a program net's `unlinked` heap from it).  `redex` has an entry
+    for every cut and sync node: its redex or None, valid unless the node
+    is in `dirty`.  A cut's redex depends only on the nodes that conclude
+    its premises (a sync's too), so a change there marks it dirty (`touch`).
     A node's conclusions are fresh edges when it is added, and a rule that
     removes the concluder of a premise then renames that premise, which
     touches it; so `add` and `remove` touch no other node.
@@ -143,12 +142,11 @@ class SurfaceIndex:
     reused, so the first entry that `redex` still holds is the least
     non-`test` redex of the level."""
 
-    __slots__ = ("concluder", "consumer", "ones", "added_ones", "redex", "dirty", "ready")
+    __slots__ = ("concluder", "consumer", "added_ones", "redex", "dirty", "ready")
 
     def __init__(self, nodes=()):
         self.concluder: dict[int, int] = {}
         self.consumer: dict[int, int] = {}
-        self.ones: set[int] = set()
         self.added_ones: list[int] = []
         self.redex: dict[int, NetRedex | None] = {}
         self.dirty: set[int] = set()
@@ -161,7 +159,6 @@ class SurfaceIndex:
         clone = SurfaceIndex()
         clone.concluder = dict(self.concluder)
         clone.consumer = dict(self.consumer)
-        clone.ones = set(self.ones)
         clone.added_ones = list(self.added_ones)
         clone.redex = dict(self.redex)
         clone.dirty = set(self.dirty)
@@ -184,7 +181,6 @@ class SurfaceIndex:
                 raise InvalidNetError(f"edge {e} concluded twice")
             self.concluder[e] = n.nid
         if n.kind == "one":
-            self.ones.add(n.nid)
             self.added_ones.append(n.nid)
         if n.kind in ("cut", "sync"):
             self.redex[n.nid] = None
@@ -195,19 +191,8 @@ class SurfaceIndex:
             self.consumer.pop(e, None)
         for e in n.concl:
             self.concluder.pop(e, None)
-        self.ones.discard(n.nid)
         self.redex.pop(n.nid, None)
         self.dirty.discard(n.nid)
-
-    def merge(self, other: "SurfaceIndex") -> None:
-        self.concluder.update(other.concluder)
-        self.consumer.update(other.consumer)
-        self.ones |= other.ones
-        self.added_ones.extend(other.ones)
-        self.redex.update(other.redex)
-        self.dirty |= other.dirty
-        for entry in other.ready:
-            heappush(self.ready, entry)
 
 
 class Signature:
@@ -243,8 +228,9 @@ class Net:
     that opens or copies a box copies the nodes straight into the level
     (`copy_in`), and one that changes a content first gives the box private
     copies (`own_contents`).
-    So copying a level (`copy.deepcopy`) copies that level only, and a
-    content keeps its signature once computed (`content_signature`).
+    So copying a level (`copy.deepcopy`) copies that level and its
+    surface index only, and a content keeps its signature once computed
+    (`content_signature`).
 
     Every level has its `SurfaceIndex` (`surface`) from birth, and its
     methods keep it up to date: its nodes' `concl`/`prem`/`contents` and
@@ -306,17 +292,6 @@ class Net:
         for e in box.concl:
             self.surface.touch(e)
 
-    def splice(self, content: "Net") -> None:
-        """Merge another net's nodes and edges, and its index, into this
-        level."""
-        # Views test the smaller side against the other: O(|content|) here.
-        _require(self.nodes.keys().isdisjoint(content.nodes.keys())
-                 and self.edges.keys().isdisjoint(content.edges.keys()),
-                 "spliced net shares node or edge ids with this level")
-        self.nodes.update(content.nodes)
-        self.edges.update(content.edges)
-        self.surface.merge(content.surface)
-
     def copy_in(self, nodes, edges: dict[int, Formula], conclusions, omit: Node | None = None
                 ) -> list[int]:
         """Copy `nodes`, whose edges and their formulas `edges` lists, into
@@ -352,8 +327,6 @@ class Net:
         return box.contents
 
     def __deepcopy__(self, memo):
-        """A copy of this level, with a copy of its surface index.  Box
-        contents never change, so the copy shares them."""
         clone = Net.__new__(Net)
         clone.nodes = {
             nid: Node(nid, n.kind, list(n.concl), list(n.prem), n.label, list(n.contents))
@@ -799,9 +772,9 @@ def reduce(net: Net, redex: NetRedex) -> Net:
 
 
 def reduce_test(net: Net, redex: NetRedex, side: int) -> Net:
-    """Fire the choice-box cut in place, keeping content `side` (0 for the
-    false branch, 1 for the true one), and return `net`.  A caller that
-    must keep the old net, or build the other branch too, copies it first."""
+    """Fire the choice-box cut in place, as `reduce` fires the other
+    rules, keeping content `side` (0 for the false branch, 1 for the true
+    one)."""
     if redex.kind != "test":
         raise ValueError(f"{redex.kind} reduction is deterministic: use reduce")
     return _reduce_bot_branch(net, *redex.nodes, side=side)
@@ -841,10 +814,10 @@ def _reduce_tensor_par(net: Net, cut_id: int, t_id: int, p_id: int) -> None:
 
 
 def _open_box(net: Net, cut_id: int, box_id: int, der_id: int) -> list[int]:
-    """Shared prologue of dereliction/unfolding: delete the cut, the box
-    border and the dereliction node, copy the content into the level, and
-    cut its principal conclusion against the dereliction premise.  Returns
-    the new ids of the content's conclusions."""
+    """The `d_box` rule, and the prologue of `y_unfold`: delete the cut,
+    the box border and the dereliction node, copy the content into the
+    level, and cut its principal conclusion against the dereliction
+    premise.  Returns the new ids of the content's conclusions."""
     cut, box, der = net.nodes[cut_id], net.nodes[box_id], net.nodes[der_id]
     e_box, e_der = _cut_sides(net, cut, box_id)
     _require(der.concl[0] == e_der, "cut is not against the dereliction")
@@ -858,10 +831,6 @@ def _open_box(net: Net, cut_id: int, box_id: int, der_id: int) -> list[int]:
     concl = net.copy_in(content.nodes.values(), content.edges, content.conclusions)
     net.add_node("cut", [], [concl[0], ed])
     return concl
-
-
-def _reduce_d_box(net: Net, cut_id: int, box_id: int, der_id: int) -> None:
-    _open_box(net, cut_id, box_id, der_id)
 
 
 def _reduce_y_unfold(net: Net, cut_id: int, box_id: int, der_id: int) -> None:
@@ -969,7 +938,7 @@ def _reduce_sync(net: Net, sync_id: int) -> None:
 _RULES = {
     "ax": _reduce_ax,
     "tensor_par": _reduce_tensor_par,
-    "d_box": _reduce_d_box,
+    "d_box": _open_box,
     "w_box": _reduce_w_box,
     "c_box": _reduce_c_box,
     "y_unfold": _reduce_y_unfold,

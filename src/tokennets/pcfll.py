@@ -198,7 +198,6 @@ class ParseError(Exception):
 
 
 _KEYWORDS = {"let", "in", "letrec", "if", "then", "else", "new"}
-_PUNCT = ("\\", ".", "<", ">", ",", "(", ")", "=")
 
 
 def tokenize(src: str) -> list[str]:

@@ -28,22 +28,17 @@ class PnRedex:
     node: int | None = None
     net_redex: NetRedex | None = None
 
-    def sort_key(self):
-        if self.kind == "link":
-            return (0, "link", (self.node,))
-        return (1,) + self.net_redex.sort_key()
-
 
 class ProgramNet:
     """Triple of net, address map, and memory.  Only the closure that owns
     one (see `own`) changes it, and only until it exposes it.
 
     `unlinked` is a heap of node ids that holds every top-level `one` node
-    without an address; `next_det` drops the ids of linked nodes when
-    they reach its top.  It belongs to the program net, not to the `Net`,
-    because one `Net` may sit under several address maps.  The constructor
-    builds it from the level's `ones`, and `rewrite` adds the `one` nodes
-    each rule brings in, read from the level's `added_ones`."""
+    without an address, and may hold linked ones too.  It belongs to the
+    program net, not to the `Net`, because one `Net` may sit under several
+    address maps.  The constructor builds it from the level's nodes, and
+    `rewrite` adds the `one` nodes each rule copies in, read from the
+    level's `added_ones`."""
 
     __slots__ = ("net", "ind", "memory", "unlinked", "_key", "_hash")
 
@@ -53,10 +48,10 @@ class ProgramNet:
         self.memory = memory
         if len(set(self.ind.values())) != len(self.ind):
             raise ValueError(f"address map not injective: {self.ind}")
-        nodes, ix = net.nodes, net.surface
-        self.unlinked = [nid for nid in ix.ones if nodes[nid].concl[0] not in self.ind]
+        self.unlinked = [nid for nid, n in net.nodes.items()
+                         if n.kind == "one" and n.concl[0] not in self.ind]
         heapify(self.unlinked)
-        ix.added_ones.clear()  # `ones` holds them all
+        net.surface.added_ones.clear()  # the heap holds them all
         self._key = None
         self._hash = None
 
@@ -85,24 +80,18 @@ class ProgramNet:
         return f"ProgramNet(nodes={len(self.net.nodes)}, ind={self.ind}, memory={self.memory!r})"
 
 
-def _unlinked(pn: ProgramNet):
-    """The ids of the top-level one nodes without an address."""
-    nodes = pn.net.nodes
-    return (nid for nid in pn.net.surface.ones if nodes[nid].concl[0] not in pn.ind)
-
-
 def enumerate_redexes(pn: ProgramNet) -> list[PnRedex]:
-    """Links of the top-level one nodes without an address, and the net
-    redexes; a test or sync redex waits until its one nodes are linked.
-    Links by node id, then net redexes in `find_redexes` order: the
-    `PnRedex.sort_key` order."""
-    net = pn.net
-    out = [PnRedex("link", node=nid) for nid in sorted(_unlinked(pn))]
+    """Links of the top-level one nodes without an address, by node id,
+    then the net redexes in `find_redexes` order; a test or sync redex
+    waits until its one nodes are linked."""
+    net, ind = pn.net, pn.ind
+    unlinked = {nid for nid in pn.unlinked if net.nodes[nid].concl[0] not in ind}
+    out = [PnRedex("link", node=nid) for nid in sorted(unlinked)]
     for r in find_redexes(net):
         if r.kind == "test":
-            ready = net.nodes[r.nodes[2]].concl[0] in pn.ind
+            ready = net.nodes[r.nodes[2]].concl[0] in ind
         elif r.kind == "sync":
-            ready = all(e in pn.ind for e in net.nodes[r.nodes[0]].prem)
+            ready = all(e in ind for e in net.nodes[r.nodes[0]].prem)
         else:
             ready = True
         if ready:

@@ -105,6 +105,21 @@ def test_malformed_gates_file_exit_code(tmp_path, capsys):
     assert err.startswith("error:") and "gates.cfg:1" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("role", ["program", "gates"])
+def test_a_file_that_is_not_utf8_exit_code(tmp_path, capsys, role):
+    bad = tmp_path / "latin.txt"
+    bad.write_bytes(b"\xff\xfe new")
+    if role == "program":
+        argv = [str(bad)]
+    else:
+        argv = [write(tmp_path, "H new"), "--backend", "quantum", "--gates", str(bad)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert not captured.out
+
+
 def test_non_integer_seed_exit_code(tmp_path, capsys, monkeypatch):
     f = write(tmp_path, "if c new then new else new")
     monkeypatch.setenv("MSIAM_SEED", "x")

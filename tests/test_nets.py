@@ -203,8 +203,7 @@ def test_d_box_reduction():
 def test_redexes_inside_boxes_are_inert():
     inner = ax_cut_one_net()
     content = Net()
-    content.splice(inner)
-    content.conclusions = list(inner.conclusions)
+    content.conclusions = content.copy_in(inner.nodes.values(), inner.edges, inner.conclusions)
     net = Net()
     net.add_node("bangbox", [bang(ONE)], contents=[content])
     box = next(iter(net.nodes.values()))
@@ -362,7 +361,7 @@ def test_absorb_reduction():
 
 def test_absorb_reduction_into_dereliction_aux():
     # When the target content actually uses its auxiliary door, the closed
-    # box is spliced inside and its cut stays inert until the box opens.
+    # box is copied inside and its cut stays inert until the box opens.
     inner_content = Net()
     ic_one = inner_content.add_node("one", [ONE])
     inner_content.conclusions = [ic_one.concl[0]]

@@ -125,7 +125,7 @@ def test_program_nets_sharing_a_net_keep_their_own_unlinked_nodes():
 
     for a_first in (True, False):
         net = counter_net()
-        (one,) = net.surface.ones
+        (one,) = [nid for nid, n in net.nodes.items() if n.kind == "one"]
         pn_a = ProgramNet(net, {}, IntRegisterMemory())
         pn_b = ProgramNet(net, {net.nodes[one].concl[0]: 0}, IntRegisterMemory({0: 0}))
         expected = [(pn_a, "link"), (pn_b, "sync")]
@@ -638,7 +638,7 @@ kept = floating.add_node("one", [ONE])
 floating.add_node("one", [ONE])
 floating.conclusions = [kept.concl[0]]
 rejects(InvalidNetError, floating.signature)  # a node no conclusion reaches
-rejects(InvalidNetError, floating.splice, floating)
+rejects(InvalidNetError, Net().copy_in, [one, twin], {one.concl[0]: ONE}, [])  # concluded twice
 rejects(ValueError, Closure, New(), {"x": 0, "y": 0}, IntRegisterMemory())
 rejects(ValueError, Closure(Var("x"), {}, IntRegisterMemory()).canonical_key)
 stuck = Closure(Var("x"), {"x": 0}, IntRegisterMemory({0: 0}))

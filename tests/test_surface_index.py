@@ -17,7 +17,7 @@ from tokennets.cli import build_backend, make_engine
 from tokennets.nets import Net, find_redexes, reduce, reduce_test
 from tokennets.pars import TOL, Distribution, leftmost_policy, lifted_steps
 from tokennets.pcfll import parse, typecheck
-from tokennets.prognets import PnRedex, enumerate_redexes
+from tokennets.prognets import enumerate_redexes
 from tokennets.translate import translate
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -30,6 +30,14 @@ def rebuilt_redexes(level: Net) -> list:
     return find_redexes(Net(level.nodes.values(), level.edges, level.conclusions))
 
 
+def pn_redex_key(r):
+    """The order `enumerate_redexes` lists its redexes in: links by node
+    id, then net redexes in `NetRedex.sort_key` order."""
+    if r.kind == "link":
+        return (0, "link", (r.node,))
+    return (1,) + r.net_redex.sort_key()
+
+
 def check_fresh(net: Net) -> None:
     """The index of every level of `net` agrees with a rebuild."""
     levels = [net]
@@ -38,7 +46,6 @@ def check_fresh(net: Net) -> None:
         ix = level.surface
         assert ix.concluder == {e: n.nid for n in level.nodes.values() for e in n.concl}
         assert ix.consumer == {e: n.nid for n in level.nodes.values() for e in n.prem}
-        assert ix.ones == {nid for nid, n in level.nodes.items() if n.kind == "one"}
         assert set(ix.redex) == {nid for nid, n in level.nodes.items()
                                  if n.kind in ("cut", "sync")}
         assert ix.dirty <= set(ix.redex)
@@ -101,7 +108,16 @@ def test_maintained_index_equals_a_rebuild_after_every_rule(monkeypatch):
 
     def checked_enumeration(pn):
         redexes = enumerate_redexes(pn)
-        assert redexes == sorted(redexes, key=PnRedex.sort_key)
+        assert redexes == sorted(redexes, key=pn_redex_key)
+        # The live entries of the unlinked heap are the top-level one nodes
+        # without an address.
+        nodes, ind = pn.net.nodes, pn.ind
+
+        def unaddressed(ids):
+            return {nid for nid in ids if nid in nodes and nodes[nid].concl[0] not in ind}
+
+        ones = [nid for nid, n in nodes.items() if n.kind == "one"]
+        assert unaddressed(pn.unlinked) == unaddressed(ones)
         fired["mixed"] += len({r.kind for r in redexes}) == 2
         return redexes
 

@@ -22,7 +22,7 @@ import argparse
 import os
 import sys
 
-from .memory import int_backend, prob_backend, quantum_backend
+from .memory import int_backend, prob_backend, quantum_backend, read_text
 from .msiam import MsSystem
 from .nets import InvalidNetError, check_correct
 from .pars import (
@@ -143,9 +143,8 @@ def _main(argv) -> int:
         print(f"error: gate file: {e}", file=sys.stderr)
         return 2
     try:
-        with open(args.file) as fh:
-            src = fh.read()
-    except (OSError, UnicodeDecodeError) as e:
+        src = read_text(args.file)
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:

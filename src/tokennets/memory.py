@@ -204,6 +204,16 @@ def check_unitary(mat: np.ndarray, name: str = "gate") -> None:
         raise ValueError(f"{name} is not unitary")
 
 
+def read_text(path: str) -> str:
+    """The text of file `path`; a file that is not UTF-8 raises a
+    `ValueError` that names it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not UTF-8 ({e.reason} at byte {e.start})") from None
+
+
 def load_gate_config(path: str) -> dict[str, tuple[int, np.ndarray]]:
     """Parse a gate configuration file.
 
@@ -211,31 +221,30 @@ def load_gate_config(path: str) -> dict[str, tuple[int, np.ndarray]]:
     with the matrix entries row-major complex literals like `0.5+0.5i`.
     """
     gates: dict[str, tuple[int, np.ndarray]] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#")[0].strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: malformed gate line")
-            try:
-                name, arity = parts[0], int(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: gate arity {parts[1]!r} is not an integer") from None
-            dim = 2**arity
-            entries = parts[2:]
-            if len(entries) != dim * dim:
-                raise ValueError(
-                    f"{path}:{lineno}: gate {name} needs {dim * dim} entries, got {len(entries)}"
-                )
-            try:
-                vals = [complex(e.replace(" ", "").replace("i", "j")) for e in entries]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: gate {name} has a malformed entry") from None
-            mat = np.array(vals, dtype=complex).reshape(dim, dim)
-            check_unitary(mat, name)
-            gates[name] = (arity, mat)
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        line = line.split("#")[0].strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) < 2:
+            raise ValueError(f"{path}:{lineno}: malformed gate line")
+        try:
+            name, arity = parts[0], int(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: gate arity {parts[1]!r} is not an integer") from None
+        dim = 2**arity
+        entries = parts[2:]
+        if len(entries) != dim * dim:
+            raise ValueError(
+                f"{path}:{lineno}: gate {name} needs {dim * dim} entries, got {len(entries)}"
+            )
+        try:
+            vals = [complex(e.replace(" ", "").replace("i", "j")) for e in entries]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: gate {name} has a malformed entry") from None
+        mat = np.array(vals, dtype=complex).reshape(dim, dim)
+        check_unitary(mat, name)
+        gates[name] = (arity, mat)
     return gates
 
 

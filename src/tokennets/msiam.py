@@ -17,17 +17,14 @@ A state is final when every token is stable or has exited at a net
 conclusion; the whole machine is a probabilistic rewrite system whose
 terminal distribution matches net reduction.
 
-A micro-step moves one token, so a state carries indexes that let
-enumeration and application do work in proportion to the moving tokens
-rather than to all tokens: the action of each live token (neither stable
-nor exited at a net conclusion) by origin; the open copies, the box stacks
-of the stable markers parked at each principal door (or choice box side);
-and the pending link/spawn sites, one per one/?d node of each open copy
-that has not yet fired.  These rest on one invariant: a stable token never
-moves again (nor does an exited one).  So a token leaves the action index
-for good when it becomes stable or exits, the open copies only grow, a site
-becomes pending exactly when its gate's copy opens and stops being pending
-when it fires, and a state is final exactly when no token is live.
+A micro-step moves one token, so a state carries indexes (see
+`MachineState`) that let enumeration and application do work in
+proportion to the moving tokens rather than to all tokens.  These rest on
+one invariant: a stable token never moves again (nor does an exited
+one).  So a token leaves the action index for good when it becomes
+stable or exits, the open copies only grow, a site becomes pending
+exactly when its gate's copy opens and stops being pending when it
+fires, and a state is final exactly when no token is live.
 
 Only the token that moved can have a new action, so each live token's
 action (`MsSystem.token_step`) is computed once, when the token arrives,
@@ -53,10 +50,8 @@ of another token, may make a site pending or give a lesser origin a
 move.  A token's `direction` depends only on its edge and formula stack,
 so each machine memoizes it.
 
-The machine reads the program net as it is and copies none of it: a
-token's edge is found in its level's `Net`, whose `edges` give the
-edge's formula and whose `surface` index gives the nodes that conclude
-and consume it (see `NetIndex`).
+The machine reads the program net as it is and copies none of it (see
+`NetIndex`).
 
 A fused closure owns the state it steps, as the net engine's closure owns
 its program net: `MsSystem.own` copies the token map, the address map
@@ -110,11 +105,11 @@ def indicator(s: tuple, a: Formula) -> str | None:
 
 
 # A position is (edge_key, fstack, bstack).  Edge keys are (level, eid)
-# where a level is a tuple of (box node id, content index) pairs from the
-# root down; node keys are (level, nid).  Stacks hold tags and signature
-# ids, so every part of a position is an int or a tuple of them.  A state's
-# token map sends each token's origin, the position where it was created,
-# to its position.
+# where a level is a `Net.levels` path, the (box node id, content index)
+# pairs from the root down; node keys are (level, nid).  Stacks hold tags
+# and signature ids, so every part of a position is an int or a tuple of
+# them.  A state's token map sends each token's origin, the position where
+# it was created, to its position.
 
 
 class MachineInvariantError(RuntimeError):
@@ -124,37 +119,36 @@ class MachineInvariantError(RuntimeError):
 
 
 class NetIndex:
-    """What the machine reads of a net beyond one level.
+    """What the machine reads of a net beyond one level, built from
+    `Net.levels`.
 
-    `level_net` maps each box level to its `Net`: the machine reads an
-    edge's formula from that level's `edges`, its concluding and consuming
-    node ids from its `surface`, and the nodes from its `nodes`.  `doors`
-    maps the content-side edge of each principal door (of each choice box
-    side) to (box nkey, content index, stack a parked marker has there);
-    `gate_sites` maps each gate, (box nkey, content index) or (None, 0) for
-    the whole net, to the link/spawn sites directly inside it as (link or
-    spawn, one/?d nkey)."""
+    `level_net` maps each box level, a `Net.levels` path, to its `Net`:
+    the machine reads an edge's formula from that level's `edges`, its
+    concluding and consuming node ids from its `surface`, and the nodes
+    from its `nodes`.  `doors` maps the content-side edge of each
+    principal door (of each choice box side) to (box nkey, content index,
+    stack a parked marker has there); `gate_sites` maps each gate, (box
+    nkey, content index) or (None, 0) for the whole net, to the link/spawn
+    sites directly inside it as (link or spawn, one/?d nkey), in node
+    order."""
 
     def __init__(self, net: Net):
         self.level_net: dict = {}  # level -> Net
         self.doors: dict = {}  # door ekey -> (box nkey, ci, marker fstack)
         self.gate_sites: dict = {}  # gate -> [(kind, nkey)]
-        # One level at a time from an explicit stack: nesting depth is
-        # not bounded by the recursion limit.
-        todo = [(net, (), (None, 0))]
-        while todo:
-            net, level, gate = todo.pop()
-            self.level_net[level] = net
-            for nid, node in net.nodes.items():
-                nkey = (level, nid)
+        for level, content in net.levels():
+            self.level_net[level] = content
+            gate = (None, 0)
+            if level:
+                nid, ci = level[-1]
+                box = (level[:-1], nid)
+                gate = (box, ci)
+                marker = (DELTA,) if self.node(box).kind in ("bangbox", "ybox") else ()
+                self.doors[(level, content.conclusions[0])] = (box, ci, marker)
+            for nid, node in content.nodes.items():
                 if node.kind in ("one", "der"):
                     kind = "link" if node.kind == "one" else "spawn"
-                    self.gate_sites.setdefault(gate, []).append((kind, nkey))
-                marker = (DELTA,) if node.kind in ("bangbox", "ybox") else ()
-                for ci, content in enumerate(node.contents):
-                    inner = level + ((nid, ci),)
-                    self.doors[(inner, content.conclusions[0])] = (nkey, ci, marker)
-                    todo.append((content, inner, (nkey, ci)))
+                    self.gate_sites.setdefault(gate, []).append((kind, (level, nid)))
 
     def node(self, nkey) -> Node:
         level, nid = nkey
@@ -176,21 +170,21 @@ class MachineState:
     map on origins, and a memory.  Compared up to address permutation.
 
     It also carries the indexes `MsSystem` keeps (see the module docstring):
-    `acts` (origin -> `MsSystem.token_step` of each live token, taken when
-    it arrived; its keys are the live origins), `waiting` (gate -> set of
-    origins whose action is a wait marker naming that gate), `open_copies`
-    (gate, that is (box nkey, content index), -> set of opened box stacks)
-    and `pending` (set of (kind, nkey, box stack) link/spawn sites).  Only
-    the closure that owns a state (see `MsSystem.own`) changes these
-    containers, and only until it exposes the state; from then on nothing
-    changes them, which is what makes the cached hash and key safe.
+    `acts` (origin -> `MsSystem.token_step` of each live token, one neither
+    stable nor exited at a net conclusion, taken when it arrived; its keys
+    are the live origins), `waiting` (gate -> set of origins whose action
+    is a wait marker naming that gate), `open_copies` (gate, that is (box
+    nkey, content index), -> set of the box stacks of the stable markers
+    parked at its principal door, or choice box side) and `pending` (set
+    of (kind, nkey, box stack) link/spawn sites, one per one/?d node of
+    each open copy that has not yet fired).  Only the closure that owns a
+    state (see `MsSystem.own`) changes these containers, and only until it
+    exposes the state; from then on nothing changes them, which is what
+    makes the cached hash and key safe.
 
     `lead` is the move `MsSystem.next_det` returns for the state, cached
     there, or None (see the module docstring).  Like the hash and the key
-    it is a cache: equality, hashing and the canonical key ignore it.
-
-    Positions are int tuples (see the module docstring), so the canonical
-    key sorts `tokens` and `ind` in native tuple order."""
+    it is a cache: equality, hashing and the canonical key ignore it."""
 
     __slots__ = ("tokens", "ind", "memory", "acts", "waiting", "open_copies", "pending",
                  "lead", "_key", "_hash")

@@ -118,9 +118,8 @@ class Node:
 
 class SurfaceIndex:
     """The edge endpoints of one level, and what `find_redexes` and
-    `prognets.next_det` need of it.  Each `Net` level keeps one (see
-    `Net`), so that a rule costs what it touches; the checkers build a
-    fresh one from the nodes.
+    `prognets.next_det` need of it.  The checkers build a fresh one from
+    the nodes.
 
     `concluder` and `consumer` map each edge to the id of the node that
     concludes it and of the node that consumes it; an edge concluded or
@@ -233,8 +232,9 @@ class Net:
     (`content_signature`).
 
     Every level has its `SurfaceIndex` (`surface`) from birth, and its
-    methods keep it up to date: its nodes' `concl`/`prem`/`contents` and
-    its `nodes` change only through these methods.
+    methods keep it up to date, so that a rule costs what it touches: its
+    nodes' `concl`/`prem`/`contents` and its `nodes` change only through
+    these methods.
     """
 
     __slots__ = ("nodes", "edges", "conclusions", "surface", "_sig")
@@ -292,25 +292,19 @@ class Net:
         for e in box.concl:
             self.surface.touch(e)
 
-    def copy_in(self, nodes, edges: dict[int, Formula], conclusions, omit: Node | None = None
-                ) -> list[int]:
+    def copy_in(self, nodes, edges: dict[int, Formula], conclusions) -> list[int]:
         """Copy `nodes`, whose edges and their formulas `edges` lists, into
         this level under fresh ids, sharing their box contents, and return
-        the new ids of `conclusions`.  `omit`, one of `nodes`, is left out
-        with its conclusion edges.  Ids are drawn in `edges` order, then one
-        per node, `omit` included."""
+        the new ids of `conclusions`.  Ids are drawn in `edges` order, then
+        one per node."""
         emap = {e: fresh_id() for e in edges}
-        dropped = omit.concl if omit is not None else ()
         for e, t in edges.items():
-            if e not in dropped:
-                self.edges[emap[e]] = t
+            self.edges[emap[e]] = t
         for n in nodes:
-            nid = fresh_id()
-            if n is not omit:
-                node = Node(nid, n.kind, [emap[e] for e in n.concl], [emap[e] for e in n.prem],
-                            n.label, list(n.contents))
-                self.surface.add(node)
-                self.nodes[nid] = node
+            node = Node(fresh_id(), n.kind, [emap[e] for e in n.concl], [emap[e] for e in n.prem],
+                        n.label, list(n.contents))
+            self.surface.add(node)
+            self.nodes[node.nid] = node
         return [emap[e] for e in conclusions]
 
     def renamed(self) -> "Net":
@@ -339,6 +333,21 @@ class Net:
         return clone
 
     # -- traversal and canonical signature ---------------------------------
+
+    def levels(self) -> Iterator[tuple[tuple[tuple[int, int], ...], "Net"]]:
+        """Yield `(path, level)` for this net and every box content below
+        it, depth first in node order, each level before its contents.  A
+        path lists the `(box node id, content index)` pairs from this net
+        down, so a content that sits in two boxes is yielded once under
+        each.  The walk keeps an explicit stack, so nesting depth is not
+        bounded by Python's recursion limit."""
+        stack = [((), self)]
+        while stack:
+            path, level = stack.pop()
+            yield path, level
+            inner = [(path + ((nid, ci),), c) for nid, n in level.nodes.items() if n.contents
+                     for ci, c in enumerate(n.contents)]
+            stack.extend(reversed(inner))
 
     def traversal(self) -> tuple[dict[int, int], dict[int, int]]:
         """Deterministic numbering of this level's nodes and edges.
@@ -450,25 +459,17 @@ def _require(ok, message: str) -> None:
 
 
 def validate(net: Net) -> None:
-    """Check the structural and typing invariants of every level.
-
-    Raises `InvalidNetError` naming the first broken invariant.  Each level
-    is checked against a fresh `SurfaceIndex` of what its nodes say, not
-    against the index the level keeps.  The levels are checked depth first,
-    each box content where its box is met, from an explicit stack of level
-    checks, so deep nests of boxes do not reach Python's recursion limit."""
-    stack = [_validate_level(net)]
-    while stack:
-        content = next(stack[-1], None)
-        if content is None:
-            stack.pop()
-        else:
-            stack.append(_validate_level(content))
+    """Check the structural and typing invariants of every level, in
+    `Net.levels` order, and raise `InvalidNetError` naming the first
+    broken one."""
+    for _, level in net.levels():
+        _validate_level(level)
 
 
-def _validate_level(net: Net) -> Iterator[Net]:
-    """Check one level, yielding each box content to be checked at the
-    point where its box's checks end."""
+def _validate_level(net: Net) -> None:
+    """Check one level, its boxes' interfaces included, against a fresh
+    `SurfaceIndex` of what its nodes say, not against the index the level
+    keeps."""
     ix = SurfaceIndex(net.nodes.values())
     concluded, consumed = ix.concluder, ix.consumer
     conclusions = set(net.conclusions)
@@ -513,7 +514,6 @@ def _validate_level(net: Net) -> Iterator[Net]:
             _require(t and t[0] == bang(ct[0]), "bad exponential box principal")
             _require(t[1:] == ct[1:] and all(x.kind == "quest" for x in t[1:]),
                      "bad box auxiliaries")
-            yield content
         elif n.kind == "ybox":
             (content,) = n.contents
             ct = [content.typ(e) for e in content.conclusions]
@@ -521,7 +521,6 @@ def _validate_level(net: Net) -> Iterator[Net]:
             _require(ct[1] == quest(neg(ct[0])), "bad fixpoint recursion port")
             _require(t[1:] == ct[2:] and all(x.kind == "quest" for x in t[1:]),
                      "bad box auxiliaries")
-            yield content
         elif n.kind == "botbox":
             left, right = n.contents
             _require(t and t[0] == BOT and len(t) >= 2, "choice box needs a residual interface")
@@ -531,7 +530,6 @@ def _validate_level(net: Net) -> Iterator[Net]:
                 root = SurfaceIndex(c.nodes.values()).concluder.get(c.conclusions[0])
                 _require(root is not None and c.nodes[root].kind == "bot",
                          "choice box content must be rooted by bot")
-                yield c
         else:
             raise InvalidNetError(f"unknown node kind {n.kind}")
 
@@ -554,24 +552,14 @@ def check_correct(net: Net) -> str | None:
     exactly one conclusion of every sync node with more than one; the
     remaining undirected graph of the level must be acyclic.  Each level is
     decided exactly by `cyclic_switching_block`, boxes opaque at their own
-    level; box contents are walked with an explicit worklist, so nesting
-    depth is not bounded by Python's recursion limit.  The description of a
-    cyclic level inside boxes starts with one `inside box N: ` per box.
+    level, in `Net.levels` order.  The description of a cyclic level inside
+    boxes starts with one `inside box N: ` per box of its path.
     """
-    work: list[tuple[Net, tuple | None]] = [(net, None)]  # (level, box path)
-    while work:
-        level, path = work.pop()
+    for path, level in net.levels():
         block = cyclic_switching_block(level)
         if block:
-            prefix = ""
-            while path is not None:
-                nid, path = path
-                prefix = f"inside box {nid}: " + prefix
+            prefix = "".join(f"inside box {nid}: " for nid, _ in path)
             return f"{prefix}cyclic switching path at depth 0 among nodes {sorted(block)}"
-        # Reversed, so that levels are checked in depth-first node order.
-        for n in reversed(level.nodes.values()):
-            for c in reversed(n.contents):
-                work.append((c, (n.nid, path)))
     return None
 
 
@@ -777,7 +765,16 @@ def reduce_test(net: Net, redex: NetRedex, side: int) -> Net:
     one)."""
     if redex.kind != "test":
         raise ValueError(f"{redex.kind} reduction is deterministic: use reduce")
-    return _reduce_bot_branch(net, *redex.nodes, side=side)
+    box, _ = _remove_cut(net, *redex.nodes, "one")
+    content = box.contents[side]
+    concl = net.copy_in(content.nodes.values(), content.edges, content.conclusions)
+    # The copy of the content's bot root goes with its conclusion edge, and
+    # each other conclusion takes over the consumers of the box's door.
+    net.remove_node(net.surface.concluder[concl[0]])
+    del net.edges[concl[0]]
+    for outer, inner in zip(box.concl[1:], concl[1:]):
+        net.replace_edge_ref(outer, inner)
+    return net
 
 
 def _cut_sides(net: Net, cut: Node, want_nid: int) -> tuple[int, int]:
@@ -788,6 +785,23 @@ def _cut_sides(net: Net, cut: Node, want_nid: int) -> tuple[int, int]:
         return e1, e2
     _require(e2 in concl, "cut is not against the redex node")
     return e2, e1
+
+
+def _remove_cut(net: Net, cut_id: int, box_id: int, other_id: int, other: str
+                ) -> tuple[Node, Node]:
+    """The prologue of the box rules: remove the cut between box `box_id`
+    and node `other_id`, both nodes and the two cut edges, and return the
+    box and the other node.  `other` names that node in the error raised
+    when the cut is not against its conclusion."""
+    cut, box, node = net.nodes[cut_id], net.nodes[box_id], net.nodes[other_id]
+    e_box, e_other = _cut_sides(net, cut, box_id)
+    _require(node.concl[0] == e_other, f"cut is not against the {other}")
+    net.remove_node(cut_id)
+    net.remove_node(box_id)
+    net.remove_node(other_id)
+    net.edges.pop(e_box)
+    net.edges.pop(e_other)
+    return box, node
 
 
 def _reduce_ax(net: Net, cut_id: int, ax_id: int) -> None:
@@ -813,62 +827,43 @@ def _reduce_tensor_par(net: Net, cut_id: int, t_id: int, p_id: int) -> None:
     net.add_node("cut", [], [a2, b2])
 
 
-def _open_box(net: Net, cut_id: int, box_id: int, der_id: int) -> list[int]:
-    """The `d_box` rule, and the prologue of `y_unfold`: delete the cut,
-    the box border and the dereliction node, copy the content into the
-    level, and cut its principal conclusion against the dereliction
-    premise.  Returns the new ids of the content's conclusions."""
-    cut, box, der = net.nodes[cut_id], net.nodes[box_id], net.nodes[der_id]
-    e_box, e_der = _cut_sides(net, cut, box_id)
-    _require(der.concl[0] == e_der, "cut is not against the dereliction")
+def _open_box(net: Net, box: Node, der: Node) -> list[int]:
+    """Copy the content of `box`, removed by `_remove_cut`, into the level
+    and cut its principal conclusion against the premise of the
+    dereliction `der`.  Returns the new ids of the content's conclusions."""
     content = box.contents[0]
-    ed = der.prem[0]
-    net.remove_node(cut_id)
-    net.remove_node(box_id)
-    net.remove_node(der_id)
-    net.edges.pop(e_box)
-    net.edges.pop(e_der)
     concl = net.copy_in(content.nodes.values(), content.edges, content.conclusions)
-    net.add_node("cut", [], [concl[0], ed])
+    net.add_node("cut", [], [concl[0], der.prem[0]])
     return concl
+
+
+def _reduce_d_box(net: Net, cut_id: int, box_id: int, der_id: int) -> None:
+    _open_box(net, *_remove_cut(net, cut_id, box_id, der_id, "dereliction"))
 
 
 def _reduce_y_unfold(net: Net, cut_id: int, box_id: int, der_id: int) -> None:
     # A fresh copy of the fixpoint box, sharing its content, is cut against
     # the recursion port of the unfolded content.
-    box = net.nodes[box_id]
-    (e_box,) = box.concl
-    (clone,) = net.copy_in([box], {e_box: net.edges[e_box]}, [e_box])
-    rec_port = _open_box(net, cut_id, box_id, der_id)[1]
+    (e_box,) = net.nodes[box_id].concl
+    edges = {e_box: net.edges[e_box]}
+    box, der = _remove_cut(net, cut_id, box_id, der_id, "dereliction")
+    (clone,) = net.copy_in([box], edges, [e_box])
+    rec_port = _open_box(net, box, der)[1]
     net.add_node("cut", [], [clone, rec_port])
 
 
 def _reduce_w_box(net: Net, cut_id: int, box_id: int, weak_id: int) -> None:
-    cut, box, weak = net.nodes[cut_id], net.nodes[box_id], net.nodes[weak_id]
-    e_box, e_weak = _cut_sides(net, cut, box_id)
-    _require(weak.concl[0] == e_weak, "cut is not against the weakening")
-    net.remove_node(cut_id)
-    net.remove_node(box_id)
-    net.remove_node(weak_id)
-    net.edges.pop(e_box)
-    net.edges.pop(e_weak)
+    _remove_cut(net, cut_id, box_id, weak_id, "weakening")
 
 
 def _reduce_c_box(net: Net, cut_id: int, box_id: int, contr_id: int) -> None:
-    cut, box, contr = net.nodes[cut_id], net.nodes[box_id], net.nodes[contr_id]
-    e_box, e_contr = _cut_sides(net, cut, box_id)
-    _require(contr.concl[0] == e_contr, "cut is not against the contraction")
-    q1, q2 = contr.prem
+    (e_box,) = net.nodes[box_id].concl
     edges = {e_box: net.edges[e_box]}
-    net.remove_node(cut_id)
-    net.remove_node(contr_id)
-    net.edges.pop(e_contr)
-    for q in (q1, q2):
+    box, contr = _remove_cut(net, cut_id, box_id, contr_id, "contraction")
+    for q in contr.prem:
         # O(1): the copies share the box's content.
         (clone,) = net.copy_in([box], edges, [e_box])
         net.add_node("cut", [], [clone, q])
-    net.remove_node(box_id)
-    net.edges.pop(e_box)
 
 
 def _reduce_absorb(net: Net, cut_id: int, box_id: int, target_id: int) -> None:
@@ -906,27 +901,6 @@ def _reduce_absorb(net: Net, cut_id: int, box_id: int, target_id: int) -> None:
         content.conclusions.remove(caux)
 
 
-def _reduce_bot_branch(net: Net, cut_id: int, box_id: int, one_id: int, side: int) -> Net:
-    cut, box, one = net.nodes[cut_id], net.nodes[box_id], net.nodes[one_id]
-    e_bot, e_one = _cut_sides(net, cut, box_id)
-    _require(one.concl[0] == e_one, "cut is not against the one")
-    content = box.contents[side]
-    aux_edges = box.concl[1:]
-    net.remove_node(cut_id)
-    net.remove_node(box_id)
-    net.remove_node(one_id)
-    net.edges.pop(e_bot)
-    net.edges.pop(e_one)
-    # The content's bot root is left out, along with its conclusion edge.
-    root = content.nodes[content.surface.concluder[content.conclusions[0]]]
-    residual = net.copy_in(content.nodes.values(), content.edges, content.conclusions[1:],
-                           omit=root)
-    for outer, inner in zip(aux_edges, residual):
-        # The inner conclusion takes over the outer edge's consumers.
-        net.replace_edge_ref(outer, inner)
-    return net
-
-
 def _reduce_sync(net: Net, sync_id: int) -> None:
     sync = net.nodes[sync_id]
     prems, concls = list(sync.prem), list(sync.concl)
@@ -938,7 +912,7 @@ def _reduce_sync(net: Net, sync_id: int) -> None:
 _RULES = {
     "ax": _reduce_ax,
     "tensor_par": _reduce_tensor_par,
-    "d_box": _open_box,
+    "d_box": _reduce_d_box,
     "w_box": _reduce_w_box,
     "c_box": _reduce_c_box,
     "y_unfold": _reduce_y_unfold,

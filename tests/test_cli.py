@@ -117,6 +117,7 @@ def test_a_file_that_is_not_utf8_exit_code(tmp_path, capsys, role):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert f"{bad}: not UTF-8 (invalid start byte at byte 0)" in captured.err
     assert not captured.out
 
 

@@ -493,6 +493,42 @@ def test_work_does_not_depend_on_process_history(monkeypatch):
     assert micro_steps(wide, "quantum") == fresh
 
 
+def reference_index(net):
+    """(level_net, doors, gate_sites) of `NetIndex`, built by a walk of
+    its own: an explicit stack of (level net, path, gate), each content's
+    door and gate taken where its box is met."""
+    level_net, doors, gate_sites = {}, {}, {}
+    todo = [(net, (), (None, 0))]
+    while todo:
+        net, level, gate = todo.pop()
+        level_net[level] = net
+        for nid, node in net.nodes.items():
+            nkey = (level, nid)
+            if node.kind in ("one", "der"):
+                kind = "link" if node.kind == "one" else "spawn"
+                gate_sites.setdefault(gate, []).append((kind, nkey))
+            marker = (DELTA,) if node.kind in ("bangbox", "ybox") else ()
+            for ci, content in enumerate(node.contents):
+                inner = level + ((nid, ci),)
+                doors[(inner, content.conclusions[0])] = (nkey, ci, marker)
+                todo.append((content, inner, (nkey, ci)))
+    return level_net, doors, gate_sites
+
+
+def test_index_matches_a_walk_of_its_own():
+    nested = 0
+    for _, bk, src in CORPUS:
+        pn, _ = make(src, bk)
+        index = NetIndex(pn.net)
+        level_net, doors, gate_sites = reference_index(pn.net)
+        assert index.level_net.keys() == level_net.keys()
+        assert all(index.level_net[level] is net for level, net in level_net.items())
+        assert index.doors == doors
+        assert index.gate_sites == gate_sites  # each gate's sites in the same order
+        nested += any(len(level) > 1 for level in level_net)
+    assert nested
+
+
 def test_index_of_boxes_nested_1500_deep(default_recursion_limit):
     inner = single_one_net()
     (one,) = inner.nodes

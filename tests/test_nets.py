@@ -13,6 +13,7 @@ from tokennets.nets import (
     Formula,
     InvalidNetError,
     Net,
+    NetRedex,
     Node,
     ONE,
     Signature,
@@ -212,15 +213,17 @@ def test_redexes_inside_boxes_are_inert():
     assert find_redexes(net) == []
 
 
-def test_w_box_reduction():
-    content = Net()
-    cone = content.add_node("one", [ONE])
-    content.conclusions = [cone.concl[0]]
+def w_box_net():
+    """A closed !-box cut against a weakening."""
     net = Net()
-    box = net.add_node("bangbox", [bang(ONE)], contents=[content])
+    box = net.add_node("bangbox", [bang(ONE)], contents=[single_one_net()])
     weak = net.add_node("weak", [quest(BOT)])
     net.add_node("cut", [], [box.concl[0], weak.concl[0]])
-    net.conclusions = []
+    return net
+
+
+def test_w_box_reduction():
+    net = w_box_net()
     validate(net)
     (r,) = find_redexes(net)
     assert r.kind == "w_box"
@@ -229,17 +232,24 @@ def test_w_box_reduction():
     assert not out.nodes and not out.edges
 
 
-def test_c_box_reduction():
-    content = Net()
-    cone = content.add_node("one", [ONE])
-    content.conclusions = [cone.concl[0]]
-    net = Net()
-    box = net.add_node("bangbox", [bang(ONE)], contents=[content])
+def contraction_of_weakenings(net):
     w1 = net.add_node("weak", [quest(BOT)])
     w2 = net.add_node("weak", [quest(BOT)])
-    contr = net.add_node("contr", [quest(BOT)], [w1.concl[0], w2.concl[0]])
+    return net.add_node("contr", [quest(BOT)], [w1.concl[0], w2.concl[0]])
+
+
+def c_box_net():
+    """A closed !-box cut against a contraction of two weakenings."""
+    net = Net()
+    box = net.add_node("bangbox", [bang(ONE)], contents=[single_one_net()])
+    contr = contraction_of_weakenings(net)
     net.add_node("cut", [], [box.concl[0], contr.concl[0]])
-    net.conclusions = []
+    return net
+
+
+def test_c_box_reduction():
+    net = c_box_net()
+    (content,) = next(iter(net.nodes.values())).contents
     validate(net)
     (r,) = find_redexes(net)
     assert r.kind == "c_box"
@@ -326,6 +336,42 @@ def test_bot_box_reduction():
         assert [n.kind for n in out.nodes.values()] == ["one"]
         (n,) = out.nodes.values()
         assert out.conclusions == [n.concl[0]]
+
+
+def snapshot(net):
+    nodes = {nid: (n.kind, list(n.prem), list(n.concl), [id(c) for c in n.contents])
+             for nid, n in net.nodes.items()}
+    return nodes, dict(net.edges), list(net.conclusions)
+
+
+def dereliction_of_an_axiom(net):
+    ax = net.add_node("ax", [BOT, ONE])
+    return net.add_node("der", [quest(BOT)], [ax.concl[0]])
+
+
+@pytest.mark.parametrize("make, beside, other", [
+    (bang_box_net, dereliction_of_an_axiom, "dereliction"),
+    (y_box_net, dereliction_of_an_axiom, "dereliction"),
+    (w_box_net, lambda net: net.add_node("weak", [quest(BOT)]), "weakening"),
+    (c_box_net, contraction_of_weakenings, "contraction"),
+    (bot_box_net, lambda net: net.add_node("one", [ONE]), "one"),
+], ids=["d_box", "y_unfold", "w_box", "c_box", "test"])
+def test_a_box_rule_refuses_a_node_the_box_is_not_cut_against(make, beside, other):
+    net = make()
+    (r,) = find_redexes(net)
+    cut, box, _ = r.nodes
+    wrong = NetRedex(r.kind, (cut, box, beside(net).nid))
+    before = snapshot(net)
+    first_free = fresh_id()
+    with pytest.raises(InvalidNetError, match=f"^cut is not against the {other}$"):
+        if r.kind == "test":
+            reduce_test(net, wrong, 0)
+        else:
+            reduce(net, wrong)
+    # Refused before anything was removed, added or numbered.
+    assert snapshot(net) == before
+    assert fresh_id() == first_free + 1
+    assert r in find_redexes(net)
 
 
 def test_absorb_reduction():
@@ -456,22 +502,29 @@ def test_copy_in_shares_nested_contents_and_leaves_the_source_alone():
     assert source.content_signature() is sig and sig == Signature(source.signature())
 
 
-def test_copy_in_leaves_out_a_node_and_its_conclusions():
-    source, root = rooted_content_with_boxes()
-    level = Net()
-    concl = level.copy_in(source.nodes.values(), source.edges, source.conclusions[1:],
-                          omit=root)
-    level.conclusions = concl
-    validate(level)
-    check_fresh(level)
-    assert len(level.nodes) == len(source.nodes) - 1
-    assert len(level.edges) == len(source.edges) - 1
-    assert "bot" not in [n.kind for n in level.nodes.values()]
-    assert list(level.edges.values()).count(BOT) == list(source.edges.values()).count(BOT) - 1
-    assert level.signature() == Net(
-        [n for n in source.nodes.values() if n is not root],
-        {e: t for e, t in source.edges.items() if e not in root.concl},
-        source.conclusions[1:]).signature()
+def test_a_test_copies_the_chosen_content_less_its_bot_root():
+    for side in (0, 1):
+        contents = [rooted_content_with_boxes(), rooted_content_with_boxes()]
+        source, root = contents[side]
+        net = Net()
+        box = net.add_node("botbox", [source.typ(e) for e in source.conclusions],
+                           contents=[c for c, _ in contents])
+        one = net.add_node("one", [ONE])
+        net.add_node("cut", [], [box.concl[0], one.concl[0]])
+        net.conclusions = box.concl[1:]
+        validate(net)
+        (r,) = find_redexes(net)
+        reduce_test(net, r, side)
+        validate(net)
+        check_fresh(net)
+        assert len(net.nodes) == len(source.nodes) - 1
+        assert len(net.edges) == len(source.edges) - 1
+        assert "bot" not in [n.kind for n in net.nodes.values()]
+        assert list(net.edges.values()).count(BOT) == list(source.edges.values()).count(BOT) - 1
+        assert net.signature() == Net(
+            [n for n in source.nodes.values() if n is not root],
+            {e: t for e, t in source.edges.items() if e not in root.concl},
+            source.conclusions[1:]).signature()
 
 
 def test_dump_smoke():
@@ -599,8 +652,10 @@ def test_boxes_nested_1500_deep_are_checked_without_recursion():
 
 
 def test_validate_reports_the_first_error_depth_first():
-    # A level's own edges are checked before its nodes, and a box content
-    # where its box is met, before the nodes after the box.
+    # Levels are checked in `Net.levels` order: a level whole, its edges
+    # before its nodes, and then its box contents, depth first in node
+    # order.  So a broken node after a box is named before the box's
+    # broken content.
     net, strays = Net(), []
     for _ in range(2):
         content = single_one_net()
@@ -609,9 +664,46 @@ def test_validate_reports_the_first_error_depth_first():
         net.conclusions.append(box.concl[0])
     with pytest.raises(InvalidNetError, match=f"dangling edge {strays[0]} "):
         validate(net)
+    mistyped = net.add_node("ax", [ONE, ONE])
+    net.conclusions += mistyped.concl
+    with pytest.raises(InvalidNetError, match="^bad ax$"):
+        validate(net)
     top = net.add_node("one", [ONE]).concl[0]
     with pytest.raises(InvalidNetError, match=f"dangling edge {top} "):
         validate(net)
+
+
+def test_levels_walk_depth_first_in_node_order():
+    shared = single_one_net()
+    middle = Net()
+    inner = middle.add_node("bangbox", [bang(ONE)], contents=[shared])
+    middle.conclusions = [inner.concl[0]]
+    net = bot_box_net()
+    choice = next(n for n in net.nodes.values() if n.kind == "botbox")
+    left, right = choice.contents
+    outer = net.add_node("bangbox", [bang(bang(ONE))], contents=[middle])
+    beside = net.add_node("bangbox", [bang(ONE)], contents=[shared])
+    net.conclusions += [outer.concl[0], beside.concl[0]]
+    validate(net)
+    assert check_correct(net) is None
+    # A content in two boxes is met once under each box's path.
+    expected = [
+        ((), net),
+        (((choice.nid, 0),), left),
+        (((choice.nid, 1),), right),
+        (((outer.nid, 0),), middle),
+        (((outer.nid, 0), (inner.nid, 0)), shared),
+        (((beside.nid, 0),), shared),
+    ]
+    walked = list(net.levels())
+    assert [path for path, _ in walked] == [path for path, _ in expected]
+    assert all(level is want for (_, level), (_, want) in zip(walked, expected))
+
+
+def test_levels_of_boxes_nested_1500_deep(default_recursion_limit):
+    net, boxes = nest_in_boxes(single_one_net(), 1500)
+    paths = [path for path, _ in net.levels()]
+    assert paths == [tuple((nid, 0) for nid in boxes[:depth]) for depth in range(1501)]
 
 
 @st.composite

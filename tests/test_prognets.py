@@ -598,7 +598,7 @@ import sys
 from tokennets.memory import IntRegisterMemory, ProbRegisterMemory, int_backend
 from tokennets.msiam import MachineInvariantError, MsSystem, Transition
 from tokennets.nets import (
-    BOT, ONE, InvalidNetError, Net, NetRedex, Node, fresh_id, reduce, validate)
+    BOT, ONE, InvalidNetError, Net, NetRedex, Node, bang, fresh_id, quest, reduce, validate)
 from tokennets.pcfll import (
     BASE, App, Closure, New, PcfRedex, TypedProgram, Var, closure_step, closure_step_det,
     parse, typecheck)
@@ -639,6 +639,12 @@ floating.add_node("one", [ONE])
 floating.conclusions = [kept.concl[0]]
 rejects(InvalidNetError, floating.signature)  # a node no conclusion reaches
 rejects(InvalidNetError, Net().copy_in, [one, twin], {one.concl[0]: ONE}, [])  # concluded twice
+boxed = Net()
+box = boxed.add_node("bangbox", [bang(ONE)], contents=[floating])
+weak, stray = boxed.add_node("weak", [quest(BOT)]), boxed.add_node("weak", [quest(BOT)])
+box_cut = boxed.add_node("cut", [], [box.concl[0], weak.concl[0]])
+wrong = NetRedex("w_box", (box_cut.nid, box.nid, stray.nid))
+rejects(InvalidNetError, reduce, boxed, wrong)  # a weakening the box is not cut against
 rejects(ValueError, Closure, New(), {"x": 0, "y": 0}, IntRegisterMemory())
 rejects(ValueError, Closure(Var("x"), {}, IntRegisterMemory()).canonical_key)
 stuck = Closure(Var("x"), {"x": 0}, IntRegisterMemory({0: 0}))

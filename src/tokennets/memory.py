@@ -200,6 +200,8 @@ BUILTIN_GATES: dict[str, tuple[int, np.ndarray]] = {
 
 def check_unitary(mat: np.ndarray, name: str = "gate") -> None:
     n = mat.shape[0]
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{name} has an entry that is not finite")
     if mat.shape != (n, n) or np.abs(mat.conj().T @ mat - np.eye(n)).max() > TOL:
         raise ValueError(f"{name} is not unitary")
 
@@ -232,6 +234,8 @@ def load_gate_config(path: str) -> dict[str, tuple[int, np.ndarray]]:
             name, arity = parts[0], int(parts[1])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: gate arity {parts[1]!r} is not an integer") from None
+        if arity < 1:
+            raise ValueError(f"{path}:{lineno}: gate {name} has arity {arity}, not 1 or more")
         dim = 2**arity
         entries = parts[2:]
         if len(entries) != dim * dim:
@@ -243,7 +247,7 @@ def load_gate_config(path: str) -> dict[str, tuple[int, np.ndarray]]:
         except ValueError:
             raise ValueError(f"{path}:{lineno}: gate {name} has a malformed entry") from None
         mat = np.array(vals, dtype=complex).reshape(dim, dim)
-        check_unitary(mat, name)
+        check_unitary(mat, f"{path}:{lineno}: gate {name}")
         gates[name] = (arity, mat)
     return gates
 

@@ -227,15 +227,9 @@ class MachineState:
         )
 
 
-_KIND_ORDER = {"link": 0, "spawn": 1, "move": 2, "update": 3, "test": 4}
-
-
 class Transition(NamedTuple):
     kind: str  # move | update | test | link | spawn
     data: tuple
-
-    def sort_key(self):
-        return (_KIND_ORDER[self.kind], self.data)
 
 
 class MsSystem:
@@ -444,20 +438,16 @@ class MsSystem:
     # -- transition enumeration -------------------------------------------
 
     def enumerate_redexes(self, st: MachineState) -> list[Transition]:
-        out = [Transition(kind, (nkey, t)) for kind, nkey, t in st.pending]
-        # A test, like a sync, waits while its token's origin has no address.
-        out += [Transition(act[0], (orig,)) for orig, act in st.acts.items()
-                if act is not None
-                and (act[0] == "move" or (act[0] == "test" and orig in st.ind))]
-        out += [Transition("update", u) for u in self._ready_updates(st)]
-        out.sort(key=Transition.sort_key)
-        return out
+        """The choices of `st`, by origin: a test for each live token at a
+        choice box whose origin has an address."""
+        return sorted(Transition("test", (orig,)) for orig, act in st.acts.items()
+                      if act is not None and act[0] == "test" and orig in st.ind)
 
     def next_det(self, st: MachineState) -> Transition | None:
-        """The first non-test transition of `enumerate_redexes(st)`: the
-        least pending site (links before spawns), else the least moving
-        token, else the least ready update.  That is `st.lead` when it is
-        set; a move found by the scan becomes `st.lead`."""
+        """The first deterministic transition of `st`: the least pending
+        site (links before spawns), else the least moving token, else the
+        least ready update.  That is `st.lead` when it is set; a move found
+        by the scan becomes `st.lead`."""
         if st.lead is not None:
             return st.lead
         if st.pending:
@@ -531,11 +521,11 @@ class MsSystem:
                 st.waiting.setdefault(gate, set()).add(orig)
 
     def apply(self, st: MachineState, tr: Transition) -> list[tuple[MachineState, float]]:
-        """Fire a transition: the successor states with their
-        probabilities.  `st` is left unchanged, and each successor is a
-        copy of its own."""
+        """Fire a test: the successor states with their probabilities.
+        `st` is left unchanged, and each successor is a copy of its own.
+        Any other transition raises `ValueError`: `step_det` fires it."""
         if tr.kind != "test":
-            return [(self.step_det(self.own(st), tr), 1.0)]
+            raise ValueError(f"{tr.kind} transition does not branch: use step_det")
         (orig,) = tr.data
         pos = st.tokens[orig]
         (level, eid), fstack, bstack = pos
@@ -569,7 +559,7 @@ class MsSystem:
         )
 
     def step_det(self, st: MachineState, tr: Transition) -> MachineState:
-        """The state after a non-branching transition, made by changing
+        """The state after a deterministic transition, made by changing
         `st` in place: `st` must come from `own` (or an earlier `step_det`)
         and is not to be used afterwards.  The lead survives only the move
         that is `st.lead` itself, and only if the token still moves."""
@@ -622,11 +612,6 @@ class MsSystem:
             st.memory = st.memory.update(tuple(addrs), node.label)
             return self._successor(st, moves)
         raise ValueError(f"{tr.kind} transition branches: use apply")
-
-    # -- classification ----------------------------------------------------
-
-    def is_branching(self, st: MachineState, tr: Transition) -> bool:
-        return tr.kind == "test"
 
     # -- initial state ------------------------------------------------------
 

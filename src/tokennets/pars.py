@@ -12,16 +12,15 @@ lift-step, split and diamond functions below, and the CLI, read the
 terminal and reducible parts it yields after each step.  It is
 also the one place that merges equal reducts and decides termination: a
 system's `apply` returns a plain list of (reduct, probability) pairs, and
-an element is terminal exactly when it has no redex.
+an element is terminal exactly when it offers no redex.
 
-`FusedSystem` runs the non-branching (Dirac) redexes of a system as one
-closure and exposes only the elements where a choice is left.  Each
-micro-step of the closure asks the system for one redex, `next_det`'s (the
-first non-branching redex in `enumerate_redexes` order), and fires it
-through `step_det`, which returns the bare reduct: no redex list is built,
-no `Distribution` either, and no intermediate element is hashed.  Only an
-element the closure exposes has its redexes enumerated in full, for the
-policy.  The closure owns its element: a branch reduct from `apply` is
+`FusedSystem` runs an engine.  The engine lists only its choices, the
+redexes that branch (a memory test), in its order; its other redexes are
+deterministic (Dirac) and commute, so their order is unobservable, and the
+closure fires them one at a time: each micro-step asks for `next_det`'s
+redex and fires it through `step_det`, which returns the bare reduct.  No
+redex list is built, no `Distribution` either, and no intermediate element
+is hashed.  The closure owns its element: a branch reduct from `apply` is
 private to it already, and any other element it starts from is copied once
 through `own`; `step_det` may then rewrite it in place.  An element the
 closure has exposed (returned, or put in a distribution) is never changed
@@ -42,30 +41,29 @@ Redex = Any
 
 
 class RewriteSystem(Protocol):
+    """`lifted_steps` reads `enumerate_redexes` and `apply`; `FusedSystem`
+    reads all five of the engine it runs."""
+
     def enumerate_redexes(self, a: Element) -> list[Redex]:
-        """Every redex of `a`, in the system's order; none when `a` is
-        terminal.  The driver calls it once per element it holds."""
+        """The redexes `a` offers the policy, in the system's order; `a` is
+        terminal when it offers none.  The driver calls it once per element
+        it holds.  An engine offers its choices only."""
 
     def apply(self, a: Element, r: Redex) -> list[tuple[Element, float]]:
-        """Fire any redex: its reducts with their probabilities, unmerged.
-        `a` is left unchanged, and each reduct is private to the caller,
-        who may hand it to `step_det`."""
-
-    # The rest is what `FusedSystem` needs to close over the system: each
-    # closure micro-step fires `next_det`'s redex through `step_det`.
-
-    def is_branching(self, a: Element, r: Redex) -> bool: ...
+        """Fire an offered redex: its reducts with their probabilities,
+        unmerged.  `a` is left unchanged, and each reduct is private to the
+        caller, who may hand it to `step_det`."""
 
     def next_det(self, a: Element) -> Redex | None:
-        """The first non-branching redex of `enumerate_redexes(a)`, or None,
-        found without building the list."""
+        """The first deterministic redex of `a` in the engine's order, or
+        None."""
 
     def own(self, a: Element) -> Element:
         """An element equal to `a` that no one else holds, for `step_det`
         to rewrite (`a` itself where `step_det` never changes its input)."""
 
     def step_det(self, a: Element, r: Redex) -> Element:
-        """The reduct of a non-branching redex, as a bare element.  May
+        """The reduct of a deterministic redex, as a bare element.  May
         rewrite `a` in place, so `a` must come from `own` or an earlier
         `step_det` and is not to be used afterwards."""
 
@@ -233,22 +231,19 @@ CONTINUE = "continue"
 
 
 class FusedSystem:
-    """Adapter that fuses runs of deterministic (Dirac) steps into one step.
+    """An engine as a rewrite system whose steps are its choices.
 
-    The underlying system tags each redex as branching or not via
-    `sys.is_branching(a, r)`; non-branching redexes must be Dirac, and the
-    closure fires the one `sys.next_det` names with `sys.step_det` on an
-    element it owns (see the module docstring).  Elements of the fused
-    system are kept closure-normal: all non-branching redexes are exhausted
-    (up to a step budget) before the element is exposed.  A fused step then
-    fires one branching redex and re-closes every branch, so one step of
-    this system corresponds to one observable choice point.  On diamond
-    systems this leaves terminal parts unchanged while collapsing long
-    deterministic runs.
+    Elements are kept closure-normal: the closure fires the engine's
+    deterministic redexes (see the module docstring) until none is left,
+    or the step budget runs out, before it exposes an element.  A fused
+    step then fires one of the engine's choices and closes every branch
+    again, so one step of this system is one observable choice point.  On
+    diamond systems this leaves terminal parts unchanged while collapsing
+    long deterministic runs.
 
-    When the budget interrupts a closure mid-run (a diverging deterministic
-    spine), the element is exposed with a single `CONTINUE` redex that simply
-    resumes the closure, so the element stays non-terminal.
+    An element offers the engine's choices if it has any; else, when the
+    budget cut its closure short (a diverging deterministic spine), a
+    single `CONTINUE` that resumes the closure, so it stays non-terminal.
     """
 
     def __init__(self, sys: RewriteSystem, budget: int = 500):
@@ -256,7 +251,7 @@ class FusedSystem:
         self.budget = budget
 
     def _closure(self, a: Element, owned: bool = False) -> Element:
-        """Fire non-branching redexes from `a` until none is left or the
+        """Fire deterministic redexes from `a` until none is left or the
         budget runs out.  With `owned` false, `a` is copied through `own`
         before the first step rewrites it; a branch reduct is owned."""
         sys = self.sys
@@ -273,13 +268,10 @@ class FusedSystem:
         return self._closure(a)
 
     def enumerate_redexes(self, a: Element) -> list[Redex]:
-        redexes = self.sys.enumerate_redexes(a)
-        branching = [r for r in redexes if self.sys.is_branching(a, r)]
-        if branching:
-            return branching
-        if redexes:
-            return [CONTINUE]
-        return []
+        choices = self.sys.enumerate_redexes(a)
+        if choices:
+            return choices
+        return [CONTINUE] if self.sys.next_det(a) is not None else []
 
     def apply(self, a: Element, r: Redex) -> list[tuple[Element, float]]:
         if r == CONTINUE:

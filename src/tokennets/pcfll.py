@@ -861,15 +861,13 @@ def _check_redex(ok: bool, kind: str, node) -> None:
         raise ValueError(f"not a {kind} redex: {type(node).__name__} node")
 
 
-def closure_step(cl: Closure, redex=None) -> list[tuple[Closure, float]]:
-    """Fire a redex (the head redex by default): the reducts with their
-    probabilities.  `cl` is left unchanged."""
-    found = cl.redex if redex is None else redex
-    if found is None:
-        raise ValueError(f"no redex in {term_str(cl.term)}")
-    kind, node, ctx = found
+def closure_step(cl: Closure, redex) -> list[tuple[Closure, float]]:
+    """Fire a test redex: the reducts with their probabilities.  `cl` is
+    left unchanged.  Any other redex raises `ValueError`:
+    `closure_step_det` fires it."""
+    kind, node, ctx = redex
     if kind != "test":
-        return [(closure_step_det(cl, found), 1.0)]
+        raise ValueError(f"{kind} redex does not branch: use closure_step_det")
     _check_redex(isinstance(node, If) and isinstance(node.guard, Var), kind, node)
     i = cl.ind[node.guard.name]
     ind2 = {v: a for v, a in cl.ind.items() if v != node.guard.name}
@@ -880,7 +878,7 @@ def closure_step(cl: Closure, redex=None) -> list[tuple[Closure, float]]:
 
 
 def closure_step_det(cl: Closure, redex) -> Closure:
-    """The reduct of a non-branching redex; `cl` is left unchanged."""
+    """The reduct of a deterministic redex; `cl` is left unchanged."""
     kind, node, ctx = redex
     if kind == "link":
         _check_redex(isinstance(node, New), kind, node)
@@ -919,7 +917,8 @@ class PcfSystem:
     its head redex, so neither `enumerate_redexes` nor `next_det` searches."""
 
     def enumerate_redexes(self, cl: Closure):
-        return [] if cl.redex is None else [cl.redex]
+        found = cl.redex
+        return [found] if found is not None and found.kind == "test" else []
 
     def next_det(self, cl: Closure):
         found = cl.redex
@@ -933,6 +932,3 @@ class PcfSystem:
 
     def step_det(self, cl: Closure, r) -> Closure:
         return closure_step_det(cl, r)
-
-    def is_branching(self, cl: Closure, r) -> bool:
-        return r[0] == "test"

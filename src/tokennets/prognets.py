@@ -81,30 +81,19 @@ class ProgramNet:
 
 
 def enumerate_redexes(pn: ProgramNet) -> list[PnRedex]:
-    """Links of the top-level one nodes without an address, by node id,
-    then the net redexes in `find_redexes` order; a test or sync redex
-    waits until its one nodes are linked."""
-    net, ind = pn.net, pn.ind
-    unlinked = {nid for nid in pn.unlinked if net.nodes[nid].concl[0] not in ind}
-    out = [PnRedex("link", node=nid) for nid in sorted(unlinked)]
-    for r in find_redexes(net):
-        if r.kind == "test":
-            ready = net.nodes[r.nodes[2]].concl[0] in ind
-        elif r.kind == "sync":
-            ready = all(e in ind for e in net.nodes[r.nodes[0]].prem)
-        else:
-            ready = True
-        if ready:
-            out.append(PnRedex("net", net_redex=r))
-    return out
+    """The choices of `pn`: its test redexes in `find_redexes` order, each
+    once its one node is linked."""
+    nodes, ind = pn.net.nodes, pn.ind
+    return [PnRedex("net", net_redex=r) for r in find_redexes(pn.net)
+            if r.kind == "test" and nodes[r.nodes[2]].concl[0] in ind]
 
 
 def next_det(pn: ProgramNet) -> PnRedex | None:
-    """The first non-test redex of `enumerate_redexes(pn)`, without the
-    list: the least link, else the least net redex other than a test.  Each
-    is the first valid entry of a heap, `pn.unlinked` and the level's
-    `ready`, and a stale entry at the top is dropped for good.  With every
-    top-level one node linked, every sync redex is ready."""
+    """The first deterministic redex of `pn`: the least link (by node id),
+    else the least net redex other than a test.  Each is the first valid
+    entry of a heap, `pn.unlinked` and the level's `ready`, and a stale
+    entry at the top is dropped for good.  With every top-level one node
+    linked, every sync redex is ready."""
     unlinked, nodes, ind = pn.unlinked, pn.net.nodes, pn.ind
     while unlinked:
         if nodes[unlinked[0]].concl[0] not in ind:
@@ -128,7 +117,7 @@ def own(pn: ProgramNet) -> ProgramNet:
 
 
 def rewrite(pn: ProgramNet, r: PnRedex) -> ProgramNet:
-    """Fire a non-branching redex, changing `pn` (its net, address map,
+    """Fire a deterministic redex, changing `pn` (its net, address map,
     memory and `unlinked`) in place, and return it: `pn` must be private
     to the caller (see `own`)."""
     if r.kind == "link":
@@ -150,19 +139,20 @@ def rewrite(pn: ProgramNet, r: PnRedex) -> ProgramNet:
 
 
 def step(pn: ProgramNet, r: PnRedex) -> list[tuple[ProgramNet, float]]:
-    """Fire a redex: the reducts with their probabilities.  `pn` is left
-    unchanged, and each reduct has a net of its own."""
-    if r.kind == "net" and r.net_redex.kind == "test":
-        nr = r.net_redex
-        one_edge = pn.net.nodes[nr.nodes[2]].concl[0]
-        i = pn.ind[one_edge]
-        out = []
-        for (outcome, m2), p in pn.memory.test(i):
-            branch = reduce_test(copy.deepcopy(pn.net), nr, 1 if outcome else 0)
-            ind2 = {e: a for e, a in pn.ind.items() if e in branch.edges}
-            out.append((ProgramNet(branch, ind2, m2), p))
-        return out
-    return [(rewrite(own(pn), r), 1.0)]
+    """Fire a test redex: the reducts with their probabilities.  `pn` is
+    left unchanged, and each reduct has a net of its own.  Any other redex
+    raises `ValueError`: `rewrite` fires it."""
+    nr = r.net_redex
+    if nr is None or nr.kind != "test":
+        raise ValueError(f"{nr.kind if nr else r.kind} redex does not branch: use rewrite")
+    one_edge = pn.net.nodes[nr.nodes[2]].concl[0]
+    i = pn.ind[one_edge]
+    out = []
+    for (outcome, m2), p in pn.memory.test(i):
+        branch = reduce_test(copy.deepcopy(pn.net), nr, 1 if outcome else 0)
+        ind2 = {e: a for e, a in pn.ind.items() if e in branch.edges}
+        out.append((ProgramNet(branch, ind2, m2), p))
+    return out
 
 
 class PnSystem:
@@ -182,6 +172,3 @@ class PnSystem:
 
     def step_det(self, pn: ProgramNet, r: PnRedex) -> ProgramNet:
         return rewrite(pn, r)
-
-    def is_branching(self, pn: ProgramNet, r: PnRedex) -> bool:
-        return r.kind == "net" and r.net_redex.kind == "test"

@@ -36,6 +36,7 @@ from tokennets.pars import (
 from tokennets.pcfll import Closure, PcfSystem, parse, typecheck
 from tokennets.prognets import PnSystem
 from tokennets.translate import translate
+from unfused import Unfused
 
 TOL = 1e-9
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
@@ -232,7 +233,7 @@ def test_reachable_nets_with_cuts_have_redexes(name, bk, src):
     backend = BACKENDS[bk]()
     term = parse(src, backend.labels)
     pn = translate(typecheck(term), backend)
-    sys_ = PnSystem()
+    sys_ = Unfused(PnSystem())
     mu = Distribution.dirac(pn)
     depth = 30 if name == "omega.pcf" else 120
     for _ in range(depth):

@@ -96,13 +96,23 @@ def test_missing_gates_file_exit_code(tmp_path, capsys):
 
 
 def test_malformed_gates_file_exit_code(tmp_path, capsys):
-    f = write(tmp_path, "H new")
     cfg = tmp_path / "gates.cfg"
-    cfg.write_text("T, one, 1, 0, 0, 1\n")
-    code = main([f, "--backend", "quantum", "--gates", str(cfg)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error:") and "gates.cfg:1" in err and err.count("\n") == 1
+    for program, line in [
+        ("H new", "T, one, 1, 0, 0, 1"),
+        ("W new", "W, 0, 1"),  # a 0-ary gate: its tuple type never ends
+        ("W new", "W, -1"),
+        # A NaN entry passes the unitarity bound, and the test's branch
+        # would be pruned: probability 1.
+        ("if V new then new else new", "V, 1, 1, 0, 0, nan"),
+    ]:
+        cfg.write_text(f"# a comment line\n{line}\n")
+        code = main([write(tmp_path, program), "--backend", "quantum", "--engine", "all",
+                     "--gates", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2, (line, captured)
+        err = captured.err
+        assert err.startswith("error:") and "gates.cfg:2" in err and err.count("\n") == 1, line
+        assert not captured.out, line
 
 
 @pytest.mark.parametrize("role", ["program", "gates"])

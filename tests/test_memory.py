@@ -1,4 +1,5 @@
 import math
+import re
 from functools import reduce
 
 import numpy as np
@@ -205,9 +206,18 @@ def test_gate_config(tmp_path):
 
 def test_gate_config_rejects_non_unitary(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("B, 1, 1+0i, 1+0i, 0+0i, 1+0i\n")
-    with pytest.raises(ValueError):
-        load_gate_config(str(cfg))
+    for line, message in [
+        ("B, 1, 1+0i, 1+0i, 0+0i, 1+0i", "gate B is not unitary"),
+        ("V, 1, 1, 0, 0, nan", "gate V has an entry that is not finite"),
+        ("V, 1, nan, 0, 0, 1", "gate V has an entry that is not finite"),
+        ("W, 0, 1", "gate W has arity 0, not 1 or more"),
+        ("W, -1", "gate W has arity -1, not 1 or more"),
+    ]:
+        cfg.write_text(line + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(cfg))}:1: {message}$"):
+            load_gate_config(str(cfg))
+    with pytest.raises(ValueError, match="not finite"):
+        check_unitary(np.array([[1, 0], [0, np.inf]], dtype=complex))
 
 
 def test_check_unitary():

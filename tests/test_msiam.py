@@ -18,7 +18,6 @@ from tokennets.msiam import (
     STAR,
     Transition,
     indicator,
-    inner_edge,
 )
 from tokennets.nets import BOT, ONE, bang, par, quest, tensor
 from tokennets.pars import (
@@ -32,6 +31,7 @@ from tokennets.pcfll import Closure, PcfSystem, parse, typecheck
 from tokennets.translate import translate
 
 from test_nets import nest_in_boxes, single_one_net
+from unfused import ScanSystem, Unfused, full_redexes, scan_copies
 
 BACKENDS = {
     "int": int_backend,
@@ -58,7 +58,8 @@ def pcf_converge(src, backend, horizon=300):
     term = parse(src, backend.labels)
     typecheck(term)
     cl = Closure(term, {}, backend.initial())
-    return converge(Distribution.dirac(cl), PcfSystem(), leftmost_policy, horizon=horizon)
+    return converge(Distribution.dirac(cl), Unfused(PcfSystem()), leftmost_policy,
+                    horizon=horizon)
 
 
 # -- stack indicator [TRIVIAL-style oracles: computed by hand] -------------
@@ -88,7 +89,7 @@ def test_single_allocation_runs_to_final():
     st = sys.initial_state()
     assert not st.tokens  # a 1-conclusion has no initial tokens
     final = FusedSystem(sys).prepare(st)
-    assert not sys.enumerate_redexes(final)
+    assert not full_redexes(sys, final)
     assert not final.acts
     ((orig, pos),) = final.tokens.items()
     assert sys.index.is_root_conclusion(pos[0])
@@ -202,53 +203,6 @@ def corpus_programs():
 CORPUS = corpus_programs()
 
 
-def _gate(level):
-    return (None, 0) if not level else ((level[:-1], level[-1][0]), level[-1][1])
-
-
-def scan_copies(sys, st, box_nkey, ci=0):
-    """Open copies of a box side, by scanning every token for a marker."""
-    if box_nkey is None:
-        return {()}
-    box = sys.index.node(box_nkey)
-    door = inner_edge(box_nkey[0], box, ci, 0)
-    want = (DELTA,) if box.kind in ("bangbox", "ybox") else ()
-    return {pos[2] for pos in st.tokens.values() if pos[0] == door and pos[1] == want}
-
-
-class ScanSystem(MsSystem):
-    """The machine without indexes: every enumeration rescans every token
-    and every link/spawn site of every open copy."""
-
-    def copies(self, st, box_nkey, ci=0):
-        return scan_copies(self, st, box_nkey, ci)
-
-    def enumerate_redexes(self, st):
-        out = []
-        sync_tokens = {}
-        for orig, pos in st.tokens.items():
-            act = self.token_step(st, pos)
-            if act is None:
-                continue
-            if act[0] in ("move", "test"):
-                out.append(Transition(act[0], (orig,)))
-            elif act[0] == "sync":
-                sync_tokens.setdefault((act[1], act[2]), set()).add(pos[0])
-        for (sync_nkey, t), prem_edges in sync_tokens.items():
-            level = sync_nkey[0]
-            if all((level, e) in prem_edges for e in self.index.node(sync_nkey).prem):
-                out.append(Transition("update", (sync_nkey, t)))
-        for level, net in self.index.level_net.items():
-            for nid, node in net.nodes.items():
-                if node.kind not in ("one", "der"):
-                    continue
-                kind, fstack = ("link", ()) if node.kind == "one" else ("spawn", (STAR, DELTA))
-                for t in self.copies(st, *_gate(level)):
-                    if ((level, node.concl[0]), fstack, t) not in st.tokens:
-                        out.append(Transition(kind, ((level, nid), t)))
-        return sorted(out, key=Transition.sort_key)
-
-
 def rebuilt_indexes(sys, st):
     """(live origins, actions, waiting, open copies, pending sites)
     computed from the token map."""
@@ -301,7 +255,7 @@ class CheckedSystem(MsSystem):
 
     def enumerate_redexes(self, st):
         out = super().enumerate_redexes(st)
-        assert out == self.reference.enumerate_redexes(st)
+        assert out == [tr for tr in self.reference.enumerate_redexes(st) if tr.kind == "test"]
         self.check_indexes(st)
         self.checked += 1
         return out
@@ -360,17 +314,17 @@ def test_token_steps_per_micro_step_do_not_grow(horizon, monkeypatch):
     assert calls["token_step"] <= calls["micro"]
 
 
-class LeadChecked(MsSystem):
+class LeadChecked(Unfused):
     """The unfused machine, checking every successor of every transition
     it applies: `next_det`, which reads the successor's lead when it has
-    one, names the first non-branching redex of its enumeration.  Before
+    one, names the first deterministic redex of its enumeration.  Before
     each transition it asks `next_det` for the state's lead, and it fires
     a transition equal to that lead as the lead itself, so that `step_det`
     may keep it.  `others` collects the kinds of the transitions it fires
     that are not `next_det`'s."""
 
     def __init__(self, pn):
-        super().__init__(pn)
+        super().__init__(MsSystem(pn))
         self.others = set()
         self.kept = 0
 
@@ -383,7 +337,7 @@ class LeadChecked(MsSystem):
         out = super().apply(st, tr)
         for nxt, _ in out:
             self.kept += nxt.lead is not None
-            det = [r for r in self.enumerate_redexes(nxt) if not self.is_branching(nxt, r)]
+            det = [r for r in self.enumerate_redexes(nxt) if r.kind != "test"]
             assert self.next_det(nxt) == (det[0] if det else None), (tr, nxt.lead)
         return out
 
@@ -545,7 +499,7 @@ def test_index_of_boxes_nested_1500_deep(default_recursion_limit):
 @pytest.mark.parametrize("kind", ["link", "spawn"])
 def test_firing_a_site_twice_is_rejected(kind):
     pn, _ = make(r"(\f. <f new, f new>) (\x. x)", "int")
-    sys = MsSystem(pn)
+    sys = Unfused(MsSystem(pn))
     st = sys.initial_state()
     while True:
         redexes = sys.enumerate_redexes(st)
@@ -561,7 +515,7 @@ def test_firing_a_site_twice_is_rejected(kind):
 
 def test_link_to_a_bound_address_is_rejected(monkeypatch):
     pn, _ = make("<new, new>", "int")
-    sys = MsSystem(pn)
+    sys = Unfused(MsSystem(pn))
     st = sys.initial_state()
     first, second = sys.enumerate_redexes(st)
     ((st, _),) = sys.apply(st, first)
@@ -573,7 +527,7 @@ def test_link_to_a_bound_address_is_rejected(monkeypatch):
 
 def test_test_transition_off_a_choice_box_is_rejected():
     pn, _ = make(r"(\x. x) new", "int")
-    sys = MsSystem(pn)
+    sys = Unfused(MsSystem(pn))
     st = sys.initial_state()
     (link,) = sys.enumerate_redexes(st)
     ((st, _),) = sys.apply(st, link)

@@ -1,7 +1,9 @@
-"""Every engine's `next_det` names the redex a full enumeration would put
-first among the non-branching ones, at every step of every closure; and
-the pcf machine's refocused search finds the redex a search from the root
-of the whole term finds."""
+"""Against the full enumeration of `unfused.full_redexes`, at every step of
+every closure: every engine's `next_det` names its first deterministic
+redex, and `apply` refuses that redex; at every exposed element, the
+engine's `enumerate_redexes` is its tests, in the same order.  And the pcf
+machine's refocused search finds the redex a search from the root of the
+whole term finds."""
 
 import os
 import random
@@ -14,6 +16,7 @@ from tokennets.pars import Distribution, FusedSystem, leftmost_policy, seeded_po
 from tokennets.pcfll import (
     App, Closure, Const, If, Lam, LetPair, LetRec, New, Pair, PcfRedex, PcfSystem, Var)
 from test_surface_index import program, programs
+from unfused import full_redexes, rule
 
 
 def same_redex(r, s) -> bool:
@@ -25,22 +28,34 @@ def same_redex(r, s) -> bool:
 
 
 class NextDetChecked:
-    """An engine's system whose `next_det` is checked against the first
-    non-branching redex of its `enumerate_redexes`."""
+    """An engine checked against its full enumeration: `next_det` names
+    the first deterministic redex, which `apply` refuses, and
+    `enumerate_redexes` lists the tests."""
 
     def __init__(self, sys):
         self.sys = sys
         self.steps = 0
+        self.exposed = 0
 
     def __getattr__(self, name):
         return getattr(self.sys, name)
 
     def next_det(self, a):
         r = self.sys.next_det(a)
-        det = [x for x in self.sys.enumerate_redexes(a) if not self.sys.is_branching(a, x)]
+        det = [x for x in full_redexes(self.sys, a) if rule(x) != "test"]
         assert same_redex(r, det[0] if det else None)
+        if r is not None:
+            with pytest.raises(ValueError):
+                self.sys.apply(a, r)
         self.steps += 1
         return r
+
+    def enumerate_redexes(self, a):
+        out = self.sys.enumerate_redexes(a)
+        tests = [x for x in full_redexes(self.sys, a) if rule(x) == "test"]
+        assert len(out) == len(tests) and all(map(same_redex, out, tests))
+        self.exposed += 1
+        return out
 
 
 @pytest.mark.parametrize("policy", ["leftmost", "seeded"])
@@ -61,7 +76,8 @@ def test_next_det_is_the_first_non_branching_redex(engine, policy, monkeypatch):
         pick = leftmost_policy if policy == "leftmost" else seeded_policy(0)
         p, _ = converge(Distribution.dirac(start), fused, pick, horizon)
         assert p == pytest.approx(0.0 if name == "omega.pcf" else 1.0), name
-        assert checked.pop().steps > 0, name
+        sys_ = checked.pop()
+        assert sys_.steps > 0 and sys_.exposed > 0, name
 
 
 # -- the refocused pcf search against a search from the root ----------------

@@ -60,16 +60,15 @@ class Fork:
 
 
 class Chain:
-    """n counts down deterministically to 0, which branches to halt or 5."""
+    """n counts down deterministically to 0, which branches to halt or 5.
+    Like an engine, it lists only its choices: "branch", never "dec"."""
 
     def enumerate_redexes(self, a):
-        if a == "halt":
-            return []
-        return ["branch"] if a == 0 else ["dec"]
+        return ["branch"] if a == 0 else []
 
     def apply(self, a, r):
-        if r == "dec":
-            return [(a - 1, 1.0)]
+        if r != "branch":
+            raise ValueError(f"{r} does not branch")
         return [("halt", 0.5), (5, 0.5)]
 
     def next_det(self, a):
@@ -81,9 +80,6 @@ class Chain:
     def step_det(self, a, r):
         assert r == "dec"
         return a - 1
-
-    def is_branching(self, a, r):
-        return r == "branch"
 
 
 GEO = Geometric()
@@ -215,6 +211,24 @@ def test_fused_system_budget_continue():
     assert a == 7
     assert fused.enumerate_redexes(a) == [CONTINUE]
     assert fused.apply(a, CONTINUE) == [(4, 1.0)]
+
+
+def test_fused_system_offers_choices_else_continue_else_nothing():
+    class EvenBranches(Chain):
+        """Chain whose even numbers branch too."""
+
+        def enumerate_redexes(self, a):
+            return ["branch"] if a != "halt" and a % 2 == 0 else []
+
+    fused = FusedSystem(EvenBranches(), budget=2)
+    # A choice wins over the "dec" a budget cut left behind.
+    assert fused.prepare(10) == 8 and fused.enumerate_redexes(8) == ["branch"]
+    # Only "dec" is left: the closure resumes.
+    assert fused.prepare(9) == 7 and fused.enumerate_redexes(7) == [CONTINUE]
+    assert fused.prepare(1) == 0 and fused.enumerate_redexes(0) == ["branch"]
+    assert fused.enumerate_redexes("halt") == []
+    with pytest.raises(ValueError):
+        fused.apply(7, "dec")
 
 
 # -- the driver against the step loop it replaced ---------------------------

@@ -48,6 +48,7 @@ from tokennets.pcfll import (
     typecheck,
     walk,
 )
+from unfused import Unfused
 
 INT_OPS = IntRegisterMemory.labels
 PROB_OPS = ProbRegisterMemory.labels
@@ -318,7 +319,7 @@ def run(src, backend, steps=200):
     term = parse(src, ops)
     typecheck(term)
     cl = Closure(term, {}, backend.initial())
-    sys = PcfSystem()
+    sys = Unfused(PcfSystem())
     *_, (dist, _, _) = lifted_steps(Distribution.dirac(cl), sys, leftmost_policy, steps, 0.0)
     return dist, sys
 
@@ -469,6 +470,6 @@ def test_machine_diamond_smoke():
         typecheck(term)
         seeds.append(Closure(term, {}, ProbRegisterMemory()))
     report = check_diamond(
-        PcfSystem(), seeds, depth=6, policies=(leftmost_policy, seeded_policy(3))
+        Unfused(PcfSystem()), seeds, depth=6, policies=(leftmost_policy, seeded_policy(3))
     )
     assert report.passed, report.failures

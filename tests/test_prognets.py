@@ -20,7 +20,7 @@ from tokennets.memory import (
     quantum_backend,
 )
 from tokennets.msiam import MachineState, MsSystem
-from tokennets.nets import BOT, Net, ONE, SurfaceIndex, validate
+from tokennets.nets import BOT, Net, ONE, SurfaceIndex, find_redexes, validate
 from tokennets.pars import (
     TOL,
     Distribution,
@@ -32,9 +32,9 @@ from tokennets.pars import (
     seeded_policy,
 )
 from tokennets.pcfll import Closure, PcfSystem, parse, typecheck
-from tokennets.prognets import (
-    PnSystem, ProgramNet, enumerate_redexes, next_det, own, rewrite, step)
+from tokennets.prognets import PnSystem, ProgramNet, enumerate_redexes, next_det, own, rewrite
 from tokennets.translate import translate
+from unfused import Unfused, full_redexes, pn_redexes, rule
 
 
 def single_one_net():
@@ -47,12 +47,12 @@ def single_one_net():
 def test_inputs_and_link():
     net = single_one_net()
     pn = ProgramNet(net, {}, IntRegisterMemory())
-    (r,) = enumerate_redexes(pn)
+    (r,) = pn_redexes(pn)
     assert r.kind == "link"
-    ((pn2, p),) = step(pn, r)
+    ((pn2, p),) = Unfused(PnSystem()).apply(pn, r)
     assert p == 1.0
     assert pn2.ind == {net.conclusions[0]: 0}
-    assert enumerate_redexes(pn2) == []
+    assert pn_redexes(pn2) == []
 
 
 def test_link_avoids_memory_support_and_ind():
@@ -61,8 +61,8 @@ def test_link_avoids_memory_support_and_ind():
     one2 = net.add_node("one", [ONE])
     net.conclusions = [one1.concl[0], one2.concl[0]]
     pn = ProgramNet(net, {one1.concl[0]: 0}, IntRegisterMemory({2: 7}))
-    r = next(x for x in enumerate_redexes(pn) if x.kind == "link")
-    ((pn2, _),) = step(pn, r)
+    r = next(x for x in pn_redexes(pn) if x.kind == "link")
+    ((pn2, _),) = Unfused(PnSystem()).apply(pn, r)
     assert pn2.ind[one2.concl[0]] == 1  # skips 0 (ind) but also 2 (memory)
 
 
@@ -99,7 +99,7 @@ def counter_net():
 
 def test_sync_update():
     pn = ProgramNet(counter_net(), {}, IntRegisterMemory())
-    sys = PnSystem()
+    sys = Unfused(PnSystem())
     *_, (dist, _, _) = lifted_steps(Distribution.dirac(pn), sys, leftmost_policy, 2, 0.0)
     ((final, p),) = list(dist)
     assert p == 1.0
@@ -111,7 +111,7 @@ def test_sync_update():
 def test_sync_requires_all_premises_linked():
     net = counter_net()
     pn = ProgramNet(net, {}, IntRegisterMemory())
-    kinds = [r.kind for r in enumerate_redexes(pn)]
+    kinds = [r.kind for r in pn_redexes(pn)]
     assert kinds == ["link"]  # sync gated until its premise is active
 
 
@@ -162,7 +162,7 @@ def coin_choice_net():
 
 def test_coin_choice_probabilities():
     pn = ProgramNet(coin_choice_net(), {}, ProbRegisterMemory())
-    sys = PnSystem()
+    sys = Unfused(PnSystem())
     p, hit = converge(Distribution.dirac(pn), sys, leftmost_policy, horizon=10)
     assert p == pytest.approx(1.0, abs=1e-12)
     assert not hit
@@ -176,19 +176,27 @@ def test_coin_choice_probabilities():
 
 def test_test_redex_gated_until_guard_linked():
     pn = ProgramNet(coin_choice_net(), {}, ProbRegisterMemory())
-    kinds = [r.kind for r in enumerate_redexes(pn)]
+    kinds = [r.kind for r in pn_redexes(pn)]
     assert kinds == ["link"]
+    # A guard cut straight against the choice box: the test is there, and
+    # the engine offers it only once the guard is linked.
+    backend = int_backend()
+    pn = translate(typecheck(parse("if new then new else new", backend.labels)), backend)
+    assert [r.kind for r in find_redexes(pn.net)] == ["test"]
+    assert enumerate_redexes(pn) == []
+    closed = FusedSystem(PnSystem()).prepare(pn)
+    assert [rule(r) for r in enumerate_redexes(closed)] == ["test"]
 
 
 def test_diamond_and_fusion():
-    sys = PnSystem()
+    sys = Unfused(PnSystem())
     seeds = [
         ProgramNet(coin_choice_net(), {}, ProbRegisterMemory()),
         ProgramNet(counter_net(), {}, IntRegisterMemory()),
     ]
     report = check_diamond(sys, seeds, depth=8, policies=(leftmost_policy, seeded_policy(7)))
     assert report.passed, report.failures
-    fused = FusedSystem(sys)
+    fused = FusedSystem(PnSystem())
     mu = Distribution.dirac(fused.prepare(seeds[0]))
     p, hit = converge(mu, fused, leftmost_policy, horizon=5)
     assert p == pytest.approx(1.0, abs=1e-12)
@@ -212,27 +220,29 @@ def net_snapshot(pn):
 
 
 def reference_closure(fused, a):
-    """The closure before the Dirac fast path: fire each non-branching redex
-    through the persistent `apply` and unwrap its single reduct."""
-    sys = fused.sys
+    """The closure before the Dirac fast path: fire the first deterministic
+    redex of the full enumeration through the unfused, persistent `apply`,
+    and unwrap its single reduct, until none is left."""
     for _ in range(fused.budget):
-        det = [r for r in sys.enumerate_redexes(a) if not sys.is_branching(a, r)]
+        det = [r for r in full_redexes(fused.sys, a) if rule(r) != "test"]
         if not det:
             return a
-        ((a, p),) = sys.apply(a, det[0])
+        ((a, p),) = fused.unfused.apply(a, det[0])
         assert p == 1.0
     return a
 
 
 class OracleFused(FusedSystem):
-    """Checks every closure against `reference_closure`.  An element the
+    """Checks every closure against `reference_closure`, which fires
+    through `unfused` (by default `Unfused(sys)`).  An element the
     closure does not own is checked afterwards, which also shows that the
     closure left it as it was; a branch reduct, which the closure rewrites
     in place, is checked on a deep copy (`snapshot`) taken before."""
 
-    def __init__(self, sys, snapshot):
+    def __init__(self, sys, snapshot, unfused=None):
         super().__init__(sys)
         self.snapshot = snapshot
+        self.unfused = Unfused(sys) if unfused is None else unfused
         self.closures = 0
 
     def _closure(self, a, owned=False):
@@ -275,7 +285,9 @@ def ms_parts(st):
 
 
 class UnchangedApply(MsSystem):
-    """The machine, checking that `apply` leaves its argument as it was."""
+    """The machine, checking that firing a transition leaves its state as it
+    was.  Its `apply` fires any transition, as `Unfused.apply` does: a test
+    through the machine's `apply`, any other through `own` and `step_det`."""
 
     def __init__(self, pn):
         super().__init__(pn)
@@ -283,7 +295,10 @@ class UnchangedApply(MsSystem):
 
     def apply(self, st, tr):
         before = ms_snapshot(st)
-        out = super().apply(st, tr)
+        if tr.kind == "test":
+            out = super().apply(st, tr)
+        else:
+            out = [(self.step_det(self.own(st), tr), 1.0)]
         assert ms_parts(st) == ms_parts(before), tr
         self.applied["test" if tr.kind == "test" else "other"] += 1
         return out
@@ -293,7 +308,7 @@ class UnchangedApply(MsSystem):
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
 def test_machine_closure_owns_its_copy(path, policy):
     sys = UnchangedApply(translated(path))
-    fused = OracleFused(sys, ms_snapshot)
+    fused = OracleFused(sys, ms_snapshot, unfused=sys)
     pick = leftmost_policy if policy == "leftmost" else seeded_policy(0)
     horizon = 3 if path.name == "omega.pcf" else 40
     mu = Distribution.dirac(fused.prepare(sys.initial_state()))
@@ -302,7 +317,7 @@ def test_machine_closure_owns_its_copy(path, policy):
         mu = lift_step(mu, fused, pick)
         exposed.extend((el, ms_snapshot(el)) for el in mu.support())
     assert fused.closures > 0
-    # The reference closures apply every non-branching kind of transition.
+    # The reference closures apply every deterministic kind of transition.
     assert sys.applied["other"] > 0
     assert sys.applied["test"] > 0 or "if " not in path.read_text()
     for el, snap in exposed:
@@ -602,7 +617,7 @@ from tokennets.nets import (
 from tokennets.pcfll import (
     BASE, App, Closure, New, PcfRedex, TypedProgram, Var, closure_step, closure_step_det,
     parse, typecheck)
-from tokennets.prognets import PnRedex, ProgramNet, step
+from tokennets.prognets import PnRedex, ProgramNet, own, rewrite, step
 from tokennets.translate import translate
 
 assert sys.flags.optimize
@@ -622,7 +637,9 @@ def rejects(error, f, *args):
 
 rejects(ValueError, ProgramNet, net, {one.concl[0]: 0, ax.concl[1]: 0}, IntRegisterMemory())
 pure = PnRedex("net", net_redex=NetRedex("ax", (cut.nid, ax.nid)))
-rejects(InvalidNetError, step, ProgramNet(net, {ax.concl[1]: 0}, IntRegisterMemory({0: 0})), pure)
+consumed = ProgramNet(net, {ax.concl[1]: 0}, IntRegisterMemory({0: 0}))
+rejects(InvalidNetError, rewrite, own(consumed), pure)
+rejects(ValueError, step, consumed, pure)  # a redex that does not branch
 rejects(ValueError, MsSystem, ProgramNet(net, {ax.concl[1]: 0}, IntRegisterMemory()))
 rejects(ValueError, ProbRegisterMemory, {0: 1.5})
 rejects(ValueError, reduce, net, NetRedex("test", (cut.nid, ax.nid, one.nid)))
@@ -648,7 +665,7 @@ rejects(InvalidNetError, reduce, boxed, wrong)  # a weakening the box is not cut
 rejects(ValueError, Closure, New(), {"x": 0, "y": 0}, IntRegisterMemory())
 rejects(ValueError, Closure(Var("x"), {}, IntRegisterMemory()).canonical_key)
 stuck = Closure(Var("x"), {"x": 0}, IntRegisterMemory({0: 0}))
-rejects(ValueError, closure_step, stuck)  # no redex
+rejects(ValueError, closure_step, stuck, PcfRedex("beta", New(), None))  # does not branch
 rejects(ValueError, closure_step, stuck, PcfRedex("test", New(), None))
 rejects(ValueError, closure_step_det, stuck, PcfRedex("beta", New(), None))
 applied_new = TypedProgram(App(New(), New()), BASE, {}, {}, set())
@@ -656,19 +673,21 @@ rejects(InvalidNetError, translate, applied_new, int_backend())  # `new` is not 
 identity = typecheck(parse(r"(\\x. x) new", int_backend().labels))
 machine = MsSystem(translate(identity, int_backend()))
 st = machine.own(machine.initial_state())
-(link,) = machine.enumerate_redexes(st)
+link = machine.next_det(st)
+rejects(ValueError, machine.apply, st, link)  # a transition that does not branch
 st = machine.step_det(st, link)
 again = machine.own(st)
 again.pending.add((link.kind, *link.data))
 rejects(MachineInvariantError, machine.step_det, again, link)  # a second token at an origin
-(move,) = machine.enumerate_redexes(st)
+move = machine.next_det(st)
 (orig,) = move.data
 del st.tokens[orig]
 rejects(MachineInvariantError, machine.step_det, st, move)  # a token missing from the token map
 chain = MsSystem(translate(typecheck(parse("S (S new)", int_backend().labels)), int_backend()))
 sync = min(nid for nid, node in chain.index.level_net[()].nodes.items() if node.kind == "sync")
 unready = Transition("update", (((), sync), ()))
-rejects(MachineInvariantError, chain.apply, chain.initial_state(), unready)  # no token on a premise
+# No token on a premise.
+rejects(MachineInvariantError, chain.step_det, chain.own(chain.initial_state()), unready)
 print("ok")
 """
 

@@ -17,8 +17,9 @@ from tokennets.cli import build_backend, make_engine
 from tokennets.nets import Net, find_redexes, reduce, reduce_test
 from tokennets.pars import TOL, Distribution, leftmost_policy, lifted_steps
 from tokennets.pcfll import parse, typecheck
-from tokennets.prognets import enumerate_redexes
+from tokennets.prognets import enumerate_redexes, next_det
 from tokennets.translate import translate
+from unfused import pn_redexes, rule
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 CORPUS = sorted(CORPUS_DIR.glob("*.pcf"))
@@ -28,14 +29,6 @@ def rebuilt_redexes(level: Net) -> list:
     """`find_redexes` of a fresh view of the level, indexed anew: every cut
     and sync node classified from scratch."""
     return find_redexes(Net(level.nodes.values(), level.edges, level.conclusions))
-
-
-def pn_redex_key(r):
-    """The order `enumerate_redexes` lists its redexes in: links by node
-    id, then net redexes in `NetRedex.sort_key` order."""
-    if r.kind == "link":
-        return (0, "link", (r.node,))
-    return (1,) + r.net_redex.sort_key()
 
 
 def check_fresh(net: Net) -> None:
@@ -108,7 +101,8 @@ def test_maintained_index_equals_a_rebuild_after_every_rule(monkeypatch):
 
     def checked_enumeration(pn):
         redexes = enumerate_redexes(pn)
-        assert redexes == sorted(redexes, key=pn_redex_key)
+        full = pn_redexes(pn)
+        assert redexes == [r for r in full if rule(r) == "test"]
         # The live entries of the unlinked heap are the top-level one nodes
         # without an address.
         nodes, ind = pn.net.nodes, pn.ind
@@ -118,22 +112,32 @@ def test_maintained_index_equals_a_rebuild_after_every_rule(monkeypatch):
 
         ones = [nid for nid, n in nodes.items() if n.kind == "one"]
         assert unaddressed(pn.unlinked) == unaddressed(ones)
-        fired["mixed"] += len({r.kind for r in redexes}) == 2
         return redexes
+
+    def checked_next_det(pn):
+        # The closure's redex is the first deterministic one of the full
+        # enumeration, which lists links before net redexes.
+        r = next_det(pn)
+        full = pn_redexes(pn)
+        assert r == next((x for x in full if rule(x) != "test"), None)
+        fired["mixed"] += len({x.kind for x in full}) == 2
+        return r
 
     monkeypatch.setattr(prognets, "reduce", checked(reduce))
     monkeypatch.setattr(prognets, "reduce_test", checked(reduce_test))
     monkeypatch.setattr(prognets, "copy", SimpleNamespace(deepcopy=checked_copy))
     monkeypatch.setattr(prognets, "enumerate_redexes", checked_enumeration)
+    monkeypatch.setattr(prognets, "next_det", checked_next_det)
     for name, src, backend_name, horizon in programs():
         term, backend, pn = program(src, backend_name)
         fused, start, _ = make_engine("net", term, backend, pn)
         p, _ = converge(Distribution.dirac(start), fused, leftmost_policy, horizon)
         assert p == pytest.approx(0.0 if name == "omega.pcf" else 1.0), name
-    # Every rule ran, branch copies (test) included, and some enumerations
-    # put links before net redexes.
-    assert set(fired) == {"ax", "tensor_par", "d_box", "w_box", "c_box", "y_unfold",
-                          "absorb", "sync", "test", "mixed"}
+    # Every rule ran, branch copies (test) included, and some closure steps
+    # met both links and net redexes.
+    assert {kind for kind, n in fired.items() if n > 0} == {
+        "ax", "tensor_par", "d_box", "w_box", "c_box", "y_unfold", "absorb", "sync", "test",
+        "mixed"}, fired
 
 
 def contents_below(net: Net) -> list[Net]:

@@ -9,6 +9,7 @@ from tokennets.prognets import PnSystem
 from tokennets.translate import translate, type_formula
 from tokennets.pcfll import Ty
 from tokennets import nets
+from unfused import Unfused
 
 
 def make(src, backend):
@@ -21,11 +22,12 @@ def pcf_converge(src, backend, horizon=300):
     term = parse(src, backend.labels)
     typecheck(term)
     cl = Closure(term, {}, backend.initial())
-    return converge(Distribution.dirac(cl), PcfSystem(), leftmost_policy, horizon=horizon)
+    return converge(Distribution.dirac(cl), Unfused(PcfSystem()), leftmost_policy,
+                    horizon=horizon)
 
 
 def net_converge(pn, horizon=400, policy=leftmost_policy):
-    return converge(Distribution.dirac(pn), PnSystem(), policy, horizon=horizon)
+    return converge(Distribution.dirac(pn), Unfused(PnSystem()), policy, horizon=horizon)
 
 
 def test_type_formula():

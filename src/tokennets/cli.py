@@ -59,7 +59,7 @@ def make_engine(name: str, term, backend, pn):
     else:
         sys_ = MsSystem(pn)
         start = sys_.initial_state()
-        describe = lambda st: f"{len(st.tokens)} tokens  |  {st.memory!r}"
+        describe = lambda st: f"{len(st)} tokens  |  {st.memory!r}"
     fused = FusedSystem(sys_)
     return fused, fused.prepare(start), describe
 

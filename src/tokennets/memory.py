@@ -243,7 +243,8 @@ def load_gate_config(path: str) -> dict[str, tuple[int, np.ndarray]]:
                 f"{path}:{lineno}: gate {name} needs {dim * dim} entries, got {len(entries)}"
             )
         try:
-            vals = [complex(e.replace(" ", "").replace("i", "j")) for e in entries]
+            entries = [e.replace(" ", "") for e in entries]
+            vals = [complex(e[:-1] + "j" if e.endswith("i") else e) for e in entries]
         except ValueError:
             raise ValueError(f"{path}:{lineno}: gate {name} has a malformed entry") from None
         mat = np.array(vals, dtype=complex).reshape(dim, dim)

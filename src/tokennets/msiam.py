@@ -13,18 +13,23 @@ signatures.  Memory coupling: spawning at a one node links an address,
 crossing a sync node (all premise tokens of one copy at once) applies the
 labeled update to the linked addresses, and hitting a choice box's principal
 door tests the address and parks the token on the chosen side, opening it.
-A state is final when every token is stable or has exited at a net
-conclusion; the whole machine is a probabilistic rewrite system whose
-terminal distribution matches net reduction.
+A marker is kept only in `MachineState.open_copies`, not in the token map
+of live and exited tokens; a state's printed token count, its `len`,
+counts both.  A state is final when no token is live; the whole machine is
+a probabilistic rewrite system whose terminal distribution matches net
+reduction.  Every terminal state of the (ground-typed) corpus is final.
+A function's is not: in a closed run nothing gives its argument an
+address, so the token that comes in from the argument waits for ever at
+the sync or test it reaches, and is the only live token.
 
 A micro-step moves one token, so a state carries indexes (see
 `MachineState`) that let enumeration and application do work in
 proportion to the moving tokens rather than to all tokens.  These rest on
 one invariant: a stable token never moves again (nor does an exited
-one).  So a token leaves the action index for good when it becomes
-stable or exits, the open copies only grow, a site becomes pending
-exactly when its gate's copy opens and stops being pending when it
-fires, and a state is final exactly when no token is live.
+one).  So a token leaves the action index for good when it parks or
+exits, the open copies only grow, a site becomes pending exactly when its
+gate's copy opens and stops being pending when it fires, and a state is
+final exactly when no token is live.
 
 Only the token that moved can have a new action, so each live token's
 action (`MsSystem.token_step`) is computed once, when the token arrives,
@@ -54,10 +59,10 @@ The machine reads the program net as it is and copies none of it (see
 `NetIndex`).
 
 A fused closure owns the state it steps, as the net engine's closure owns
-its program net: `MsSystem.own` copies the token map, the address map
-and the indexes into mutable containers once per closure, and
-`step_det` then updates them in place, in time proportional to the
-tokens that move.  `apply` does the same on a fresh copy for each
+its program net: `MsSystem.own` copies the token map, the address map,
+the open copies and the indexes into mutable containers once per
+closure, and `step_det` then updates them in place, in time proportional
+to the tokens that move.  `apply` does the same on a fresh copy for each
 outcome, so its argument is left unchanged.  A state is never changed
 once exposed, so its hash, taken from the token map on first use, is
 cached, as is its canonical key.
@@ -166,21 +171,26 @@ def inner_edge(level: tuple, box: Node, ci: int, port: int) -> tuple:
 
 
 class MachineState:
-    """Multi-token state: the token map (origin -> position), the address
-    map on origins, and a memory.  Compared up to address permutation.
+    """Multi-token state: the token map (origin -> position) of the live
+    and exited tokens, the open copies, the address map on origins, and a
+    memory.  Compared up to address permutation.
+
+    `open_copies` maps a gate, that is (box nkey, content index), to
+    {box stack: origin}, one entry per stable marker parked at its
+    principal door (or choice box side), each the record of one open copy.
+    A marker's position follows from its gate and box stack, so the
+    canonical key reads the markers as (gate, box stack, origin) triples.
 
     It also carries the indexes `MsSystem` keeps (see the module docstring):
-    `acts` (origin -> `MsSystem.token_step` of each live token, one neither
-    stable nor exited at a net conclusion, taken when it arrived; its keys
-    are the live origins), `waiting` (gate -> set of origins whose action
-    is a wait marker naming that gate), `open_copies` (gate, that is (box
-    nkey, content index), -> set of the box stacks of the stable markers
-    parked at its principal door, or choice box side) and `pending` (set
-    of (kind, nkey, box stack) link/spawn sites, one per one/?d node of
-    each open copy that has not yet fired).  Only the closure that owns a
-    state (see `MsSystem.own`) changes these containers, and only until it
-    exposes the state; from then on nothing changes them, which is what
-    makes the cached hash and key safe.
+    `acts` (origin -> `MsSystem.token_step` of each live token, one that has
+    neither parked nor exited at a net conclusion, taken when it arrived;
+    its keys are the live origins), `waiting` (gate -> set of origins whose
+    action is a wait marker naming that gate) and `pending` (set of (kind,
+    nkey, box stack) link/spawn sites, one per one/?d node of each open
+    copy that has not yet fired).  Only the closure that owns a state (see
+    `MsSystem.own`) changes these containers, and only until it exposes
+    the state; from then on nothing changes them, which is what makes the
+    cached hash and key safe.
 
     `lead` is the move `MsSystem.next_det` returns for the state, cached
     there, or None (see the module docstring).  Like the hash and the key
@@ -206,8 +216,10 @@ class MachineState:
         if self._key is None:
             sigma = canonical_addresses([self.ind[o] for o in sorted(self.ind)], self.memory)
             toks = tuple(sorted(self.tokens.items()))
+            marks = tuple(sorted((gate, t, orig) for gate, copies in self.open_copies.items()
+                                 for t, orig in copies.items()))
             ind_c = tuple(sorted((o, sigma[a]) for o, a in self.ind.items()))
-            self._key = (toks, ind_c, self.memory.rename(sigma))
+            self._key = (toks, marks, ind_c, self.memory.rename(sigma))
         return self._key
 
     def __eq__(self, other) -> bool:
@@ -215,14 +227,19 @@ class MachineState:
 
     def __hash__(self) -> int:
         # Positions carry no addresses, so the raw token map is already
-        # canonical; address-sensitive parts are left to __eq__.
+        # canonical; the markers and the address-sensitive parts are left
+        # to __eq__.
         if self._hash is None:
             self._hash = hash(frozenset(self.tokens.items()))
         return self._hash
 
+    def __len__(self) -> int:
+        """The token count: live and exited tokens, and the parked markers."""
+        return len(self.tokens) + sum(map(len, self.open_copies.values()))
+
     def __repr__(self) -> str:
         return (
-            f"MachineState({len(self.tokens)} tokens, "
+            f"MachineState({len(self)} tokens, "
             f"{len(self.ind)} addresses, memory={self.memory!r})"
         )
 
@@ -287,10 +304,10 @@ class MsSystem:
             return "down"
         raise MachineInvariantError(f"invalid stack {fstack} on {net.edges[eid]}")
 
-    def copies(self, st: MachineState, box_nkey, ci: int = 0) -> set:
+    def copies(self, st: MachineState, box_nkey, ci: int = 0):
         """Box stacks of the copies opened for a box (per side for choice
         boxes)."""
-        return st.open_copies.get((box_nkey, ci), frozenset())
+        return st.open_copies.get((box_nkey, ci), {}).keys()
 
     def token_step(self, st: MachineState, pos, d: str | None = None):
         """Classify the unique pending action of a non-stable token:
@@ -362,19 +379,23 @@ class MsSystem:
             return self._enter_bot_aux(st, pos, node, j)
         return None
 
+    def _principal_door(self, st, level, box, rest, t):
+        """The action of a token at the principal door of exponential box
+        `box` (from outside, or at its recursion port) that names the copy
+        with box stack `t`, `rest` being its formula stack below the copy's
+        signature: park as the marker that opens `t`, enter `t` if it is
+        open, or wait on the box's gate."""
+        box_nkey = (level, box.nid)
+        if rest == (DELTA,) or t in self.copies(st, box_nkey):
+            return ("move", (inner_edge(level, box, 0, 0), rest, t))
+        return ("wait", ((box_nkey, 0),))
+
     def _enter_exp_box(self, st, pos, box, j):
         (level, _), fstack, bstack = pos
         box_nkey = (level, box.nid)
         sig, rest = fstack[0], fstack[1:]
         if j == 0:
-            inner = inner_edge(level, box, 0, 0)
-            if rest == (DELTA,):
-                # The token found its box: it parks as the stable marker
-                # that opens copy `sig`.
-                return ("move", (inner, (DELTA,), bstack + (sig,)))
-            if bstack + (sig,) in self.copies(st, box_nkey):
-                return ("move", (inner, rest, bstack + (sig,)))
-            return ("wait", ((box_nkey, 0),))
+            return self._principal_door(st, level, box, rest, bstack + (sig,))
         # auxiliary door: the signature pairs the box copy with the inner one
         struct = self.sig_struct[sig]
         if struct[0] != "p":
@@ -417,15 +438,8 @@ class MsSystem:
             return ("move", ((outer, box.concl[0]), (copy,) + fstack, bstack[:-1]))
         if box.kind == "ybox" and cpos == 1:
             # Downward at the recursion port: request a new copy of the box.
-            sig, rest = fstack[0], fstack[1:]
-            c0 = bstack[-1]
-            new_copy = self.sig("y", c0, sig)
-            inner = (level, net.conclusions[0])
-            if rest == (DELTA,):
-                return ("move", (inner, (DELTA,), bstack[:-1] + (new_copy,)))
-            if bstack[:-1] + (new_copy,) in self.copies(st, box_nkey):
-                return ("move", (inner, rest, bstack[:-1] + (new_copy,)))
-            return ("wait", ((box_nkey, 0),))
+            t = bstack[:-1] + (self.sig("y", bstack[-1], fstack[0]),)
+            return self._principal_door(st, outer, box, fstack[1:], t)
         # exponential auxiliary door: wrap the inner signature with the copy
         out_pos = cpos - (1 if box.kind == "ybox" else 0)
         sig, rest = fstack[0], fstack[1:]
@@ -476,11 +490,12 @@ class MsSystem:
     def _successor(self, st: MachineState, moves) -> MachineState:
         """Move each (origin, old position or None, new position) of
         `moves` in `st`, in place, and bring the indexes up to date: a token
-        that stays live gets its action, one that turns stable or exits
-        leaves the action index, and one parked at a door opens its copy,
-        which makes the sites under that gate pending and classifies the
-        tokens waiting on the gate again.  A new token (old position None)
-        whose origin already has one is refused."""
+        that stays live gets its action, one that exits leaves the action
+        index, and one parked at a door leaves the token map too and opens
+        its copy, which makes the sites under that gate pending and
+        classifies the tokens waiting on the gate again.  A new token (old
+        position None) whose origin is in the token map, and a marker for a
+        copy that is open already, are refused."""
         tokens, acts, waiting, open_copies, pending = (
             st.tokens, st.acts, st.waiting, st.open_copies, st.pending)
         for orig, old, new in moves:
@@ -497,19 +512,21 @@ class MsSystem:
             door = self.index.doors.get(new[0])
             if door is None or new[1] != door[2]:
                 continue
+            del tokens[orig]
             gate, t = door[:2], new[2]
-            have = open_copies.setdefault(gate, set())
-            if t not in have:
-                have.add(t)
-                sites = self.index.gate_sites.get(gate, ())
-                pending.update((kind, nkey, t) for kind, nkey in sites)
-                for waiter in waiting.pop(gate, ()):
-                    for other in acts[waiter][1]:
-                        if other != gate:
-                            waiting[other].discard(waiter)
-                            if not waiting[other]:
-                                del waiting[other]
-                    self._file(st, waiter, self.token_step(st, tokens[waiter]))
+            have = open_copies.setdefault(gate, {})
+            if t in have:
+                raise MachineInvariantError(f"copy {t} of {gate} opens twice")
+            have[t] = orig
+            sites = self.index.gate_sites.get(gate, ())
+            pending.update((kind, nkey, t) for kind, nkey in sites)
+            for waiter in waiting.pop(gate, ()):
+                for other in acts[waiter][1]:
+                    if other != gate:
+                        waiting[other].discard(waiter)
+                        if not waiting[other]:
+                            del waiting[other]
+                self._file(st, waiter, self.token_step(st, tokens[waiter]))
         return st
 
     def _file(self, st: MachineState, orig, act) -> None:
@@ -553,7 +570,7 @@ class MsSystem:
             st.memory,
             dict(st.acts),
             {gate: set(waiters) for gate, waiters in st.waiting.items()},
-            {gate: set(copies) for gate, copies in st.open_copies.items()},
+            {gate: dict(copies) for gate, copies in st.open_copies.items()},
             set(st.pending),
             st.lead,
         )

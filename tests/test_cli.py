@@ -97,13 +97,15 @@ def test_missing_gates_file_exit_code(tmp_path, capsys):
 
 def test_malformed_gates_file_exit_code(tmp_path, capsys):
     cfg = tmp_path / "gates.cfg"
-    for program, line in [
-        ("H new", "T, one, 1, 0, 0, 1"),
-        ("W new", "W, 0, 1"),  # a 0-ary gate: its tuple type never ends
-        ("W new", "W, -1"),
+    for program, line, reason in [
+        ("H new", "T, one, 1, 0, 0, 1", "is not an integer"),
+        ("W new", "W, 0, 1", "not 1 or more"),  # a 0-ary gate: its tuple type never ends
+        ("W new", "W, -1", "not 1 or more"),
         # A NaN entry passes the unitarity bound, and the test's branch
         # would be pruned: probability 1.
-        ("if V new then new else new", "V, 1, 1, 0, 0, nan"),
+        ("if V new then new else new", "V, 1, 1, 0, 0, nan", "not finite"),
+        ("if V new then new else new", "V, 1, 1, 0, 0, inf", "not finite"),
+        ("if V new then new else new", "V, 1, 1, 0, 0, -infi", "not finite"),
     ]:
         cfg.write_text(f"# a comment line\n{line}\n")
         code = main([write(tmp_path, program), "--backend", "quantum", "--engine", "all",
@@ -112,6 +114,7 @@ def test_malformed_gates_file_exit_code(tmp_path, capsys):
         assert code == 2, (line, captured)
         err = captured.err
         assert err.startswith("error:") and "gates.cfg:2" in err and err.count("\n") == 1, line
+        assert err.rstrip().endswith(reason), (line, err)
         assert not captured.out, line
 
 

@@ -210,6 +210,10 @@ def test_gate_config_rejects_non_unitary(tmp_path):
         ("B, 1, 1+0i, 1+0i, 0+0i, 1+0i", "gate B is not unitary"),
         ("V, 1, 1, 0, 0, nan", "gate V has an entry that is not finite"),
         ("V, 1, nan, 0, 0, 1", "gate V has an entry that is not finite"),
+        # Only a trailing `i` is the imaginary unit: `inf` is not `jnf`.
+        ("V, 1, 1, 0, 0, inf", "gate V has an entry that is not finite"),
+        ("V, 1, inf, 0, 0, 1 + infi", "gate V has an entry that is not finite"),
+        ("V, 1, 1, 0, 0, 1 + 1ii", "gate V has a malformed entry"),
         ("W, 0, 1", "gate W has arity 0, not 1 or more"),
         ("W, -1", "gate W has arity -1, not 1 or more"),
     ]:

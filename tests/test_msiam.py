@@ -25,13 +25,14 @@ from tokennets.pars import (
     FusedSystem,
     leftmost_policy,
     lift_step,
+    lifted_steps,
     seeded_policy,
 )
 from tokennets.pcfll import Closure, PcfSystem, parse, typecheck
 from tokennets.translate import translate
 
 from test_nets import nest_in_boxes, single_one_net
-from unfused import ScanSystem, Unfused, full_redexes, scan_copies
+from unfused import ScanSystem, Unfused, full_redexes
 
 BACKENDS = {
     "int": int_backend,
@@ -204,13 +205,18 @@ CORPUS = corpus_programs()
 
 
 def rebuilt_indexes(sys, st):
-    """(live origins, actions, waiting, open copies, pending sites)
-    computed from the token map."""
+    """(live origins, actions, waiting, pending sites) computed from the
+    token map and the open copies.  The token map holds live and exited
+    tokens only: no token in it is stable, and no parked marker's origin
+    is one of its keys."""
+    markers = [orig for copies in st.open_copies.values() for orig in copies.values()]
+    assert len(set(markers)) == len(markers) and not st.tokens.keys() & set(markers)
     live = set()
     for orig, pos in st.tokens.items():
         d = sys.direction(pos)
+        assert d != "stable", (orig, pos)
         exited = d == "down" and sys.index.is_root_conclusion(pos[0]) and not pos[2]
-        if d != "stable" and not exited:
+        if not exited:
             live.add(orig)
     acts = {orig: sys.token_step(st, st.tokens[orig]) for orig in live}
     waiting = {}
@@ -218,19 +224,81 @@ def rebuilt_indexes(sys, st):
         if act is not None and act[0] == "wait":
             for gate in act[1]:
                 waiting.setdefault(gate, set()).add(orig)
-    open_copies = {}
-    for level, net in sys.index.level_net.items():
-        for nid, node in net.nodes.items():
-            for ci in range(len(node.contents)):
-                found = scan_copies(sys, st, (level, nid), ci)
-                if found:
-                    open_copies[((level, nid), ci)] = found
     pending = {
         (tr.kind, *tr.data)
         for tr in ScanSystem.enumerate_redexes(sys, st)
         if tr.kind in ("link", "spawn")
     }
-    return live, acts, waiting, open_copies, pending
+    return live, acts, waiting, pending
+
+
+def exposed_states(src, bk, horizon, policy=leftmost_policy):
+    """(machine, every state a fused run of `src` exposes in its first
+    `horizon` steps, the terminal states of its last step)."""
+    pn, _ = make(src, bk)
+    sys = MsSystem(pn)
+    fused = FusedSystem(sys)
+    exposed, terminal = [], []
+    mu = Distribution.dirac(fused.prepare(sys.initial_state()))
+    for mu, term, _ in lifted_steps(mu, fused, policy, horizon, 0.0):
+        exposed.extend(mu.support())
+        terminal = list(term.support())
+    return sys, exposed, terminal
+
+
+def markers(st) -> int:
+    return sum(map(len, st.open_copies.values()))
+
+
+@pytest.mark.parametrize("horizon", [64, 256])
+def test_token_map_holds_no_marker_on_omega(horizon):
+    # Omega opens about 56 copies per step, and each parked marker's one
+    # record is in `open_copies`: the token map holds the live and exited
+    # tokens only.  With the markers in it too, it held 3,613 entries at
+    # horizon 64 and 14,279 at 256.
+    (src,) = [src for name, _, src in CORPUS if name == "omega.pcf"]
+    _, exposed, _ = exposed_states(src, "int", horizon)
+    assert max(len(st.tokens) for st in exposed) <= 2
+    counts = [markers(st) for st in exposed]
+    assert counts == sorted(counts) and counts[-1] >= 50 * horizon
+
+
+@pytest.mark.parametrize("policy", ["leftmost", "seeded"])
+@pytest.mark.parametrize("name,bk,src", CORPUS, ids=[c[0] for c in CORPUS])
+def test_tokens_are_never_destroyed(name, bk, src, policy):
+    # Each token is an initial one or was made by a site that fired, and
+    # it stays: live or exited in the token map, or parked as a marker.
+    # The sites that fired are those of the whole net and of each open
+    # copy, less the pending ones.
+    pick = leftmost_policy if policy == "leftmost" else seeded_policy(0)
+    sys, exposed, _ = exposed_states(src, bk, 3 if name == "omega.pcf" else 40, pick)
+    initial = len(sys.initial_state().tokens)
+    sites = sys.index.gate_sites
+    for st in exposed:
+        fired = len(sites.get((None, 0), ())) - len(st.pending) + sum(
+            len(sites.get(gate, ())) * len(copies) for gate, copies in st.open_copies.items())
+        assert len(st) == initial + fired
+
+
+@pytest.mark.parametrize("name,bk,src", CORPUS, ids=[c[0] for c in CORPUS])
+def test_terminal_states_of_the_corpus_are_final(name, bk, src):
+    # Final: no token is live.  Omega has no terminal state.
+    _, _, terminal = exposed_states(src, bk, 3 if name == "omega.pcf" else 40)
+    assert all(not st.acts for st in terminal)
+    assert terminal or name == "omega.pcf"
+
+
+@pytest.mark.parametrize("src", ["S", r"\x. S x", r"\x. if x then new else new"])
+def test_a_function_ends_with_its_argument_waiting_for_an_address(src):
+    # A closed run gives a function's argument no address, so the token
+    # that comes in from it waits for ever at the sync or test it reaches:
+    # the terminal state is not final, and no other token is live.
+    _, _, terminal = exposed_states(src, "int", 20)
+    assert terminal
+    for st in terminal:
+        unaddressed = {orig for orig, act in st.acts.items()
+                       if act is not None and act[0] in ("sync", "test") and orig not in st.ind}
+        assert len(unaddressed) == 1 and st.acts.keys() == unaddressed
 
 
 class CheckedSystem(MsSystem):
@@ -246,11 +314,10 @@ class CheckedSystem(MsSystem):
         self.closure_steps = 0
 
     def check_indexes(self, st):
-        live, acts, waiting, open_copies, pending = rebuilt_indexes(self.reference, st)
+        live, acts, waiting, pending = rebuilt_indexes(self.reference, st)
         assert st.acts.keys() == live
         assert st.acts == acts
         assert st.waiting == waiting
-        assert st.open_copies == open_copies
         assert st.pending == pending
 
     def enumerate_redexes(self, st):
@@ -523,6 +590,22 @@ def test_link_to_a_bound_address_is_rejected(monkeypatch):
     monkeypatch.setattr(tokennets.msiam, "fresh", lambda memory, used: bound)
     with pytest.raises(MachineInvariantError):
         sys.apply(st, second)
+
+
+def test_a_second_marker_for_an_open_copy_is_rejected():
+    # An opened copy has one record, its marker; a token that parks at the
+    # door of a copy that is open already is refused, not dropped.
+    pn, _ = make(r"(\f. <f new, f new>) (\x. x)", "int")
+    sys = MsSystem(pn)
+    st = FusedSystem(sys).prepare(sys.initial_state())
+    ((gate, copies),) = st.open_copies.items()
+    ((door, marker),) = [(ekey, d[2]) for ekey, d in sys.index.doors.items() if d[:2] == gate]
+    owned = sys.own(st)
+    orig = min(owned.tokens)
+    owned.acts[orig] = ("move", (door, marker, min(copies)))
+    with pytest.raises(MachineInvariantError, match="opens twice"):
+        sys.step_det(owned, Transition("move", (orig,)))
+    assert len(st) == 4 and markers(st) == 2  # `st` is not the owned copy
 
 
 def test_test_transition_off_a_choice_box_is_rejected():

@@ -277,7 +277,7 @@ def ms_snapshot(st):
     """A machine state equal to `st` that shares no container with it."""
     return MachineState(dict(st.tokens), dict(st.ind), copy.deepcopy(st.memory), dict(st.acts),
                         {gate: set(w) for gate, w in st.waiting.items()},
-                        {gate: set(c) for gate, c in st.open_copies.items()}, set(st.pending))
+                        {gate: dict(c) for gate, c in st.open_copies.items()}, set(st.pending))
 
 
 def ms_parts(st):
@@ -683,6 +683,16 @@ move = machine.next_det(st)
 (orig,) = move.data
 del st.tokens[orig]
 rejects(MachineInvariantError, machine.step_det, st, move)  # a token missing from the token map
+twice = MsSystem(translate(typecheck(parse(r"(\\f. <f new, f new>) (\\x. x)",
+                                           int_backend().labels)), int_backend()))
+st = twice.own(twice.initial_state())
+while (tr := twice.next_det(st)) is not None:
+    st = twice.step_det(st, tr)
+((gate, copies),) = st.open_copies.items()
+((door, (_, _, marker)),) = [(e, d) for e, d in twice.index.doors.items() if d[:2] == gate]
+orig = min(st.tokens)
+st.acts[orig] = ("move", (door, marker, min(copies)))
+rejects(MachineInvariantError, twice.step_det, st, Transition("move", (orig,)))  # opened twice
 chain = MsSystem(translate(typecheck(parse("S (S new)", int_backend().labels)), int_backend()))
 sync = min(nid for nid, node in chain.index.level_net[()].nodes.items() if node.kind == "sync")
 unready = Transition("update", (((), sync), ()))

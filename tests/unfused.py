@@ -7,7 +7,7 @@ both: an engine's `enumerate_redexes` is its list filtered to tests, in
 the same order, and `next_det` names its first other redex.  `Unfused`
 offers the whole list to the policy, so a test may fire any redex."""
 
-from tokennets.msiam import DELTA, STAR, MsSystem, Transition, inner_edge
+from tokennets.msiam import DELTA, STAR, MsSystem, Transition
 from tokennets.nets import find_redexes
 from tokennets.prognets import PnRedex, PnSystem
 
@@ -85,22 +85,18 @@ def _gate(level):
 
 
 def scan_copies(sys, st, box_nkey, ci=0):
-    """Open copies of a box side, by scanning every token for a marker."""
+    """Open copies of a box side, read from the markers in `open_copies`;
+    the whole net is the one copy of the root gate."""
     if box_nkey is None:
         return {()}
-    box = sys.index.node(box_nkey)
-    door = inner_edge(box_nkey[0], box, ci, 0)
-    want = (DELTA,) if box.kind in ("bangbox", "ybox") else ()
-    return {pos[2] for pos in st.tokens.values() if pos[0] == door and pos[1] == want}
+    return set(st.open_copies.get((box_nkey, ci), ()))
 
 
 class ScanSystem(MsSystem):
     """The machine without indexes: every enumeration rescans every token
-    and every link/spawn site of every open copy.  A test or a sync waits
+    and every link/spawn site of every open copy.  A site has fired when
+    its origin is a token's or a parked marker's.  A test or a sync waits
     while its token's origin has no address."""
-
-    def copies(self, st, box_nkey, ci=0):
-        return scan_copies(self, st, box_nkey, ci)
 
     def enumerate_redexes(self, st):
         out = []
@@ -117,12 +113,14 @@ class ScanSystem(MsSystem):
             level = sync_nkey[0]
             if all((level, e) in prem_edges for e in self.index.node(sync_nkey).prem):
                 out.append(Transition("update", (sync_nkey, t)))
+        fired = st.tokens.keys() | {orig for copies in st.open_copies.values()
+                                    for orig in copies.values()}
         for level, net in self.index.level_net.items():
             for nid, node in net.nodes.items():
                 if node.kind not in ("one", "der"):
                     continue
                 kind, fstack = ("link", ()) if node.kind == "one" else ("spawn", (STAR, DELTA))
                 for t in scan_copies(self, st, *_gate(level)):
-                    if ((level, node.concl[0]), fstack, t) not in st.tokens:
+                    if ((level, node.concl[0]), fstack, t) not in fired:
                         out.append(Transition(kind, ((level, nid), t)))
         return sorted(out, key=lambda tr: (KIND_ORDER.index(tr.kind), tr.data))

@@ -24,6 +24,7 @@ from tokennets.pars import (
     Distribution,
     FusedSystem,
     leftmost_policy,
+    TOL,
     lift_step,
     lifted_steps,
     seeded_policy,
@@ -32,7 +33,7 @@ from tokennets.pcfll import Closure, PcfSystem, parse, typecheck
 from tokennets.translate import translate
 
 from test_nets import nest_in_boxes, single_one_net
-from unfused import ScanSystem, Unfused, full_redexes
+from unfused import ScanSystem, Unfused, full_redexes, scan_copies
 
 BACKENDS = {
     "int": int_backend,
@@ -204,13 +205,25 @@ def corpus_programs():
 CORPUS = corpus_programs()
 
 
-def rebuilt_indexes(sys, st):
+def rebuilt_indexes(sys, st, initial):
     """(live origins, actions, waiting, pending sites) computed from the
     token map and the open copies.  The token map holds live and exited
-    tokens only: no token in it is stable, and no parked marker's origin
-    is one of its keys."""
+    tokens only: no token in it is stable.  No token is ever destroyed:
+    the origins of the token map and of the parked markers are, each once,
+    the `initial` origins and those of the sites that fired, which are the
+    link/spawn sites of the whole net and of each open copy that are not
+    pending."""
     markers = [orig for copies in st.open_copies.values() for orig in copies.values()]
     assert len(set(markers)) == len(markers) and not st.tokens.keys() & set(markers)
+    fired = {
+        ((nkey[0], sys.index.node(nkey).concl[0]), () if kind == "link" else (STAR, DELTA), t)
+        for gate, sites in sys.index.gate_sites.items()
+        for t in scan_copies(sys, st, *gate)
+        for kind, nkey in sites
+        if (kind, nkey, t) not in st.pending
+    }
+    assert st.tokens.keys() | set(markers) == initial | fired
+    assert len(st) == len(initial) + len(fired)
     live = set()
     for orig, pos in st.tokens.items():
         d = sys.direction(pos)
@@ -263,31 +276,6 @@ def test_token_map_holds_no_marker_on_omega(horizon):
     assert counts == sorted(counts) and counts[-1] >= 50 * horizon
 
 
-@pytest.mark.parametrize("policy", ["leftmost", "seeded"])
-@pytest.mark.parametrize("name,bk,src", CORPUS, ids=[c[0] for c in CORPUS])
-def test_tokens_are_never_destroyed(name, bk, src, policy):
-    # Each token is an initial one or was made by a site that fired, and
-    # it stays: live or exited in the token map, or parked as a marker.
-    # The sites that fired are those of the whole net and of each open
-    # copy, less the pending ones.
-    pick = leftmost_policy if policy == "leftmost" else seeded_policy(0)
-    sys, exposed, _ = exposed_states(src, bk, 3 if name == "omega.pcf" else 40, pick)
-    initial = len(sys.initial_state().tokens)
-    sites = sys.index.gate_sites
-    for st in exposed:
-        fired = len(sites.get((None, 0), ())) - len(st.pending) + sum(
-            len(sites.get(gate, ())) * len(copies) for gate, copies in st.open_copies.items())
-        assert len(st) == initial + fired
-
-
-@pytest.mark.parametrize("name,bk,src", CORPUS, ids=[c[0] for c in CORPUS])
-def test_terminal_states_of_the_corpus_are_final(name, bk, src):
-    # Final: no token is live.  Omega has no terminal state.
-    _, _, terminal = exposed_states(src, bk, 3 if name == "omega.pcf" else 40)
-    assert all(not st.acts for st in terminal)
-    assert terminal or name == "omega.pcf"
-
-
 @pytest.mark.parametrize("src", ["S", r"\x. S x", r"\x. if x then new else new"])
 def test_a_function_ends_with_its_argument_waiting_for_an_address(src):
     # A closed run gives a function's argument no address, so the token
@@ -310,11 +298,14 @@ class CheckedSystem(MsSystem):
         self.reference = ScanSystem(pn)
         # One signature table, so that both machines read the same ids.
         self.reference.sig_struct, self.reference._sig_ids = self.sig_struct, self._sig_ids
+        start = self.reference.initial_state()
+        self.initial = start.tokens.keys() | {
+            orig for copies in start.open_copies.values() for orig in copies.values()}
         self.checked = 0
         self.closure_steps = 0
 
     def check_indexes(self, st):
-        live, acts, waiting, pending = rebuilt_indexes(self.reference, st)
+        live, acts, waiting, pending = rebuilt_indexes(self.reference, st, self.initial)
         assert st.acts.keys() == live
         assert st.acts == acts
         assert st.waiting == waiting
@@ -345,8 +336,12 @@ def test_indexed_enumeration_matches_full_scan(name, bk, src, policy):
     start = fused.prepare(sys.initial_state())
     pick = leftmost_policy if policy == "leftmost" else seeded_policy(0)
     horizon = 3 if name == "omega.pcf" else 40
-    converge(Distribution.dirac(start), fused, pick, horizon=horizon)
+    for _, term, _ in lifted_steps(Distribution.dirac(start), fused, pick, horizon, TOL):
+        pass
     assert sys.checked > 0 and sys.closure_steps > 0
+    # Every terminal state is final: no token is live.  Omega has none.
+    assert all(not st.acts for st in term.support())
+    assert term.support() or name == "omega.pcf"
 
 
 @pytest.mark.parametrize("horizon", [3, 12, 64])

@@ -1,6 +1,6 @@
 """Time each engine on `corpus/omega.pcf` by horizon and print a markdown table.
 
-Each cell is the best of `--repeat` in-process runs of
+Each cell is the best of `REPEAT` in-process runs of
 
     tokennets corpus/omega.pcf --engine E --backend int --horizon H
 
@@ -10,10 +10,9 @@ next to this script's, so a copy of the tree measures its own code.
 
 Run from anywhere:
 
-    python tools/omega_table.py [--repeat 2] [--horizons 64 128 256 512]
+    python tools/omega_table.py
 """
 
-import argparse
 import contextlib
 import io
 import sys
@@ -26,13 +25,15 @@ sys.path.insert(0, str(ROOT / "src"))
 from tokennets import cli  # noqa: E402
 
 OMEGA = ROOT / "corpus" / "omega.pcf"
+HORIZONS = (64, 128, 256, 512)
+REPEAT = 2
 
 
-def best_time(engine: str, horizon: int, repeat: int) -> float:
-    """The least wall time, in seconds, of `repeat` runs of one engine."""
+def best_time(engine: str, horizon: int) -> float:
+    """The least wall time, in seconds, of `REPEAT` runs of one engine."""
     argv = [str(OMEGA), "--engine", engine, "--backend", "int", "--horizon", str(horizon)]
     times = []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(argv)
@@ -43,14 +44,10 @@ def best_time(engine: str, horizon: int, repeat: int) -> float:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--repeat", type=int, default=2, help="runs per cell; the best is kept")
-    ap.add_argument("--horizons", type=int, nargs="+", default=[64, 128, 256, 512])
-    args = ap.parse_args()
-    print("| engine | " + " | ".join(str(h) for h in args.horizons) + " |")
-    print("|--------|" + "|".join("-" * 9 for _ in args.horizons) + "|")
+    print("| engine | " + " | ".join(str(h) for h in HORIZONS) + " |")
+    print("|--------|" + "|".join("-" * 9 for _ in HORIZONS) + "|")
     for engine in cli.ENGINES:
-        cells = [f"{best_time(engine, h, args.repeat):.3f} s" for h in args.horizons]
+        cells = [f"{best_time(engine, h):.3f} s" for h in HORIZONS]
         print(f"| {engine:<6} | " + " | ".join(cells) + " |")
     return 0
 

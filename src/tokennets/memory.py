@@ -1,7 +1,8 @@
 """Parametric memory structures: addresses, labeled updates, boolean tests.
 
-A memory structure provides `test(i)` returning a proper distribution over
-(outcome, next-memory) pairs, a partial `update(addrs, label)` defined on
+A memory structure provides `test(i)` returning the ((outcome, next
+memory), probability) pairs of a proper distribution, each probability at
+least `PRUNE`, a partial `update(addrs, label)` defined on
 pairwise-distinct address tuples of the label's arity, a finite `support`,
 renaming along address permutations, and fresh-address allocation.  Three
 instances are provided: natural-number registers (deterministic test for
@@ -15,12 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .pars import Distribution, PRUNE, TOL
+from .pars import PRUNE, TOL
 
 Address = int
+
+# The keywords of the program syntax (`pcfll`): no label can be named one.
+KEYWORDS = frozenset({"let", "in", "letrec", "if", "then", "else", "new"})
 
 
 @dataclass(frozen=True)
@@ -128,8 +133,8 @@ class IntRegisterMemory(_Registers):
     labels = {l.name: l for l in (S, P, MAX)}
     rename, __hash__ = _Registers.rename, _Registers.__hash__
 
-    def test(self, i: Address) -> Distribution:
-        return Distribution.dirac((self.get(i) == 0, self))
+    def test(self, i: Address) -> list[tuple]:
+        return [((self.get(i) == 0, self), 1.0)]
 
     def update(self, addrs: tuple[Address, ...], label: OperationLabel) -> "IntRegisterMemory":
         _check_update_args(addrs, label)
@@ -166,11 +171,10 @@ class ProbRegisterMemory(_Registers):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"register value {v} outside [0, 1]")
 
-    def test(self, i: Address) -> Distribution:
+    def test(self, i: Address) -> list[tuple]:
         p = self.get(i)
-        return Distribution(
-            [((True, self._set(i, 1.0)), p), ((False, self._set(i, 0.0)), 1.0 - p)]
-        )
+        branches = [((True, self._set(i, 1.0)), p), ((False, self._set(i, 0.0)), 1.0 - p)]
+        return [(outcome, q) for outcome, q in branches if q >= PRUNE]
 
     def update(self, addrs: tuple[Address, ...], label: OperationLabel) -> "ProbRegisterMemory":
         _check_update_args(addrs, label)
@@ -221,6 +225,8 @@ def load_gate_config(path: str) -> dict[str, tuple[int, np.ndarray]]:
 
     Each non-empty, non-comment line reads `name, arity, e_1, ..., e_{4^n}`
     with the matrix entries row-major complex literals like `0.5+0.5i`.
+    A name is one word of letters, digits and `_`, and not a keyword, so
+    that a program can name the gate.
     """
     gates: dict[str, tuple[int, np.ndarray]] = {}
     for lineno, line in enumerate(read_text(path).split("\n"), 1):
@@ -230,8 +236,14 @@ def load_gate_config(path: str) -> dict[str, tuple[int, np.ndarray]]:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) < 2:
             raise ValueError(f"{path}:{lineno}: malformed gate line")
+        name = parts[0]
+        if not name or not all(ch.isalnum() or ch == "_" for ch in name):
+            raise ValueError(f"{path}:{lineno}: gate name {name!r} is not one word of "
+                             "letters, digits and _")
+        if name in KEYWORDS:
+            raise ValueError(f"{path}:{lineno}: gate name {name!r} is a keyword")
         try:
-            name, arity = parts[0], int(parts[1])
+            arity = int(parts[1])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: gate arity {parts[1]!r} is not an integer") from None
         if arity < 1:
@@ -335,11 +347,11 @@ class QuantumMemory:
         inverse = sorted(range(n), key=perm.__getitem__)
         return m._with(m.bound, tensor.transpose(inverse).reshape(-1))
 
-    def test(self, i: Address) -> Distribution:
+    def test(self, i: Address) -> list[tuple]:
         if i not in self.bound:
             # A fresh qubit is |0>, so measuring it deterministically yields
             # false and leaves the state untouched.
-            return Distribution.dirac((False, self))
+            return [((False, self), 1.0)]
         n, s = len(self.bound), self.bound.index(i)
         view = self.amps.reshape(2**s, 2, 2 ** (n - s - 1))
         new_bound = self.bound[:s] + self.bound[s + 1:]
@@ -349,7 +361,7 @@ class QuantumMemory:
             p = float(np.vdot(sub, sub).real)
             if p >= PRUNE:
                 branches.append(((bool(k), self._with(new_bound, (sub / sqrt(p)).reshape(-1))), p))
-        return Distribution(branches)
+        return branches
 
     def rename(self, sigma: dict[Address, Address]) -> "QuantumMemory":
         renamed = [sigma.get(b, b) for b in self.bound]
@@ -390,15 +402,12 @@ class QuantumMemory:
 # Backends
 
 
-class Backend:
-    """Bundle of an initial memory constructor and its operation labels."""
+class Backend(NamedTuple):
+    """A memory structure's operation labels, and the constructor of its
+    initial memory."""
 
-    def __init__(self, labels: dict[str, OperationLabel], make_initial):
-        self.labels = labels
-        self.make_initial = make_initial
-
-    def initial(self):
-        return self.make_initial()
+    labels: dict[str, OperationLabel]
+    initial: Callable[[], object]
 
 
 def int_backend() -> Backend:

@@ -36,10 +36,11 @@ action (`MsSystem.token_step`) is computed once, when the token arrives,
 and kept by origin.  A token whose way on depends on a copy that is not
 open yet (at a box's principal or auxiliary door, a choice box's
 auxiliary door, or a fixpoint box's recursion port) gets a wait marker
-that names the gate(s) it needs, and is filed under them; when a copy
-opens at a gate, only the tokens waiting on that gate are classified
-again.  Every other action stays as it is: the open copies only grow, so
-a move stays a move, and no other action reads them.  `next_det` then
+that names the gate(s) it needs; when a copy opens at a gate, the live
+tokens whose action in `acts` is a wait marker naming that gate are
+classified again, and no other.  Every other action stays as it is: the
+open copies only grow, so a move stays a move, and no other action reads
+them.  `next_det` then
 picks the least pending site, else the least moving token, else the least
 ready update, without classifying any token.
 
@@ -62,10 +63,11 @@ A fused closure owns the state it steps, as the net engine's closure owns
 its program net: `MsSystem.own` copies the token map, the address map,
 the open copies and the indexes into mutable containers once per
 closure, and `step_det` then updates them in place, in time proportional
-to the tokens that move.  `apply` does the same on a fresh copy for each
-outcome, so its argument is left unchanged.  A state is never changed
-once exposed, so its hash, taken from the token map on first use, is
-cached, as is its canonical key.
+to the tokens that move (and, when a copy opens, to the live tokens).
+`apply` does the same on a fresh copy for each outcome, so its argument
+is left unchanged.  A state is never changed once exposed, so its hash,
+taken from the token map on first use, is cached, as is its canonical
+key.
 
 A position is a nested tuple of ints: stack tags are negative ints and
 exponential signatures are ids interned per machine, so positions, and the
@@ -184,10 +186,10 @@ class MachineState:
     It also carries the indexes `MsSystem` keeps (see the module docstring):
     `acts` (origin -> `MsSystem.token_step` of each live token, one that has
     neither parked nor exited at a net conclusion, taken when it arrived;
-    its keys are the live origins), `waiting` (gate -> set of origins whose
-    action is a wait marker naming that gate) and `pending` (set of (kind,
-    nkey, box stack) link/spawn sites, one per one/?d node of each open
-    copy that has not yet fired).  Only the closure that owns a state (see
+    its keys are the live origins; a copy open finds the tokens waiting
+    for it here, by their wait markers) and `pending` (set of (kind, nkey,
+    box stack) link/spawn sites, one per one/?d node of each open copy
+    that has not yet fired).  Only the closure that owns a state (see
     `MsSystem.own`) changes these containers, and only until it exposes
     the state; from then on nothing changes them, which is what makes the
     cached hash and key safe.
@@ -196,16 +198,15 @@ class MachineState:
     there, or None (see the module docstring).  Like the hash and the key
     it is a cache: equality, hashing and the canonical key ignore it."""
 
-    __slots__ = ("tokens", "ind", "memory", "acts", "waiting", "open_copies", "pending",
-                 "lead", "_key", "_hash")
+    __slots__ = ("tokens", "ind", "memory", "acts", "open_copies", "pending", "lead",
+                 "_key", "_hash")
 
-    def __init__(self, tokens: dict, ind: dict, memory, acts: dict, waiting: dict,
-                 open_copies: dict, pending: set, lead: Transition | None = None):
+    def __init__(self, tokens: dict, ind: dict, memory, acts: dict, open_copies: dict,
+                 pending: set, lead: Transition | None = None):
         self.tokens = tokens
         self.ind = ind
         self.memory = memory
         self.acts = acts
-        self.waiting = waiting
         self.open_copies = open_copies
         self.pending = pending
         self.lead = lead
@@ -493,11 +494,11 @@ class MsSystem:
         that stays live gets its action, one that exits leaves the action
         index, and one parked at a door leaves the token map too and opens
         its copy, which makes the sites under that gate pending and
-        classifies the tokens waiting on the gate again.  A new token (old
-        position None) whose origin is in the token map, and a marker for a
-        copy that is open already, are refused."""
-        tokens, acts, waiting, open_copies, pending = (
-            st.tokens, st.acts, st.waiting, st.open_copies, st.pending)
+        classifies again the live tokens whose wait marker in `acts` names
+        the gate.  A new token (old position None) whose origin is in the
+        token map, and a marker for a copy that is open already, are
+        refused."""
+        tokens, acts, open_copies, pending = st.tokens, st.acts, st.open_copies, st.pending
         for orig, old, new in moves:
             if tokens.get(orig) != old:
                 raise MachineInvariantError(f"token {orig} is at {tokens.get(orig)}, not {old}")
@@ -505,8 +506,7 @@ class MsSystem:
             d = self.direction(new)
             exited = d == "down" and self.index.is_root_conclusion(new[0]) and not new[2]
             if d != "stable" and not exited:
-                # A token that moves has no wait marker to withdraw.
-                self._file(st, orig, self.token_step(st, new, d))
+                acts[orig] = self.token_step(st, new, d)
                 continue
             acts.pop(orig, None)
             door = self.index.doors.get(new[0])
@@ -520,22 +520,11 @@ class MsSystem:
             have[t] = orig
             sites = self.index.gate_sites.get(gate, ())
             pending.update((kind, nkey, t) for kind, nkey in sites)
-            for waiter in waiting.pop(gate, ()):
-                for other in acts[waiter][1]:
-                    if other != gate:
-                        waiting[other].discard(waiter)
-                        if not waiting[other]:
-                            del waiting[other]
-                self._file(st, waiter, self.token_step(st, tokens[waiter]))
+            waiters = [w for w, act in acts.items()
+                       if act is not None and act[0] == "wait" and gate in act[1]]
+            for waiter in waiters:
+                acts[waiter] = self.token_step(st, tokens[waiter])
         return st
-
-    def _file(self, st: MachineState, orig, act) -> None:
-        """Record `act` as the action of live token `orig`, under each gate
-        it waits on if it is a wait marker."""
-        st.acts[orig] = act
-        if act is not None and act[0] == "wait":
-            for gate in act[1]:
-                st.waiting.setdefault(gate, set()).add(orig)
 
     def apply(self, st: MachineState, tr: Transition) -> list[tuple[MachineState, float]]:
         """Fire a test: the successor states with their probabilities.
@@ -562,14 +551,14 @@ class MsSystem:
 
     def own(self, st: MachineState) -> MachineState:
         """An equal state, with the same lead, and private token, address,
-        action, waiting, open-copy and pending containers, which `step_det`
-        may then change in place."""
+        action, open-copy and pending containers, which `step_det` may then
+        change in place.  The waiting tokens have no container of their
+        own: a copy open finds them in the action map."""
         return MachineState(
             dict(st.tokens),
             dict(st.ind),
             st.memory,
             dict(st.acts),
-            {gate: set(waiters) for gate, waiters in st.waiting.items()},
             {gate: dict(copies) for gate, copies in st.open_copies.items()},
             set(st.pending),
             st.lead,
@@ -642,7 +631,7 @@ class MsSystem:
         # The whole net is one open copy, with the empty box stack.
         root_sites = self.index.gate_sites.get((None, 0), ())
         pending = {(kind, nkey, ()) for kind, nkey in root_sites}
-        empty = MachineState({}, {}, self.initial_memory, {}, {}, {}, pending)
+        empty = MachineState({}, {}, self.initial_memory, {}, {}, pending)
         return self._successor(empty, moves)
 
 

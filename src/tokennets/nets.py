@@ -246,9 +246,6 @@ class Net:
         self.surface = SurfaceIndex(self.nodes.values())
         self._sig: Signature | None = None
 
-    def typ(self, eid: int) -> Formula:
-        return self.edges[eid]
-
     def add_node(self, kind, concl_types, prem=(), label=None, contents=()) -> Node:
         """Create a node with fresh conclusion edges of the given types."""
         concl = []
@@ -481,8 +478,8 @@ def _validate_level(net: Net) -> None:
         if eid not in consumed and eid not in conclusions:
             raise InvalidNetError(f"dangling edge {eid} not listed as conclusion")
     for n in net.nodes.values():
-        t = [net.typ(e) for e in n.concl]
-        p = [net.typ(e) for e in n.prem]
+        t = [net.edges[e] for e in n.concl]
+        p = [net.edges[e] for e in n.prem]
         if n.kind == "ax":
             _require(len(t) == 2 and not p and t[0] == neg(t[1]), "bad ax")
         elif n.kind == "cut":
@@ -510,13 +507,13 @@ def _validate_level(net: Net) -> None:
             _require(sum(count_units(x) for x in p) == n.label.arity, "sync label arity mismatch")
         elif n.kind == "bangbox":
             (content,) = n.contents
-            ct = [content.typ(e) for e in content.conclusions]
+            ct = [content.edges[e] for e in content.conclusions]
             _require(t and t[0] == bang(ct[0]), "bad exponential box principal")
             _require(t[1:] == ct[1:] and all(x.kind == "quest" for x in t[1:]),
                      "bad box auxiliaries")
         elif n.kind == "ybox":
             (content,) = n.contents
-            ct = [content.typ(e) for e in content.conclusions]
+            ct = [content.edges[e] for e in content.conclusions]
             _require(len(ct) >= 2 and t and t[0] == bang(ct[0]), "bad fixpoint box principal")
             _require(ct[1] == quest(neg(ct[0])), "bad fixpoint recursion port")
             _require(t[1:] == ct[2:] and all(x.kind == "quest" for x in t[1:]),
@@ -525,7 +522,7 @@ def _validate_level(net: Net) -> None:
             left, right = n.contents
             _require(t and t[0] == BOT and len(t) >= 2, "choice box needs a residual interface")
             for c in (left, right):
-                ct = [c.typ(e) for e in c.conclusions]
+                ct = [c.edges[e] for e in c.conclusions]
                 _require(ct == t, "choice box contents must mirror the box interface")
                 root = SurfaceIndex(c.nodes.values()).concluder.get(c.conclusions[0])
                 _require(root is not None and c.nodes[root].kind == "bot",

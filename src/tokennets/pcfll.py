@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from operator import is_not
 from typing import Callable, NamedTuple
 
-from .memory import OperationLabel, canonical_addresses, fresh
+from .memory import KEYWORDS, OperationLabel, canonical_addresses, fresh
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +197,6 @@ class ParseError(Exception):
     pass
 
 
-_KEYWORDS = {"let", "in", "letrec", "if", "then", "else", "new"}
-
-
 def tokenize(src: str) -> list[str]:
     tokens = []
     for line in src.splitlines():
@@ -246,7 +243,7 @@ class _Parser:
 
     def ident(self) -> str:
         tok = self.next()
-        if not tok[0].isalpha() or tok in _KEYWORDS or tok in self.ops:
+        if not tok[0].isalpha() or tok in KEYWORDS or tok in self.ops:
             raise ParseError(f"expected identifier, got {tok!r}")
         return tok
 
@@ -309,7 +306,7 @@ class _Parser:
             return Pair(a, b)
         if tok in self.ops:
             return Const(self.ops[tok])
-        if tok[0].isalpha() and tok not in _KEYWORDS:
+        if tok[0].isalpha() and tok not in KEYWORDS:
             return Var(tok)
         raise ParseError(f"unexpected token {tok!r}")
 

@@ -120,7 +120,7 @@ class _Translator:
         if lin:
             raise InvalidNetError(f"linear variables {sorted(lin)} inside a duplicable value")
         box, bng_out = self.enclose(net, "bangbox", [(content, [e], bng)],
-                                    [bang(content.typ(e))], env)
+                                    [bang(content.edges[e])], env)
         return box.concl[0], {}, bng_out
 
     def go_raw(self, net: Net, t: Term, env: dict[str, Ty]):
@@ -139,25 +139,25 @@ class _Translator:
             (d,) = self.tp.binders[id(t)]
             e, lin, bng = self.go(net, t.body, {**env, t.var: d})
             x_edge = self.bind(net, t.var, d, lin, bng)
-            p = net.add_node("par", [par(net.typ(x_edge), net.typ(e))], [x_edge, e])
+            p = net.add_node("par", [par(net.edges[x_edge], net.edges[e])], [x_edge, e])
             return p.concl[0], lin, bng
 
         if isinstance(t, App):
             e_f, lin1, bng1 = self.go(net, t.fun, env)
             e_a, lin2, bng2 = self.go(net, t.arg, env)
-            fty = net.typ(e_f)
+            fty = net.edges[e_f]
             if fty.kind != "par":
                 raise InvalidNetError(f"applied a term of formula {fty}")
             bty = fty.sub[1]
             ax = net.add_node("ax", [neg(bty), bty])
-            tn = net.add_node("tensor", [tensor(net.typ(e_a), neg(bty))], [e_a, ax.concl[0]])
+            tn = net.add_node("tensor", [tensor(net.edges[e_a], neg(bty))], [e_a, ax.concl[0]])
             _cut(net, e_f, tn.concl[0])
             return ax.concl[1], _merge_lin(lin1, lin2), _merge_bang(bng1, bng2)
 
         if isinstance(t, Pair):
             e_l, lin1, bng1 = self.go(net, t.left, env)
             e_r, lin2, bng2 = self.go(net, t.right, env)
-            tn = net.add_node("tensor", [tensor(net.typ(e_l), net.typ(e_r))], [e_l, e_r])
+            tn = net.add_node("tensor", [tensor(net.edges[e_l], net.edges[e_r])], [e_l, e_r])
             return tn.concl[0], _merge_lin(lin1, lin2), _merge_bang(bng1, bng2)
 
         if isinstance(t, LetPair):
@@ -166,7 +166,7 @@ class _Translator:
             e_b, lin, bng = self.go(net, t.body, {**env, t.left: d_l, t.right: d_r})
             x_edge = self.bind(net, t.left, d_l, lin, bng)
             y_edge = self.bind(net, t.right, d_r, lin, bng)
-            p = net.add_node("par", [par(net.typ(x_edge), net.typ(y_edge))], [x_edge, y_edge])
+            p = net.add_node("par", [par(net.edges[x_edge], net.edges[y_edge])], [x_edge, y_edge])
             _cut(net, e_s, p.concl[0])
             return e_b, _merge_lin(lin0, lin), _merge_bang(bng0, bng)
 
@@ -195,19 +195,19 @@ class _Translator:
             if len(edges) == 1:
                 return edges[0]
             rest = tuple_edge(edges[1:])
-            typ = tensor(net.typ(edges[0]), net.typ(rest))
+            typ = tensor(net.edges[edges[0]], net.edges[rest])
             return net.add_node("tensor", [typ], [edges[0], rest]).concl[0]
 
         def cotuple_edge(edges: list[int]) -> int:
             if len(edges) == 1:
                 return edges[0]
             rest = cotuple_edge(edges[1:])
-            typ = par(net.typ(edges[0]), net.typ(rest))
+            typ = par(net.edges[edges[0]], net.edges[rest])
             return net.add_node("par", [typ], [edges[0], rest]).concl[0]
 
         arg = cotuple_edge([a.concl[0] for a in axs])
         out = tuple_edge(list(sync.concl))
-        return net.add_node("par", [par(net.typ(arg), net.typ(out))], [arg, out]).concl[0]
+        return net.add_node("par", [par(net.edges[arg], net.edges[out])], [arg, out]).concl[0]
 
     def conditional(self, net: Net, t: If, env: dict[str, Ty]):
         e_g, lin_g, bng_g = self.go(net, t.guard, env)
@@ -219,7 +219,7 @@ class _Translator:
             if lin_b:
                 raise InvalidNetError(f"linear variables {sorted(lin_b)} inside a conditional branch")
             parts.append((c, [root.concl[0], e_b], bng_b))
-        box, bng_out = self.enclose(net, "botbox", parts, [BOT, c.typ(e_b)], env)
+        box, bng_out = self.enclose(net, "botbox", parts, [BOT, c.edges[e_b]], env)
         _cut(net, box.concl[0], e_g)
         return box.concl[1], lin_g, _merge_bang(bng_g, bng_out)
 
@@ -231,10 +231,10 @@ class _Translator:
         # The argument shadows the function when they share a name.
         e_m, lin_m, bng_m = self.go(content, t.fbody, {**env, t.fun: d_f, t.var: d_x})
         x_edge = self.bind(content, t.var, d_x, lin_m, bng_m)
-        lam = content.add_node("par", [par(content.typ(x_edge), content.typ(e_m))],
+        lam = content.add_node("par", [par(content.edges[x_edge], content.edges[e_m])],
                                [x_edge, e_m])
-        if content.typ(lam.concl[0]) != c_f:
-            raise InvalidNetError(f"recursive body of formula {content.typ(lam.concl[0])}, not {c_f}")
+        if content.edges[lam.concl[0]] != c_f:
+            raise InvalidNetError(f"recursive body of formula {content.edges[lam.concl[0]]}, not {c_f}")
         f_port = self.combine(content, bng_m.pop(t.fun, []), quest(neg(c_f)))
         if lin_m:
             raise InvalidNetError(f"linear variables {sorted(lin_m)} inside a recursive definition")

@@ -239,7 +239,7 @@ def test_reachable_nets_with_cuts_have_redexes(name, bk, src):
     for _ in range(depth):
         for a in mu.support():
             has_cut = any(n.kind == "cut" for n in a.net.nodes.values())
-            concl_one = [a.net.typ(e) for e in a.net.conclusions] == [ONE]
+            concl_one = [a.net.edges[e] for e in a.net.conclusions] == [ONE]
             if has_cut and concl_one:
                 assert sys_.enumerate_redexes(a), f"{name}: stuck net with cuts"
         if not any(sys_.enumerate_redexes(a) for a in mu.support()):

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import tokennets.cli
 from tokennets.cli import main
-from tokennets.memory import Backend, IntRegisterMemory, ProbRegisterMemory
+from tokennets.memory import IntRegisterMemory, ProbRegisterMemory
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = sorted((REPO / "corpus").glob("*.pcf"))
@@ -106,6 +107,10 @@ def test_malformed_gates_file_exit_code(tmp_path, capsys):
         ("if V new then new else new", "V, 1, 1, 0, 0, nan", "not finite"),
         ("if V new then new else new", "V, 1, 1, 0, 0, inf", "not finite"),
         ("if V new then new else new", "V, 1, 1, 0, 0, -infi", "not finite"),
+        # Names no program can use: a keyword, two words, no name at all.
+        ("H new", "new, 1, 1, 0, 0, 1", "gate name 'new' is a keyword"),
+        ("H new", "a b, 1, 1, 0, 0, 1", "gate name 'a b' is not one word of letters, digits and _"),
+        ("H new", ", 1, 1, 0, 0, 1", "gate name '' is not one word of letters, digits and _"),
     ]:
         cfg.write_text(f"# a comment line\n{line}\n")
         code = main([write(tmp_path, program), "--backend", "quantum", "--engine", "all",
@@ -237,7 +242,13 @@ def test_registers_are_checked_only_where_a_run_starts(monkeypatch, capsys):
             return f(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(Backend, "initial", counted("initial", Backend.initial))
+    build = tokennets.cli.build_backend
+
+    def counted_build(name, gates):
+        backend = build(name, gates)
+        return backend._replace(initial=counted("initial", backend.initial))
+
+    monkeypatch.setattr(tokennets.cli, "build_backend", counted_build)
     for cls in (IntRegisterMemory, ProbRegisterMemory):
         monkeypatch.setattr(cls, "__init__", counted("checked", cls.__init__))
         monkeypatch.setattr(cls, "update", counted("update", cls.update))

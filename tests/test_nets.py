@@ -484,7 +484,7 @@ def test_copy_in_shares_nested_contents_and_leaves_the_source_alone():
         range(start + 1, start + 1 + n_edges))
     assert sorted(level.nodes)[1:] == list(
         range(start + 1 + n_edges, start + 1 + n_edges + len(source.nodes)))
-    assert [level.typ(e) for e in concl] == [source.typ(e) for e in source.conclusions]
+    assert [level.edges[e] for e in concl] == [source.edges[e] for e in source.conclusions]
     level.conclusions += concl
     validate(level)
     check_fresh(level)
@@ -507,7 +507,7 @@ def test_a_test_copies_the_chosen_content_less_its_bot_root():
         contents = [rooted_content_with_boxes(), rooted_content_with_boxes()]
         source, root = contents[side]
         net = Net()
-        box = net.add_node("botbox", [source.typ(e) for e in source.conclusions],
+        box = net.add_node("botbox", [source.edges[e] for e in source.conclusions],
                            contents=[c for c, _ in contents])
         one = net.add_node("one", [ONE])
         net.add_node("cut", [], [box.concl[0], one.concl[0]])

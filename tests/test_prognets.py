@@ -276,12 +276,11 @@ def test_net_closure_owns_its_copy(path, policy):
 def ms_snapshot(st):
     """A machine state equal to `st` that shares no container with it."""
     return MachineState(dict(st.tokens), dict(st.ind), copy.deepcopy(st.memory), dict(st.acts),
-                        {gate: set(w) for gate, w in st.waiting.items()},
                         {gate: dict(c) for gate, c in st.open_copies.items()}, set(st.pending))
 
 
 def ms_parts(st):
-    return (st.tokens, st.ind, st.memory, st.acts, st.waiting, st.open_copies, st.pending)
+    return (st.tokens, st.ind, st.memory, st.acts, st.open_copies, st.pending)
 
 
 class UnchangedApply(MsSystem):
